@@ -72,6 +72,7 @@ from .special_functions import (
     euler_interval_contains,
     lambert_w0,
     power_tower,
+    tower_iterates,
     tower_limit,
     tower_limit_via_lambert,
 )
@@ -125,6 +126,7 @@ __all__ = [
     "random_history",
     "tetration_proof_trace",
     "theorem_verdict",
+    "tower_iterates",
     "tower_limit",
     "tower_limit_via_lambert",
     "zero_crossings",

@@ -11,11 +11,13 @@ t, + - * / **, parentheses, exp/log/sin/cos/min/max, and the constants e
 and pi.
 """
 
+import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from collections import Counter
 from datetime import datetime, timezone
+from itertools import islice
 from pathlib import Path
 from typing import Optional
 
@@ -36,28 +38,27 @@ from .operators import HistoryFunction, random_history, sigma_growth_check
 from .simulator import (
     Interpolation,
     SimulationConfig,
-    Trajectory,
     classify,
     concordance_experiment,
     integrate,
+    read_trajectory_csv,
     sigma_pad_start,
+    write_trajectory_csv,
 )
 from .special_functions import (
     EULER_LOWER,
     EULER_UPPER,
     TowerOutcome,
     euler_interval_contains,
+    tower_iterates,
     tower_limit,
     tower_limit_via_lambert,
 )
-from .specfile import (
-    EquationSpec,
-    app3_derived_bound,
-    app3_stated_bound,
-    build_operator,
-    load_spec,
-    save_spec,
-)
+from .specfile import EquationSpec, build_operator, load_spec, make_scenarios, save_spec
+
+# The CSV reader and the scenario builder are re-exported for callers of this module.
+__all__ = ["analyze_spec", "cmd_analyze", "cmd_reproduce", "cmd_simulate", "cmd_tower", "main",
+           "make_scenarios", "read_trajectory_csv", "write_trajectory_csv"]
 
 _PARSE_ERRORS = (SpecFormatError, ExpressionError, InvalidParameterError)
 # Checked after _PARSE_ERRORS: plain ValueError here means math-domain
@@ -68,6 +69,21 @@ _NUMERIC_ERRORS = (DomainError, HistoryDomainError, CrossValidationError, Arithm
 def _fail(code: int, message: str) -> int:
     click.echo(f"error: {message}", err=True)
     return code
+
+
+def _exit_codes(command):
+    """Turn package errors raised by a ``cmd_*`` function into its exit code."""
+
+    @functools.wraps(command)
+    def run(*args, **kwargs) -> int:
+        try:
+            return command(*args, **kwargs)
+        except _PARSE_ERRORS as exc:
+            return _fail(2, str(exc))
+        except _NUMERIC_ERRORS as exc:
+            return _fail(3, str(exc))
+
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +97,7 @@ def analyze_spec(
     grid_points: int = 512,
     panels: int = 64,
 ):
-    """Run the criterion for a spec; returns (report dict, estimate, verdict, trace)."""
+    """Run the criterion for a spec; returns (report dict, operator)."""
     op = build_operator(spec)
     if op.bound_b is None:
         raise InvalidParameterError(
@@ -120,7 +136,7 @@ def analyze_spec(
             "limit_if_convergent": trace.limit_if_convergent,
         },
     }
-    return report, estimate, verdict, trace
+    return report, op
 
 
 def _print_analysis(report: dict, fmt: str) -> None:
@@ -161,6 +177,7 @@ def _print_analysis(report: dict, fmt: str) -> None:
             )
 
 
+@_exit_codes
 def cmd_analyze(
     spec_path,
     t_start: float,
@@ -170,16 +187,7 @@ def cmd_analyze(
     grid_points: int = 512,
     panels: int = 64,
 ) -> int:
-    try:
-        spec = load_spec(spec_path)
-    except _PARSE_ERRORS as exc:
-        return _fail(2, str(exc))
-    try:
-        report, _, _, _ = analyze_spec(spec, t_start, t_end, grid_points, panels)
-    except _PARSE_ERRORS as exc:
-        return _fail(2, str(exc))
-    except _NUMERIC_ERRORS as exc:
-        return _fail(3, str(exc))
+    report, _ = analyze_spec(load_spec(spec_path), t_start, t_end, grid_points, panels)
     if output_path is not None:
         Path(output_path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     _print_analysis(report, fmt)
@@ -188,56 +196,6 @@ def cmd_analyze(
 
 # ---------------------------------------------------------------------------
 # simulate
-
-
-def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """CSV with header t,x,dx; floats in shortest round-trip form.
-
-    An overflow-flagged run gets a trailing '#' comment line.
-    """
-    lines = ["t,x,dx"]
-    for t, v, d in zip(traj.times, traj.values, traj.derivative_values):
-        lines.append(f"{float(t)!r},{float(v)!r},{float(d)!r}")
-    if traj.overflowed:
-        lines.append(
-            f"# overflow: |x| exceeded {traj.config.overflow_guard:g} "
-            f"(or an operator evaluation overflowed); truncated at t={traj.final_time!r}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_trajectory_csv(path) -> Trajectory:
-    """Parse a trajectory CSV back; samples round-trip exactly.
-
-    The integration config is reconstructed only as far as the file allows
-    (step from the time grid); interpolation choice is not recorded.
-    """
-    import numpy as np
-
-    times, values, derivs = [], [], []
-    overflowed = False
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line or line == "t,x,dx":
-            continue
-        if line.startswith("#"):
-            overflowed = overflowed or line.startswith("# overflow")
-            continue
-        t, v, d = line.split(",")
-        times.append(float(t))
-        values.append(float(v))
-        derivs.append(float(d))
-    if not times:
-        raise SpecFormatError(f"no samples in trajectory CSV {path}")
-    step = times[1] - times[0] if len(times) > 1 else 1.0
-    config = SimulationConfig(t_end=max(times[-1], step), step=step)
-    return Trajectory(
-        times=np.array(times),
-        values=np.array(values),
-        derivative_values=np.array(derivs),
-        config=config,
-        overflowed=overflowed,
-    )
 
 
 def _parse_history_preset(preset: str, op) -> tuple[HistoryFunction, str]:
@@ -260,6 +218,7 @@ def _parse_history_preset(preset: str, op) -> tuple[HistoryFunction, str]:
     )
 
 
+@_exit_codes
 def cmd_simulate(
     spec_path,
     history_preset: str,
@@ -270,20 +229,10 @@ def cmd_simulate(
     transient_fraction: float = 0.25,
     fmt: str = "text",
 ) -> int:
-    try:
-        spec = load_spec(spec_path)
-        op = build_operator(spec)
-        hist, hist_desc = _parse_history_preset(history_preset, op)
-        interp = Interpolation.LINEAR if interpolation == "linear" else Interpolation.CUBIC_HERMITE
-        config = SimulationConfig(t_end=t_end, step=step, interpolation=interp)
-    except _PARSE_ERRORS as exc:
-        return _fail(2, str(exc))
-    try:
-        traj = integrate(op, hist, config)
-    except _PARSE_ERRORS as exc:
-        return _fail(2, str(exc))
-    except _NUMERIC_ERRORS as exc:
-        return _fail(3, str(exc))
+    op = build_operator(load_spec(spec_path))
+    hist, hist_desc = _parse_history_preset(history_preset, op)
+    interp = Interpolation.LINEAR if interpolation == "linear" else Interpolation.CUBIC_HERMITE
+    traj = integrate(op, hist, SimulationConfig(t_end=t_end, step=step, interpolation=interp))
 
     if csv_path is not None:
         write_trajectory_csv(traj, csv_path)
@@ -328,18 +277,12 @@ def cmd_simulate(
 # tower
 
 
+@_exit_codes
 def cmd_tower(base: float, max_iter: int = 10_000, tol: float = 1e-10, fmt: str = "text") -> int:
-    if base <= 0.0:
-        return _fail(2, f"base must be positive, got {base}")
-    try:
-        result = tower_limit(base, tol=tol, max_iter=max_iter)
-    except InvalidParameterError as exc:
-        return _fail(2, str(exc))
+    result = tower_limit(base, tol=tol, max_iter=max_iter)
 
     inside = euler_interval_contains(base)
-    lambert_value = None
-    if EULER_LOWER < base <= EULER_UPPER:
-        lambert_value = tower_limit_via_lambert(base)
+    lambert_value = tower_limit_via_lambert(base) if EULER_LOWER < base <= EULER_UPPER else None
 
     if fmt == "json":
         doc = {
@@ -358,18 +301,14 @@ def cmd_tower(base: float, max_iter: int = 10_000, tol: float = 1e-10, fmt: str 
         return 0
 
     click.echo(f"infinite power tower, base = {base!r}")
-    t = base
-    shown = 0
     click.echo("  n        iterate")
-    while shown < 12:
-        click.echo(f"  {shown + 1:<8d} {t!r}")
-        shown += 1
-        if t > 1e8 or (base > 1.0 and t * math.log(base) > 690.0):
+    shown = min(12, result.iterations_used)
+    # One iterate past the display cap, so that an overflow marker there shows.
+    for n, t in enumerate(islice(tower_iterates(base), shown + 1), 1):
+        if n > 1 and t == math.inf:
             click.echo("  ...      (overflow range)")
-            break
-        if shown >= 12 or shown >= result.iterations_used:
-            break
-        t = base ** t
+        elif n <= shown:
+            click.echo(f"  {n:<8d} {t!r}")
     if result.outcome is TowerOutcome.CONVERGED:
         click.echo(
             f"outcome: converged after {result.iterations_used} iterations; "
@@ -393,149 +332,14 @@ def cmd_tower(base: float, max_iter: int = 10_000, tol: float = 1e-10, fmt: str 
 
 
 # ---------------------------------------------------------------------------
-# reproduce: the three built-in benchmark scenarios
-
-
-@dataclass(frozen=True)
-class Scenario:
-    app_id: int
-    name: str
-    spec: EquationSpec
-    crit_t_start: float
-    crit_t_end: float
-    sim: SimulationConfig
-    history_amplitude: float
-    stated_condition: str
-    stated_condition_holds: bool
-    discrepancy: Optional[str]
-
-
-_APP_PARAMS = {1: ("q",), 2: ("a1", "a2", "a3"), 3: ("a", "b", "m", "l")}
-_APP_DEFAULTS = {
-    1: [{"q": 10.0}, {"q": 20.0}],
-    2: [{"a1": 1.0, "a2": 1.0, "a3": 1.0}],
-    3: [{"a": 3.0, "b": 0.1, "m": 1.0, "l": 2}, {"a": 3.0, "b": 0.1, "m": 1.0, "l": 3}],
-}
-
-
-def _scenario_app1(q: float) -> Scenario:
-    if q <= 0:
-        raise InvalidParameterError(f"q must be positive, got {q}")
-    # Time-shifted by 6 so the run starts at 0 with bounded coefficients:
-    # coefficients 1/(q t) and (t-1)/(q t) at original time t = t' + 6.
-    spec = EquationSpec(
-        kind="discrete_delay",
-        label=f"scenario 1: two discrete delays, q={q:g} (time axis shifted by 6)",
-        terms=(
-            (f"1/({q!r}*(t+6))", 6.0),
-            (f"(t+5)/({q!r}*(t+6))", 8.0),
-        ),
-        bound_expr=f"1/{q!r}",
-    )
-    six_e = 6.0 * math.e
-    return Scenario(
-        app_id=1,
-        name=f"app1_q={q:g}",
-        spec=spec,
-        crit_t_start=16.0,
-        crit_t_end=256.0,
-        sim=SimulationConfig(t_end=240.0, step=0.05),
-        history_amplitude=1.0,
-        stated_condition=f"q > 6e (6e = {six_e:.6g})",
-        stated_condition_holds=q > six_e,
-        discrepancy=(
-            "the stated condition 'q > 6e' points the wrong way: the criterion "
-            "quantity is w = 6/q, and w > 1/e holds exactly when q < 6e. "
-            "The verdict shown follows the computed w."
-        ),
-    )
-
-
-def _scenario_app2(a1: float, a2: float, a3: float) -> Scenario:
-    spec = EquationSpec(
-        kind="distributed_delay",
-        label=f"scenario 2: exp(max(a1*s, x^2)) kernel, a1={a1:g}, a2={a2:g}, a3={a3:g}",
-        kernel="app2",
-        parameters={"a1": a1, "a2": a2, "a3": a3},
-    )
-    a = min(a2, a3)
-    condition_value = a * math.exp(1.0 + a1) * (math.exp(a1) - 1.0) / a1
-    return Scenario(
-        app_id=2,
-        name=f"app2_a1={a1:g}_a2={a2:g}_a3={a3:g}",
-        spec=spec,
-        crit_t_start=4.0,
-        crit_t_end=16.0,
-        sim=SimulationConfig(t_end=12.0, step=0.01),
-        history_amplitude=1e-5,
-        stated_condition=(
-            f"min(a2,a3)*e^(1+a1)*(e^a1 - 1)/a1 > 1 (value = {condition_value:.6g})"
-        ),
-        stated_condition_holds=condition_value > 1.0,
-        discrepancy=None,
-    )
-
-
-def _scenario_app3(a: float, b: float, m: float, l: int) -> Scenario:
-    l = int(l)
-    spec = EquationSpec(
-        kind="distributed_delay",
-        label=f"scenario 3: polynomial kernel with sin^l modulation, a={a:g}, b={b:g}, m={m:g}, l={l}",
-        kernel="app3",
-        parameters={"a": a, "b": b, "m": m, "l": l},
-    )
-    if l % 2:
-        condition = f"(a - m*b)*e > m (value = {(a - m * b) * math.e:.6g} vs {m:g})"
-        holds = (a - m * b) * math.e > m
-    else:
-        condition = f"a*e > m (value = {a * math.e:.6g} vs {m:g})"
-        holds = a * math.e > m
-    derived = app3_derived_bound(a, b, m, l)
-    stated = app3_stated_bound(a, b, m, l)
-    return Scenario(
-        app_id=3,
-        name=f"app3_a={a:g}_b={b:g}_m={m:g}_l={l}",
-        spec=spec,
-        crit_t_start=12.0,
-        crit_t_end=52.0,
-        sim=SimulationConfig(t_end=40.0, step=0.05),
-        history_amplitude=0.5,
-        stated_condition=condition,
-        stated_condition_holds=holds,
-        discrepancy=(
-            f"the stated bound value {stated:g} (a/m{' - b' if l % 2 else ''}) does not match "
-            f"the kernel's integral; integrating the pointwise lower bound over s in [0,1] "
-            f"gives {derived:g} (a/(m+1){' - b/3' if l % 2 else ''}), which is what the "
-            f"criterion uses here."
-        ),
-    )
-
-
-def make_scenarios(app_id: int, overrides: Optional[dict] = None) -> list[Scenario]:
-    if app_id not in _APP_PARAMS:
-        raise InvalidParameterError(f"unknown scenario id {app_id}; choose 1, 2 or 3")
-    if overrides:
-        unknown = set(overrides) - set(_APP_PARAMS[app_id])
-        if unknown:
-            raise InvalidParameterError(
-                f"unknown parameter(s) {sorted(unknown)} for scenario {app_id}; "
-                f"valid: {list(_APP_PARAMS[app_id])}"
-            )
-        param_sets = [{**_APP_DEFAULTS[app_id][0], **overrides}]
-    else:
-        param_sets = _APP_DEFAULTS[app_id]
-    builders = {1: _scenario_app1, 2: _scenario_app2, 3: _scenario_app3}
-    return [builders[app_id](**params) for params in param_sets]
+# reproduce: the built-in benchmark scenarios of :data:`ddeosc.specfile.SCENARIO_CATALOG`
 
 
 def _class_histogram(classes) -> dict:
-    hist: dict[str, int] = {}
-    for cls in classes:
-        key = cls.classification.value
-        hist[key] = hist.get(key, 0) + 1
-    return hist
+    return dict(Counter(cls.classification.value for cls in classes))
 
 
+@_exit_codes
 def cmd_reproduce(
     app_id: int,
     overrides: Optional[dict] = None,
@@ -544,11 +348,7 @@ def cmd_reproduce(
     n_histories: int = 10,
     fmt: str = "text",
 ) -> int:
-    try:
-        scenarios = make_scenarios(app_id, overrides)
-    except _PARSE_ERRORS as exc:
-        return _fail(2, str(exc))
-
+    scenarios = make_scenarios(app_id, overrides)
     out = Path(out_dir) if out_dir is not None else Path(f"reproduce_app{app_id}")
     summaries = []
     for sc in scenarios:
@@ -556,25 +356,18 @@ def cmd_reproduce(
         traj_dir = bundle / "trajectories"
         traj_dir.mkdir(parents=True, exist_ok=True)
         save_spec(sc.spec, bundle / "spec.json")
-        try:
-            report, estimate, verdict, _ = analyze_spec(sc.spec, sc.crit_t_start, sc.crit_t_end)
-            (bundle / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-            op = build_operator(sc.spec)
-            conc = concordance_experiment(
-                op,
-                sc.sim,
-                n_histories=n_histories,
-                seed=seed,
-                history_amplitude=sc.history_amplitude,
-                criterion_t_start=sc.crit_t_start,
-                criterion_t_end=sc.crit_t_end,
-                keep_trajectories=True,
-            )
-        except _PARSE_ERRORS as exc:
-            return _fail(2, str(exc))
-        except _NUMERIC_ERRORS as exc:
-            return _fail(3, str(exc))
-
+        report, op = analyze_spec(sc.spec, sc.crit_t_start, sc.crit_t_end)
+        (bundle / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        conc = concordance_experiment(
+            op,
+            sc.sim,
+            n_histories=n_histories,
+            seed=seed,
+            history_amplitude=sc.history_amplitude,
+            criterion_t_start=sc.crit_t_start,
+            criterion_t_end=sc.crit_t_end,
+            keep_trajectories=True,
+        )
         for run_seed, traj in zip(conc.seeds, conc.trajectories):
             write_trajectory_csv(traj, traj_dir / f"traj_seed{run_seed}.csv")
 

@@ -17,6 +17,7 @@ cross-validates the three equivalent tests against each other.
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from typing import Callable, Union
 
 import numpy as np
@@ -29,6 +30,7 @@ from .special_functions import (
     ConvergenceResult,
     TowerOutcome,
     lambert_w0,
+    tower_iterates,
     tower_limit,
 )
 
@@ -231,28 +233,23 @@ def tetration_proof_trace(w: float, max_iter: int = 10_000) -> TetrationTrace:
     if result.outcome is TowerOutcome.CONVERGED and above_by_a:
         raise CrossValidationError(f"tower of {a!r} converged although a > e^(1/e)")
 
-    iterates: list[float] = []
-    t = a
-    iterates.append(t)
-    for _ in range(min(max_iter, 100) - 1):
-        if t > 1e8 or t * w > 690.0:
-            break
-        t = a ** t
-        iterates.append(t)
+    iterates = tuple(islice(tower_iterates(a), min(max_iter, 100)))
+    if len(iterates) > 1 and iterates[-1] == math.inf:
+        iterates = iterates[:-1]  # the overflow marker, not an iterate
 
     if above_by_a:
         decision = TowerDecision.DIVERGES_HENCE_GUARANTEED
         limit = None
     else:
         decision = TowerDecision.CONVERGES_HENCE_INCONCLUSIVE
-        # Direct form of the tower limit of e^w; avoids the exp/log round
-        # trip that the branch-point singularity would amplify at w = 1/e.
-        limit = -lambert_w0(-w) / w
+        # The tower limit of e^w in direct form, -W(-w)/w: no exp/log round
+        # trip for the branch-point singularity to amplify at w = 1/e.
+        limit = zeta_fixed_point(w)
 
     return TetrationTrace(
         w=w,
         a=a,
-        iterates=tuple(iterates),
+        iterates=iterates,
         decision=decision,
         limit_if_convergent=limit,
         tower_result=result,

@@ -7,12 +7,14 @@ current state, the two middle stages coincide, and every delayed read falls
 inside the already-computed part of the trajectory: no implicitness.
 Delayed reads use cubic Hermite interpolation of the stored value and
 derivative samples by default, which preserves the fourth-order accuracy;
-linear interpolation is available for cross-checks.
+linear interpolation is available for cross-checks.  Trajectories are
+written to and read back from CSV without loss.
 """
 
 import math
 from dataclasses import dataclass
 from enum import Enum
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -28,6 +30,7 @@ from .errors import (
     HistoryCoverageError,
     HistoryDomainError,
     InvalidParameterError,
+    SpecFormatError,
     StepSizeError,
 )
 from .operators import AmnesiaOperator, AuditReport, HistoryFunction, audit_sign_bound, random_history
@@ -78,6 +81,54 @@ class Trajectory:
     @property
     def final_value(self) -> float:
         return float(self.values[-1])
+
+
+def write_trajectory_csv(traj: Trajectory, path) -> None:
+    """CSV with header t,x,dx; floats in shortest round-trip form.
+
+    An overflow-flagged run gets a trailing '#' comment line.
+    """
+    lines = ["t,x,dx"]
+    for t, v, d in zip(traj.times, traj.values, traj.derivative_values):
+        lines.append(f"{float(t)!r},{float(v)!r},{float(d)!r}")
+    if traj.overflowed:
+        lines.append(
+            f"# overflow: |x| exceeded {traj.config.overflow_guard:g} "
+            f"(or an operator evaluation overflowed); truncated at t={traj.final_time!r}"
+        )
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def read_trajectory_csv(path) -> Trajectory:
+    """Parse a trajectory CSV back; samples round-trip exactly.
+
+    The integration config is reconstructed only as far as the file allows
+    (step from the time grid); interpolation choice is not recorded.
+    """
+    times, values, derivs = [], [], []
+    overflowed = False
+    for line in Path(path).read_text().splitlines():
+        line = line.strip()
+        if not line or line == "t,x,dx":
+            continue
+        if line.startswith("#"):
+            overflowed = overflowed or line.startswith("# overflow")
+            continue
+        t, v, d = line.split(",")
+        times.append(float(t))
+        values.append(float(v))
+        derivs.append(float(d))
+    if not times:
+        raise SpecFormatError(f"no samples in trajectory CSV {path}")
+    step = times[1] - times[0] if len(times) > 1 else 1.0
+    config = SimulationConfig(t_end=max(times[-1], step), step=step)
+    return Trajectory(
+        times=np.array(times),
+        values=np.array(values),
+        derivative_values=np.array(derivs),
+        config=config,
+        overflowed=overflowed,
+    )
 
 
 def integrate(

@@ -1,4 +1,4 @@
-"""Equation-spec JSON documents and the built-in distributed-kernel catalog.
+"""Equation-spec JSON documents, the built-in kernel catalog and the benchmark scenarios.
 
 Schema (version 1).  Discrete delays:
 
@@ -20,13 +20,14 @@ the identity.
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
-from .errors import SpecFormatError
+from .errors import InvalidParameterError, SpecFormatError
 from .expressions import parse_expression
 from .operators import AmnesiaOperator, make_discrete_delay, make_distributed_delay
+from .simulator import SimulationConfig
 
 SCHEMA_VERSION = 1
 KINDS = ("discrete_delay", "distributed_delay")
@@ -145,16 +146,7 @@ def build_operator(spec: EquationSpec) -> AmnesiaOperator:
     entry = KERNEL_CATALOG[spec.kernel]
     op = entry.build(spec.parameters, label=spec.label or entry.description)
     if spec.bound_expr:
-        bound = parse_expression(spec.bound_expr)
-        op = AmnesiaOperator(
-            label=op.label,
-            evaluate=op.evaluate,
-            tau=op.tau,
-            sigma=op.sigma,
-            bound_b=bound,
-            read_points=op.read_points,
-            min_lag=op.min_lag,
-        )
+        op = replace(op, bound_b=parse_expression(spec.bound_expr))
     return op
 
 
@@ -273,3 +265,157 @@ KERNEL_CATALOG: dict[str, KernelEntry] = {
         validator=_validate_app3,
     ),
 }
+
+
+# ---------------------------------------------------------------------------
+# The three benchmark scenarios that ``ddeosc reproduce`` rebuilds
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """A benchmark scenario with concrete parameters, ready to analyze and simulate."""
+
+    app_id: int
+    name: str
+    spec: EquationSpec
+    crit_t_start: float
+    crit_t_end: float
+    sim: SimulationConfig
+    history_amplitude: float
+    stated_condition: str
+    stated_condition_holds: bool
+    discrepancy: Optional[str]
+
+
+@dataclass(frozen=True)
+class ScenarioEntry:
+    """One benchmark scenario: default parameter sets, checks, builder, run settings.
+
+    ``build`` maps validated parameters to the parameter-dependent
+    :class:`Scenario` fields: name, spec, stated condition and discrepancy.
+    """
+
+    app_id: int
+    parameter_sets: tuple[dict, ...]
+    validate: Callable[[dict], None]
+    build: Callable[..., dict]
+    crit_t_start: float
+    crit_t_end: float
+    sim: SimulationConfig
+    history_amplitude: float
+
+    def scenario(self, parameters: dict) -> Scenario:
+        self.validate(parameters)
+        return Scenario(
+            app_id=self.app_id, crit_t_start=self.crit_t_start, crit_t_end=self.crit_t_end, sim=self.sim,
+            history_amplitude=self.history_amplitude, **self.build(**parameters),
+        )
+
+
+def _validate_app1(p: dict) -> None:
+    if p["q"] <= 0:
+        raise InvalidParameterError(f"q must be positive, got {p['q']}")
+
+
+def _scenario_app1(q: float) -> dict:
+    # Time-shifted by 6 so the run starts at 0 with bounded coefficients:
+    # coefficients 1/(q t) and (t-1)/(q t) at original time t = t' + 6.
+    six_e = 6.0 * math.e
+    return dict(
+        name=f"app1_q={q:g}",
+        spec=EquationSpec(
+            kind="discrete_delay",
+            label=f"scenario 1: two discrete delays, q={q:g} (time axis shifted by 6)",
+            terms=(
+                (f"1/({q!r}*(t+6))", 6.0),
+                (f"(t+5)/({q!r}*(t+6))", 8.0),
+            ),
+            bound_expr=f"1/{q!r}",
+        ),
+        stated_condition=f"q > 6e (6e = {six_e:.6g})",
+        stated_condition_holds=q > six_e,
+        discrepancy=(
+            "the stated condition 'q > 6e' points the wrong way: the criterion "
+            "quantity is w = 6/q, and w > 1/e holds exactly when q < 6e. "
+            "The verdict shown follows the computed w."
+        ),
+    )
+
+
+def _scenario_app2(a1: float, a2: float, a3: float) -> dict:
+    condition_value = min(a2, a3) * math.exp(1.0 + a1) * (math.exp(a1) - 1.0) / a1
+    return dict(
+        name=f"app2_a1={a1:g}_a2={a2:g}_a3={a3:g}",
+        spec=EquationSpec(
+            kind="distributed_delay",
+            label=f"scenario 2: exp(max(a1*s, x^2)) kernel, a1={a1:g}, a2={a2:g}, a3={a3:g}",
+            kernel="app2",
+            parameters={"a1": a1, "a2": a2, "a3": a3},
+        ),
+        stated_condition=f"min(a2,a3)*e^(1+a1)*(e^a1 - 1)/a1 > 1 (value = {condition_value:.6g})",
+        stated_condition_holds=condition_value > 1.0,
+        discrepancy=None,
+    )
+
+
+def _scenario_app3(a: float, b: float, m: float, l: int) -> dict:
+    l = int(l)
+    if l % 2:
+        condition = f"(a - m*b)*e > m (value = {(a - m * b) * math.e:.6g} vs {m:g})"
+        holds = (a - m * b) * math.e > m
+    else:
+        condition = f"a*e > m (value = {a * math.e:.6g} vs {m:g})"
+        holds = a * math.e > m
+    return dict(
+        name=f"app3_a={a:g}_b={b:g}_m={m:g}_l={l}",
+        spec=EquationSpec(
+            kind="distributed_delay",
+            label=f"scenario 3: polynomial kernel with sin^l modulation, a={a:g}, b={b:g}, m={m:g}, l={l}",
+            kernel="app3",
+            parameters={"a": a, "b": b, "m": m, "l": l},
+        ),
+        stated_condition=condition,
+        stated_condition_holds=holds,
+        discrepancy=(
+            f"the stated bound value {app3_stated_bound(a, b, m, l):g} (a/m{' - b' if l % 2 else ''}) "
+            f"does not match the kernel's integral; integrating the pointwise lower bound over s in "
+            f"[0,1] gives {app3_derived_bound(a, b, m, l):g} (a/(m+1){' - b/3' if l % 2 else ''}), "
+            f"which is what the criterion uses here."
+        ),
+    )
+
+
+_APP2, _APP3 = KERNEL_CATALOG["app2"], KERNEL_CATALOG["app3"]
+
+SCENARIO_CATALOG: dict[int, ScenarioEntry] = {
+    1: ScenarioEntry(
+        app_id=1, parameter_sets=({"q": 10.0}, {"q": 20.0}), validate=_validate_app1, build=_scenario_app1,
+        crit_t_start=16.0, crit_t_end=256.0, sim=SimulationConfig(t_end=240.0, step=0.05), history_amplitude=1.0,
+    ),
+    2: ScenarioEntry(
+        app_id=2, parameter_sets=(_APP2.defaults,), validate=_APP2.validate, build=_scenario_app2,
+        crit_t_start=4.0, crit_t_end=16.0, sim=SimulationConfig(t_end=12.0, step=0.01), history_amplitude=1e-5,
+    ),
+    3: ScenarioEntry(
+        app_id=3, parameter_sets=(_APP3.defaults, _APP3.merged({"l": 3})), validate=_APP3.validate,
+        build=_scenario_app3, crit_t_start=12.0, crit_t_end=52.0, sim=SimulationConfig(t_end=40.0, step=0.05),
+        history_amplitude=0.5,
+    ),
+}
+
+
+def make_scenarios(app_id: int, overrides: Optional[dict] = None) -> list[Scenario]:
+    """The scenarios of one app: its default parameter sets, or the first with overrides."""
+    if app_id not in SCENARIO_CATALOG:
+        raise InvalidParameterError(f"unknown scenario id {app_id}; choose 1, 2 or 3")
+    entry = SCENARIO_CATALOG[app_id]
+    param_sets = entry.parameter_sets
+    if overrides:
+        valid = list(param_sets[0])
+        unknown = set(overrides) - set(valid)
+        if unknown:
+            raise InvalidParameterError(
+                f"unknown parameter(s) {sorted(unknown)} for scenario {app_id}; valid: {valid}"
+            )
+        param_sets = ({**param_sets[0], **overrides},)
+    return [entry.scenario(params) for params in param_sets]

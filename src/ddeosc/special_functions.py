@@ -9,8 +9,10 @@ threshold implemented in :mod:`ddeosc.criterion`.
 """
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from typing import Optional
 
 from .errors import DomainError, InvalidParameterError
@@ -75,25 +77,33 @@ def lambert_w0(x: float) -> float:
     return w
 
 
+def tower_iterates(base: float) -> Iterator[float]:
+    """The hyper4 iterates t1 = base, t_{k+1} = base**t_k of a positive base.
+
+    Endless unless the next power would overflow the float range
+    (t_k * ln(base) > 690): then it yields ``math.inf`` once and stops.
+    """
+    log_b = math.log(base)
+    t = base
+    while True:
+        yield t
+        if t * log_b > _EXP_ARG_LIMIT:
+            yield math.inf
+            return
+        t = base ** t
+
+
 def power_tower(base: float, n: int) -> float:
     """The n-fold right-associated exponential base^(base^(...^base)).
 
-    Computed iteratively as t1 = base, t_{k+1} = base**t_k.  Returns
-    ``math.inf`` as soon as an intermediate would overflow the float range.
+    The n-th of :func:`tower_iterates`; ``math.inf`` once an intermediate
+    would overflow the float range.
     """
     if base <= 0.0:
         raise InvalidParameterError(f"base must be positive, got {base}")
     if n < 1:
         raise InvalidParameterError(f"n must be >= 1, got {n}")
-    if base == 1.0:
-        return 1.0
-    log_b = math.log(base)
-    t = base
-    for _ in range(n - 1):
-        if t * log_b > _EXP_ARG_LIMIT:
-            return math.inf
-        t = base ** t
-    return t
+    return next(islice(tower_iterates(base), n - 1, None), math.inf)
 
 
 class TowerOutcome(Enum):
@@ -145,11 +155,10 @@ def tower_limit(base: float, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_M
     if max_iter < 1:
         raise InvalidParameterError(f"max_iter must be >= 1, got {max_iter}")
 
-    log_b = math.log(base)
-    t = base
+    iterates = tower_iterates(base)
+    t = next(iterates)
     iterations = 1
-    for _ in range(max_iter):
-        nxt = math.inf if t * log_b > _EXP_ARG_LIMIT else base ** t
+    for nxt in islice(iterates, max_iter):
         iterations += 1
         if nxt > _DIVERGENCE_CAP or (base > 1.0 and nxt > math.e + 1e-9):
             return ConvergenceResult(

@@ -220,3 +220,28 @@ class TestClickWiring:
         runner = CliRunner()
         result = runner.invoke(main, ["reproduce", "--app", "1", "--set", "q:10", "--out", str(tmp_path / "o")])
         assert result.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["reproduce", "--app", "2", "--set", "a1=0"], 2),
+        (["reproduce", "--app", "3", "--set", "m=-1"], 2),
+        (["reproduce", "--app", "3", "--set", "m=0"], 2),
+        (["reproduce", "--app", "2", "--set", "a1=1000"], 3),
+        (["reproduce", "--app", "3", "--set", "l=2.5"], 2),
+        (["simulate", "--transient-fraction", "1.5"], 2),
+        (["simulate", "--transient-fraction", "-0.1"], 2),
+    ],
+    ids=["a1=0", "m=-1", "m=0", "a1=1000", "l=2.5", "transient=1.5", "transient=-0.1"],
+)
+def test_bad_input_exits_with_one_line_error(args, code, single_delay_spec, tmp_path):
+    if args[0] == "reproduce":
+        args = [*args, "--n-histories", "1", "--out", str(tmp_path / "rep")]
+    else:
+        args = [*args, "--spec", str(single_delay_spec), "--t-end", "5"]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == code
+    assert isinstance(result.exception, SystemExit)  # not an uncaught error
+    assert result.stderr.startswith("error: ")
+    assert len(result.stderr.splitlines()) == 1
