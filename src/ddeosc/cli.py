@@ -97,7 +97,7 @@ def analyze_spec(
     grid_points: int = 512,
     panels: int = 64,
 ):
-    """Run the criterion for a spec; returns (report dict, operator)."""
+    """Run the criterion for a spec; returns (report dict, operator, estimate)."""
     op = build_operator(spec)
     if op.bound_b is None:
         raise InvalidParameterError(
@@ -136,12 +136,12 @@ def analyze_spec(
             "limit_if_convergent": trace.limit_if_convergent,
         },
     }
-    return report, op
+    return report, op, estimate
 
 
 def _print_analysis(report: dict, fmt: str) -> None:
     if fmt == "json":
-        click.echo(json.dumps(report, indent=2, sort_keys=True))
+        click.echo(json.dumps(report, indent=2, sort_keys=True, allow_nan=False))
         return
     if fmt == "csv":
         click.echo("window_start,infimum")
@@ -187,9 +187,9 @@ def cmd_analyze(
     grid_points: int = 512,
     panels: int = 64,
 ) -> int:
-    report, _ = analyze_spec(load_spec(spec_path), t_start, t_end, grid_points, panels)
+    report, _, _ = analyze_spec(load_spec(spec_path), t_start, t_end, grid_points, panels)
     if output_path is not None:
-        Path(output_path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        Path(output_path).write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
     _print_analysis(report, fmt)
     return 0
 
@@ -258,7 +258,7 @@ def cmd_simulate(
         "tail_monotone": cls.tail_monotone,
     }
     if fmt == "json":
-        click.echo(json.dumps(summary, indent=2, sort_keys=True))
+        click.echo(json.dumps(summary, indent=2, sort_keys=True, allow_nan=False))
     else:
         click.echo(
             f"simulated {op.label!r}: {len(traj.times) - 1} steps of {step:g} "
@@ -297,7 +297,7 @@ def cmd_tower(base: float, max_iter: int = 10_000, tol: float = 1e-10, fmt: str 
             "inside_euler_interval": inside,
             "lambert_limit": lambert_value,
         }
-        click.echo(json.dumps(doc, indent=2, sort_keys=True))
+        click.echo(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False))
         return 0
 
     click.echo(f"infinite power tower, base = {base!r}")
@@ -356,8 +356,8 @@ def cmd_reproduce(
         traj_dir = bundle / "trajectories"
         traj_dir.mkdir(parents=True, exist_ok=True)
         save_spec(sc.spec, bundle / "spec.json")
-        report, op = analyze_spec(sc.spec, sc.crit_t_start, sc.crit_t_end)
-        (bundle / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        report, op, estimate = analyze_spec(sc.spec, sc.crit_t_start, sc.crit_t_end)
+        (bundle / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
         conc = concordance_experiment(
             op,
             sc.sim,
@@ -367,6 +367,7 @@ def cmd_reproduce(
             criterion_t_start=sc.crit_t_start,
             criterion_t_end=sc.crit_t_end,
             keep_trajectories=True,
+            estimate=estimate,
         )
         for run_seed, traj in zip(conc.seeds, conc.trajectories):
             write_trajectory_csv(traj, traj_dir / f"traj_seed{run_seed}.csv")
@@ -389,7 +390,7 @@ def cmd_reproduce(
             "stated_condition_holds": sc.stated_condition_holds,
             "discrepancy": sc.discrepancy,
         }
-        (bundle / "concordance.json").write_text(json.dumps(conc_doc, indent=2, sort_keys=True) + "\n")
+        (bundle / "concordance.json").write_text(json.dumps(conc_doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
         summaries.append((sc, report, conc))
 
     if fmt == "json":
@@ -410,6 +411,7 @@ def cmd_reproduce(
                 ],
                 indent=2,
                 sort_keys=True,
+                allow_nan=False,
             )
         )
         return 0

@@ -137,6 +137,8 @@ def estimate_liminf_w(
     surrogate is the infimum over the tail window [(t_start+t_end)/2, t_end],
     and the trend diagnostic (least-squares slope of sliding-window infima,
     residual test for oscillation) warns when the tail has not settled.
+    A non-finite sample (an overflowing or undefined bound) raises
+    :class:`DomainError` rather than turning into a NaN or infinite w_hat.
     """
     if not t_start < t_end:
         raise InvalidParameterError(f"need t_start < t_end, got [{t_start}, {t_end}]")
@@ -145,6 +147,13 @@ def estimate_liminf_w(
 
     ts = np.linspace(t_start, t_end, grid_points)
     vals = np.array([integral_over_amnesia(b, tau, float(t), panels) for t in ts])
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        k = int(bad[0])
+        raise DomainError(
+            f"criterion integral is not finite at t={float(ts[k])!r} (value {float(vals[k])!r}); "
+            f"check the bound function"
+        )
 
     mid = 0.5 * (t_start + t_end)
     tail = vals[ts >= mid - 1e-12]

@@ -35,7 +35,9 @@ class HistoryFunction:
     Evaluation outside the domain raises :class:`HistoryDomainError`; there
     is no extrapolation.  A small relative slack absorbs floating-point
     noise in delayed-time arithmetic, and in-slack arguments are clamped to
-    the domain before the underlying callable sees them.
+    the domain before the underlying callable sees them.  ``many(ts)``
+    evaluates a whole array of times; operators that read several times per
+    evaluation call it once.
     """
 
     __slots__ = ("domain_start", "domain_end", "_fn")
@@ -56,6 +58,15 @@ class HistoryFunction:
                 f"history evaluated at t={t}, outside [{self.domain_start}, {self.domain_end}]"
             )
         return float(self._fn(min(max(t, self.domain_start), self.domain_end)))
+
+    def many(self, ts) -> np.ndarray:
+        """Evaluate at every time in ``ts``, in order, as one float array.
+
+        This calls the scalar evaluation once per element, so domain checks
+        (and any subclass that overrides ``__call__``) apply to each read.
+        Subclasses with an array form of the same arithmetic override it.
+        """
+        return np.array([self(t) for t in np.asarray(ts, dtype=float).tolist()])
 
     @classmethod
     def constant(cls, value: float, domain_start: float, domain_end: float = 0.0) -> "HistoryFunction":
@@ -195,6 +206,14 @@ def make_distributed_delay(
     the extremes of the delay maps over the quadrature grid.  A rate bound
     cannot be inferred from an arbitrary kernel, so ``bound_b`` is required;
     use :func:`audit_sign_bound` to sanity-check it.
+
+    Each delay map is called once per time t on the whole array of
+    quadrature nodes, so it must accept an array for ``s`` (numpy
+    arithmetic; a map that ignores ``s`` may return a scalar).  An
+    evaluation makes one ``history.many`` call for all of its reads, ordered
+    node by node and, within a node, in delay-map order; the kernel is then
+    called once per node with Python floats and the weighted terms are
+    summed left to right.
     """
     s_lo, s_hi = float(s_range[0]), float(s_range[1])
     if not s_lo < s_hi:
@@ -204,23 +223,32 @@ def make_distributed_delay(
     if bound_b is None:
         raise InvalidParameterError("bound_b must be supplied for distributed-delay operators")
     nodes, weights = simpson_nodes_weights(s_lo, s_hi, quadrature_panels)
+    node_array = np.array(nodes)
     maps = list(delay_maps)
 
+    def read_times(t: float) -> np.ndarray:
+        # Row i holds d(t, s_i) for every delay map d.
+        times = np.empty((len(nodes), len(maps)))
+        for m, d in enumerate(maps):
+            times[:, m] = d(t, node_array)
+        return times
+
     def ev(t: float, history: HistoryFunction) -> float:
+        times = read_times(t)
+        rows = history.many(times.ravel()).reshape(times.shape).tolist()
         total = 0.0
-        for s, w in zip(nodes, weights):
-            xs = [history(d(t, s)) for d in maps]
+        for s, w, xs in zip(nodes, weights, rows):
             total += w * kernel(t, s, xs)
         return total
 
     def reads(t: float) -> list[float]:
-        return [d(t, s) for d in maps for s in nodes]
+        return read_times(t).ravel().tolist()
 
     def tau(t: float) -> float:
-        return max(reads(t))
+        return float(read_times(t).max())
 
     def sigma(t: float) -> float:
-        return min(reads(t))
+        return float(read_times(t).min())
 
     # Lags are assumed time-invariant for the step-size rule, which holds
     # for delay maps of the form t - g(s).

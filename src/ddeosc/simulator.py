@@ -9,6 +9,15 @@ Delayed reads use cubic Hermite interpolation of the stored value and
 derivative samples by default, which preserves the fourth-order accuracy;
 linear interpolation is available for cross-checks.  Trajectories are
 written to and read back from CSV without loss.
+
+The integrator hands operators a history that reads either one time
+(``history(t)``, as discrete-delay operators do) or an array of times in
+one numpy gather (``history.many(ts)``, as distributed-delay operators do
+for all quadrature nodes of a stage).  Both give the same bits: the gather
+repeats the scalar arithmetic elementwise with exactly rounded operations
+only, and keeps the Python power for the one square in the Hermite basis.
+Reads at t <= 0 call the initial history one time at a time, once per
+distinct time in a run.
 """
 
 import math
@@ -131,6 +140,25 @@ def read_trajectory_csv(path) -> Trajectory:
     )
 
 
+class _TrajectoryReader(HistoryFunction):
+    """The integrator's history: the initial history, then the computed nodes.
+
+    ``fn`` reads one time; ``gather`` reads an array of times in one pass,
+    or returns None for a call that must go one time at a time.
+    """
+
+    __slots__ = ("_gather",)
+
+    def __init__(self, fn, gather, domain_start: float, domain_end: float):
+        super().__init__(fn, domain_start, domain_end)
+        self._gather = gather
+
+    def many(self, ts) -> np.ndarray:
+        ts = np.asarray(ts, dtype=float)
+        values = self._gather(ts)
+        return super().many(ts) if values is None else values
+
+
 def integrate(
     op: AmnesiaOperator,
     initial_history: HistoryFunction,
@@ -143,6 +171,8 @@ def integrate(
     guarantees that every delayed read lies at or before the last completed
     node.  Integration halts early, with the trajectory flagged, as soon as
     |x| exceeds ``config.overflow_guard`` or an operator evaluation overflows.
+    The initial history must be a pure function of t: its value at a time is
+    computed once and reused for every later read at that time.
     """
     h = config.step
     if op.min_lag is not None and h > op.min_lag / 4.0 + 1e-12:
@@ -185,7 +215,48 @@ def integrate(
         h11 = theta * theta * (theta - 1.0)
         return x[j] * h00 + h * dx[j] * h10 + x[j + 1] * h01 + h * dx[j + 1] * h11
 
-    reader = HistoryFunction(read, initial_history.domain_start, float(times[-1]))
+    start = initial_history.domain_start
+    initial_values: dict[float, float] = {}  # the lags recur, so past reads repeat
+
+    def interpolate(ts: np.ndarray) -> np.ndarray:
+        # ``read`` for t <= frontier, elementwise: the same index clamp,
+        # phase and Hermite arithmetic (values at t <= 0 are not used).  The
+        # phase square stays a Python power, which numpy's square differs
+        # from in the last bit now and then.
+        j = np.maximum(np.minimum((ts / h).astype(np.int64), frontier - 1), 0)
+        theta = (ts - j * h) / h
+        if not hermite:
+            return x[j] * (1.0 - theta) + x[j + 1] * theta
+        sq = np.array([u ** 2 for u in (1.0 - theta).tolist()])
+        tt = theta * theta
+        j1 = j + 1
+        return (
+            x[j] * ((1.0 + 2.0 * theta) * sq)
+            + h * dx[j] * (theta * sq)
+            + x[j1] * (tt * (3.0 - 2.0 * theta))
+            + h * dx[j1] * (tt * (theta - 1.0))
+        )
+
+    def gather(ts: np.ndarray) -> Optional[np.ndarray]:
+        # Reads at t <= 0 go to the initial history, once per distinct time;
+        # they are interpolated too (clamped to node 0) and then overwritten,
+        # so that every temporary has the full size of the call.  A call
+        # with a read near a domain edge (below the history's start, past
+        # the frontier, or NaN) is rare; it is left to the scalar reads,
+        # which clamp and raise one time at a time.
+        past = ts <= 0.0
+        early = ts[past].tolist()
+        if not (ts.size and ts.max() <= frontier * h and min(early, default=start) >= start):
+            return None
+        values = interpolate(ts)
+        if early:
+            for t in early:
+                if t not in initial_values:
+                    initial_values[t] = initial_history(t)
+            values[past] = [initial_values[t] for t in early]
+        return values
+
+    reader = _TrajectoryReader(read, gather, start, float(times[-1]))
 
     x[0] = initial_history(0.0)
     dx[0] = -op.evaluate(0.0, reader)
@@ -372,13 +443,16 @@ def concordance_experiment(
     criterion_t_end: Optional[float] = None,
     audit_trials: int = 5,
     keep_trajectories: bool = False,
+    estimate: Optional[LiminfEstimate] = None,
 ) -> ConcordanceReport:
     """Estimate w for the operator's bound, then simulate seeded random histories.
 
     The operator must pass its sign-bound audit (a sampled audit runs first
     and raises on violations, since the criterion hypothesis would be void).
     Histories are truncated Fourier sums seeded with seed, seed+1, ...; the
-    report is deterministic for fixed arguments.
+    report is deterministic for fixed arguments.  A caller that already
+    holds the estimate of ``op.bound_b`` over the criterion window passes it
+    as ``estimate`` and it is used as is, not recomputed.
     """
     if n_histories < 1:
         raise InvalidParameterError(f"n_histories must be >= 1, got {n_histories}")
@@ -403,7 +477,8 @@ def concordance_experiment(
             f"sampled pairs (worst margin {audit.worst_margin:.3g}); criterion not applicable"
         )
 
-    estimate = estimate_liminf_w(op.bound_b, op.tau, t0, t1)
+    if estimate is None:
+        estimate = estimate_liminf_w(op.bound_b, op.tau, t0, t1)
     verdict = theorem_verdict(estimate)
 
     classes: list[SolutionClass] = []

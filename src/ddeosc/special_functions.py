@@ -99,7 +99,7 @@ def power_tower(base: float, n: int) -> float:
     The n-th of :func:`tower_iterates`; ``math.inf`` once an intermediate
     would overflow the float range.
     """
-    if base <= 0.0:
+    if not base > 0.0:  # also rejects NaN
         raise InvalidParameterError(f"base must be positive, got {base}")
     if n < 1:
         raise InvalidParameterError(f"n must be >= 1, got {n}")
@@ -148,7 +148,7 @@ def tower_limit(base: float, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_M
     does so to a limit y = base**y <= e, so no iterate of a convergent
     tower can exceed e.
     """
-    if base <= 0.0:
+    if not base > 0.0:  # also rejects NaN
         raise InvalidParameterError(f"base must be positive, got {base}")
     if tol <= 0.0:
         raise InvalidParameterError(f"tol must be positive, got {tol}")

@@ -86,6 +86,27 @@ class TestAnalyze:
         assert cmd_analyze(path, 10.0, 110.0) == 3
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_nonfinite_bound_exits_3(self, tmp_path, fmt):
+        # inf - inf: every sample of the criterion integral is NaN
+        spec = EquationSpec(
+            kind="discrete_delay",
+            label="nan bound",
+            terms=(("1", 1.0),),
+            bound_expr="exp(700)*exp(700) - exp(700)*exp(700)",
+        )
+        path = tmp_path / "nanbound.json"
+        save_spec(spec, path)
+        out = tmp_path / "report.json"
+        result = CliRunner().invoke(
+            main, ["analyze", "--spec", str(path), "--out", str(out), "--format", fmt]
+        )
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: criterion integral is not finite")
+        assert len(result.stderr.splitlines()) == 1
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_constant_history_oscillatory(self, single_delay_spec, tmp_path, capsys):
@@ -232,13 +253,14 @@ class TestClickWiring:
         (["reproduce", "--app", "3", "--set", "l=2.5"], 2),
         (["simulate", "--transient-fraction", "1.5"], 2),
         (["simulate", "--transient-fraction", "-0.1"], 2),
+        (["tower", "--base", "nan"], 2),
     ],
-    ids=["a1=0", "m=-1", "m=0", "a1=1000", "l=2.5", "transient=1.5", "transient=-0.1"],
+    ids=["a1=0", "m=-1", "m=0", "a1=1000", "l=2.5", "transient=1.5", "transient=-0.1", "tower-nan"],
 )
 def test_bad_input_exits_with_one_line_error(args, code, single_delay_spec, tmp_path):
     if args[0] == "reproduce":
         args = [*args, "--n-histories", "1", "--out", str(tmp_path / "rep")]
-    else:
+    elif args[0] == "simulate":
         args = [*args, "--spec", str(single_delay_spec), "--t-end", "5"]
     result = CliRunner().invoke(main, args)
     assert result.exit_code == code

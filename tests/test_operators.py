@@ -157,6 +157,22 @@ class TestDistributedDelay:
         err16 = abs(build(16).evaluate(10.0, hist) - reference)
         assert err8 / err16 > 10.0
 
+    def test_delay_map_independent_of_s(self):
+        # delay maps get the whole node array; one that ignores s returns a scalar
+        op = make_distributed_delay(
+            lambda t, s, xs: s * xs[0] * xs[1],
+            (0.0, 1.0),
+            [lambda t, s: t - 1.0, lambda t, s: t - 2.0 * s - 1.0],
+            bound_b=lambda t: 0.5,
+            quadrature_panels=4,
+        )
+        h = HistoryFunction(lambda s: s, 0.0, 10.0)
+        assert op.tau(5.0) == 4.0
+        assert op.sigma(5.0) == 2.0
+        assert sorted(op.read_points(5.0)) == [2.0, 2.5, 3.0, 3.5, 4.0] + [4.0] * 5
+        # integral of s * 4 * (4 - 2s) over [0, 1] = 8 - 8/3, exact for Simpson
+        assert op.evaluate(5.0, h) == pytest.approx(16.0 / 3.0, abs=1e-12)
+
     def test_requires_bound(self):
         with pytest.raises(InvalidParameterError):
             make_distributed_delay(

@@ -22,9 +22,10 @@ from ddeosc import (
     random_history,
     zero_crossings,
 )
+from ddeosc.simulator import sigma_pad_start
 from ddeosc.specfile import KERNEL_CATALOG
 
-from _oracles import characteristic_root
+from _oracles import characteristic_root, scalar_integrate
 
 LAMBDA_01 = characteristic_root(0.1, 1.0)  # real root of lam + 0.1 e^-lam = 0
 
@@ -120,6 +121,50 @@ class TestIntegrate:
         b = integrate(op, random_history(11, -1.1), cfg)
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.derivative_values, b.derivative_values)
+
+
+class TestDistributedReadsMatchScalarOracle:
+    """The array gather of delayed reads gives the per-read integrator's bits.
+
+    The horizons pass the largest lag (2 for app2, 6 for app3), so the runs
+    read the initial history, the computed trajectory, and both in one stage,
+    and end with stages that read only computed nodes.
+    """
+
+    @pytest.mark.parametrize(
+        "kernel, parameters, step, t_end, amplitude, interpolation, seed",
+        [
+            ("app2", {}, 0.01, 2.5, 1e-5, Interpolation.CUBIC_HERMITE, 0),
+            ("app2", {}, 0.01, 2.5, 1e-5, Interpolation.CUBIC_HERMITE, 5),
+            ("app3", {"l": 2}, 0.05, 7.0, 0.5, Interpolation.CUBIC_HERMITE, 0),
+            ("app3", {"l": 2}, 0.05, 7.0, 0.5, Interpolation.CUBIC_HERMITE, 5),
+            ("app3", {"l": 3}, 0.05, 7.0, 0.5, Interpolation.CUBIC_HERMITE, 0),
+            ("app3", {"l": 3}, 0.05, 7.0, 0.5, Interpolation.CUBIC_HERMITE, 5),
+            ("app3", {"l": 3}, 0.05, 7.0, 0.5, Interpolation.LINEAR, 0),
+        ],
+        ids=["app2-0", "app2-5", "app3-l2-0", "app3-l2-5", "app3-l3-0", "app3-l3-5", "app3-l3-linear-0"],
+    )
+    def test_bit_identical(self, kernel, parameters, step, t_end, amplitude, interpolation, seed):
+        op = KERNEL_CATALOG[kernel].build(parameters)
+        hist = random_history(seed, sigma_pad_start(op), 0.0, amplitude=amplitude)
+        config = SimulationConfig(t_end=t_end, step=step, interpolation=interpolation)
+        traj = integrate(op, hist, config)
+        values, derivative_values, overflowed = scalar_integrate(op, hist, config)
+        assert not traj.overflowed and not overflowed
+        assert np.array_equal(traj.values, values)
+        assert np.array_equal(traj.derivative_values, derivative_values)
+
+    def test_kernel_overflow_flags_the_run(self):
+        # x(t-s)^2 = 900 once the reads pass t = -0.5: math.exp overflows
+        op = KERNEL_CATALOG["app2"].build({})
+        hist = HistoryFunction(lambda t: 30.0 if t > -0.5 else 0.0, sigma_pad_start(op))
+        config = SimulationConfig(t_end=2.0, step=0.05)
+        traj = integrate(op, hist, config)
+        values, derivative_values, overflowed = scalar_integrate(op, hist, config)
+        assert traj.overflowed and overflowed
+        assert 0.0 < traj.final_time < 1.0
+        assert np.array_equal(traj.values, values)
+        assert np.array_equal(traj.derivative_values, derivative_values)
 
 
 class TestEventualSign:

@@ -121,6 +121,13 @@ class TestTowerLimit:
         with pytest.raises(InvalidParameterError):
             tower_limit(1.2, max_iter=0)
 
+    def test_nan_base_rejected(self):
+        # NaN fails every comparison, so a "base <= 0" test alone lets it through.
+        with pytest.raises(InvalidParameterError, match="base must be positive"):
+            tower_limit(math.nan)
+        with pytest.raises(InvalidParameterError, match="base must be positive"):
+            power_tower(math.nan, 3)
+
     @given(st.floats(min_value=EULER_LOWER + 1e-3, max_value=EULER_UPPER - 1e-3, allow_nan=False))
     @settings(max_examples=60, deadline=None)
     def test_interval_interior_converges_and_matches_lambert(self, base):
