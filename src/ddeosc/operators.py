@@ -108,8 +108,16 @@ def random_history(
         phases = omegas * (t - domain_start)
         return float(np.dot(cos_coef, np.cos(phases)) + np.dot(sin_coef, np.sin(phases)))
 
+    # The peak of |raw| over 512 grid points.  The array form below is within
+    # about 1e-14 of the exact sum (numpy's cos/sin and matrix product round
+    # differently), so only the points within 2e-12 of its maximum can hold
+    # the peak; ``raw`` evaluates those, which gives the same bits as
+    # evaluating all of them.
     grid = np.linspace(domain_start, domain_end, 512)
-    peak = max(abs(raw(float(t))) for t in grid)
+    phases = np.outer(grid - domain_start, omegas)
+    approx = np.abs(np.cos(phases) @ cos_coef + np.sin(phases) @ sin_coef)
+    near = grid[approx >= approx.max() - 2e-12]
+    peak = max(abs(raw(t)) for t in near.tolist())
     scale = amplitude / peak if peak > 1e-12 else 0.0
     shift = 1.1 * amplitude if positive else 0.0
 
@@ -128,7 +136,9 @@ class AmnesiaOperator:
     audit folds them into its window grid so that bound checks never flag
     spurious violations from grid placement.  ``min_lag`` is the smallest
     value of t - tau(t) over the operating range, used by the integrator's
-    step-size rule when known.
+    step-size rule when known.  ``evaluate_many(ts, history)``, when given,
+    evaluates an array of times in one pass, each with the bits of
+    ``evaluate``; the integrator uses it for blocks of steps.
     """
 
     label: str
@@ -138,6 +148,7 @@ class AmnesiaOperator:
     bound_b: Optional[TimeFunction] = None
     read_points: Optional[Callable[[float], list[float]]] = None
     min_lag: Optional[float] = None
+    evaluate_many: Optional[Callable[[np.ndarray, HistoryFunction], np.ndarray]] = None
 
 
 def _as_time_function(value) -> TimeFunction:
@@ -190,7 +201,7 @@ def make_discrete_delay(
 
 
 def make_distributed_delay(
-    kernel: Callable[[float, float, list[float]], float],
+    kernel: Callable[[np.ndarray, np.ndarray, list[np.ndarray]], np.ndarray],
     s_range: tuple[float, float],
     delay_maps: Sequence[DelayMap],
     *,
@@ -200,20 +211,29 @@ def make_distributed_delay(
 ) -> AmnesiaOperator:
     """Build (Tx)(t) as the integral over s in [s_lo, s_hi] of a delayed kernel.
 
-    ``kernel(t, s, xs)`` receives the history evaluated at every delay map,
-    xs = [history(d(t, s)) for d in delay_maps]; the integral is composite
-    Simpson with ``quadrature_panels`` panels (even, >= 2).  tau/sigma are
-    the extremes of the delay maps over the quadrature grid.  A rate bound
-    cannot be inferred from an arbitrary kernel, so ``bound_b`` is required;
-    use :func:`audit_sign_bound` to sanity-check it.
+    The integral is composite Simpson with ``quadrature_panels`` panels
+    (even, >= 2).  tau/sigma are the extremes of the delay maps over the
+    quadrature grid.  A rate bound cannot be inferred from an arbitrary
+    kernel, so ``bound_b`` is required; use :func:`audit_sign_bound` to
+    sanity-check it.
 
-    Each delay map is called once per time t on the whole array of
-    quadrature nodes, so it must accept an array for ``s`` (numpy
-    arithmetic; a map that ignores ``s`` may return a scalar).  An
-    evaluation makes one ``history.many`` call for all of its reads, ordered
-    node by node and, within a node, in delay-map order; the kernel is then
-    called once per node with Python floats and the weighted terms are
-    summed left to right.
+    Everything works on arrays.  For a set of times, ``t`` is a column of
+    those times (shape (times, 1)) and ``s`` the array of quadrature nodes.
+    Each delay map is called once, as ``d(t, s)``, and gives a
+    (times, nodes) array of read times (a map that ignores ``s`` may return
+    the column).  ``kernel(t, s, xs)`` receives ``xs``, one (times, nodes)
+    array of history values per delay map, and returns the (times, nodes)
+    integrand.  A kernel must give each element the bits of the scalar
+    formula: exactly rounded numpy operations are fine, but library calls
+    such as exp, sin and ``**`` go element by element through Python's
+    ``math`` module and float power, because numpy's differ in the last bit.
+
+    ``evaluate_many(ts, history)`` makes one ``history.many`` call for all
+    reads, ordered time by time, node by node and, within a node, in
+    delay-map order, then one kernel call; each time's weighted terms are
+    summed left to right from +0.0.  ``evaluate(t, history)`` is its
+    one-time case.  Numpy's floating-point warnings are off inside, as
+    Python float arithmetic has none.
     """
     s_lo, s_hi = float(s_range[0]), float(s_range[1])
     if not s_lo < s_hi:
@@ -223,23 +243,29 @@ def make_distributed_delay(
     if bound_b is None:
         raise InvalidParameterError("bound_b must be supplied for distributed-delay operators")
     nodes, weights = simpson_nodes_weights(s_lo, s_hi, quadrature_panels)
-    node_array = np.array(nodes)
+    nodes, weights = np.array(nodes), np.array(weights)
     maps = list(delay_maps)
 
-    def read_times(t: float) -> np.ndarray:
-        # Row i holds d(t, s_i) for every delay map d.
-        times = np.empty((len(nodes), len(maps)))
+    def read_times(t, rows: int = 1) -> np.ndarray:
+        # Entry [i, j, m] is d_m(t_i, s_j), for a column t of ``rows`` times
+        # or one float t.
+        times = np.empty((rows, nodes.size, len(maps)))
         for m, d in enumerate(maps):
-            times[:, m] = d(t, node_array)
+            times[:, :, m] = d(t, nodes)
         return times
 
+    def evaluate_many(ts, history: HistoryFunction) -> np.ndarray:
+        t = np.reshape(np.asarray(ts, dtype=float), (-1, 1))
+        with np.errstate(all="ignore"):
+            times = read_times(t, t.shape[0])
+            values = history.many(times.ravel()).reshape(times.shape)
+            integrand = kernel(t, nodes, [values[:, :, m] for m in range(len(maps))])
+            terms = np.zeros((t.shape[0], nodes.size + 1))
+            terms[:, 1:] = weights * integrand
+            return np.add.accumulate(terms, axis=1)[:, -1]
+
     def ev(t: float, history: HistoryFunction) -> float:
-        times = read_times(t)
-        rows = history.many(times.ravel()).reshape(times.shape).tolist()
-        total = 0.0
-        for s, w, xs in zip(nodes, weights, rows):
-            total += w * kernel(t, s, xs)
-        return total
+        return float(evaluate_many([t], history)[0])
 
     def reads(t: float) -> list[float]:
         return read_times(t).ravel().tolist()
@@ -262,6 +288,7 @@ def make_distributed_delay(
         bound_b=bound_b,
         read_points=reads,
         min_lag=min_lag,
+        evaluate_many=evaluate_many,
     )
 
 
@@ -361,16 +388,17 @@ def audit_sign_bound(
             for sign in (+1, -1):
                 if history_factory is not None:
                     hist = history_factory(t, trial, sign)
-                else:
-                    base = random_history(
+                elif sign > 0:
+                    hist = base = random_history(
                         seed * 1_000_003 + trial, lo - 1e-6, t, amplitude=amplitude, positive=True
                     )
-                    if sign > 0:
-                        hist = base
-                    else:
-                        hist = HistoryFunction(lambda s, h=base: -h(s), lo - 1e-6, t)
+                else:
+                    hist = HistoryFunction(lambda s, h=base: -h(s), lo - 1e-6, t)
                 value = op.evaluate(t, hist)
-                samples = [hist(float(s)) for s in window]
+                if history_factory is None and sign < 0:
+                    samples = [-v for v in samples]  # the positive trial's, negated exactly
+                else:
+                    samples = [hist(float(s)) for s in window]
                 if sign > 0:
                     bound_term = b_t * min(samples)
                     slack = value - bound_term

@@ -13,16 +13,30 @@ written to and read back from CSV without loss.
 The integrator hands operators a history that reads either one time
 (``history(t)``, as discrete-delay operators do) or an array of times in
 one numpy gather (``history.many(ts)``, as distributed-delay operators do
-for all quadrature nodes of a stage).  Both give the same bits: the gather
-repeats the scalar arithmetic elementwise with exactly rounded operations
-only, and keeps the Python power for the one square in the Hermite basis.
+for all quadrature nodes).  Both give the same bits: the gather repeats
+the scalar arithmetic elementwise with exactly rounded operations only,
+and keeps the Python power for the one square in the Hermite basis.
 Reads at t <= 0 call the initial history one time at a time, once per
 distinct time in a run.
+
+Operators with an array evaluation (``evaluate_many``) are integrated in
+blocks of steps, the method of steps in its literal form: with
+tau(t) <= t - min_lag, every stage of the next min_lag/step - 1 steps reads
+only nodes that are already computed, so one evaluation gives all stage
+derivatives of the block, and the RK4 update then runs step by step over
+them.  A block is capped at a fixed number of reads.  It is valid only if
+every read at t > 0 lies between nodes computed before it
+(int(t/step) + 1 <= the block's first step), which the gather checks.  A
+block that fails the check, or whose evaluation fails (an overflow, a
+domain error), is replayed one step at a time, which is the step-by-step
+loop itself: overflow truncation and error messages stay those of single
+steps.  Operators without an array evaluation always take single steps.
 """
 
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from pathlib import Path
 from typing import Optional
 
@@ -159,6 +173,26 @@ class _TrajectoryReader(HistoryFunction):
         return super().many(ts) if values is None else values
 
 
+#: The most delayed reads one block gathers: eight steps of the catalog's
+#: distributed kernels (2 stages x 65 nodes x 2 delay maps per step).
+#: Longer blocks gain no measurable speed and cost peak memory.
+_BLOCK_READS = 2080
+
+
+def _block_steps(op: AmnesiaOperator, h: float) -> int:
+    """Steps per block: at most min_lag/h - 1, within the read budget.
+
+    With tau(t) <= t - min_lag, every stage of steps k0 .. k0 + min_lag/h - 2
+    reads at or before t_{k0} - h, behind the nodes computed before step k0.
+    Operators without an array evaluation take one step at a time.
+    """
+    if op.evaluate_many is None or op.min_lag is None or op.read_points is None:
+        return 1
+    by_lag = int(op.min_lag / h) - 1
+    by_budget = _BLOCK_READS // (2 * len(op.read_points(0.0)))
+    return max(1, min(by_lag, by_budget))
+
+
 def integrate(
     op: AmnesiaOperator,
     initial_history: HistoryFunction,
@@ -193,7 +227,8 @@ def integrate(
     times = np.arange(n + 1) * h
     x = np.zeros(n + 1)
     dx = np.zeros(n + 1)
-    frontier = 0  # index of the last computed node
+    frontier = 0  # index of the last node computed before the current evaluation
+    block = False  # whether the current evaluation spans several steps
     hermite = config.interpolation is Interpolation.CUBIC_HERMITE
 
     def read(t: float) -> float:
@@ -227,7 +262,7 @@ def integrate(
         theta = (ts - j * h) / h
         if not hermite:
             return x[j] * (1.0 - theta) + x[j + 1] * theta
-        sq = np.array([u ** 2 for u in (1.0 - theta).tolist()])
+        sq = np.fromiter(map(pow, (1.0 - theta).tolist(), repeat(2.0)), float, theta.size)
         tt = theta * theta
         j1 = j + 1
         return (
@@ -242,11 +277,19 @@ def integrate(
         # they are interpolated too (clamped to node 0) and then overwritten,
         # so that every temporary has the full size of the call.  A call
         # with a read near a domain edge (below the history's start, past
-        # the frontier, or NaN) is rare; it is left to the scalar reads,
-        # which clamp and raise one time at a time.
+        # the frontier, or NaN) is rare; in a single step it is left to the
+        # scalar reads, which clamp and raise one time at a time.  A block
+        # reads at t > 0 only between nodes computed before it,
+        # int(t/h) + 1 <= frontier, so that no index is clamped and every
+        # read has the bits it has in its own step; otherwise the block
+        # is abandoned.
         past = ts <= 0.0
         early = ts[past].tolist()
-        if not (ts.size and ts.max() <= frontier * h and min(early, default=start) >= start):
+        newest = ts.max() if ts.size else math.nan
+        covered = (newest <= 0.0 or newest / h < frontier) if block else newest <= frontier * h
+        if not (covered and min(early, default=start) >= start):
+            if block:
+                raise HistoryDomainError(f"block read at t={newest} is not behind node {frontier}")
             return None
         values = interpolate(ts)
         if early:
@@ -264,26 +307,46 @@ def integrate(
     overflowed = False
     last = n
     comp = 0.0  # Kahan compensation keeps the state accumulation at truncation level
-    for k in range(n):
+    steps = _block_steps(op, h)
+    single_until = 0  # steps before this one run one at a time
+    k = 0
+    while k < n:
+        size = 1 if k < single_until else min(steps, n - k)
         frontier = k
-        t = float(times[k])
-        f0 = dx[k]
-        try:
-            fmid = -op.evaluate(t + 0.5 * h, reader)
-            fend = -op.evaluate(t + h, reader)
-        except OverflowError:
-            overflowed = True
-            last = k
-            break
-        # RK4 with state-independent stages: k2 = k3 = fmid, Simpson update.
-        incr = (h / 6.0) * (f0 + 4.0 * fmid + fend) - comp
-        s = x[k] + incr
-        comp = (s - x[k]) - incr
-        x[k + 1] = s
-        dx[k + 1] = fend
-        if not math.isfinite(s) or abs(s) > config.overflow_guard:
-            overflowed = True
-            last = k + 1
+        block = size > 1
+        # Stage derivatives at t_k + h/2 and t_k + h for each step of the block.
+        if block:
+            stage_times = np.empty(2 * size)
+            stage_times[0::2] = times[k : k + size] + 0.5 * h
+            stage_times[1::2] = times[k : k + size] + h
+            try:
+                stages = (-op.evaluate_many(stage_times, reader)).tolist()
+            except (ArithmeticError, ValueError):
+                # Replayed one step at a time, a failure surfaces at the step
+                # it belongs to, or not at all if the run stops before it.
+                single_until = k + size
+                continue
+        else:
+            t = float(times[k])
+            try:
+                stages = [-op.evaluate(t + 0.5 * h, reader), -op.evaluate(t + h, reader)]
+            except OverflowError:
+                overflowed = True
+                last = k
+                break
+        for fmid, fend in zip(stages[0::2], stages[1::2]):
+            # RK4 with state-independent stages: k2 = k3 = fmid, Simpson update.
+            incr = (h / 6.0) * (dx[k] + 4.0 * fmid + fend) - comp
+            s = x[k] + incr
+            comp = (s - x[k]) - incr
+            x[k + 1] = s
+            dx[k + 1] = fend
+            k += 1
+            if not math.isfinite(s) or abs(s) > config.overflow_guard:
+                overflowed = True
+                last = k
+                break
+        if overflowed:
             break
 
     return Trajectory(

@@ -21,12 +21,16 @@ the identity.
 import json
 import math
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, Optional
+
+import numpy as np
 
 from .errors import InvalidParameterError, SpecFormatError
 from .expressions import parse_expression
 from .operators import AmnesiaOperator, make_discrete_delay, make_distributed_delay
+from .quadrature import simpson_nodes_weights
 from .simulator import SimulationConfig
 
 SCHEMA_VERSION = 1
@@ -186,12 +190,27 @@ def _validate_app2(p: dict) -> None:
         raise SpecFormatError("field 'parameters': a1 must be nonzero")
 
 
+# The catalog kernels are array forms of scalar formulas with the same bits
+# (see make_distributed_delay): exp, sin and ** run element by element in
+# Python, and Python's max(a, b) is np.where(b > a, b, a).  app3 computes its
+# per-node coefficients once, on the nodes of its own panel count.
+_APP_PANELS = 64
+
+
+def _elementwise(values, like: np.ndarray) -> np.ndarray:
+    """An array shaped like ``like`` from an iterator over its elements."""
+    return np.fromiter(values, float, like.size).reshape(like.shape)
+
+
 def _build_app2(p: dict, label: str) -> AmnesiaOperator:
     a1, a2, a3 = float(p["a1"]), float(p["a2"]), float(p["a3"])
 
-    def kernel(t: float, s: float, xs: list) -> float:
+    def kernel(t, s, xs):
+        # exp(max(a1*s, x(t-a2*s)^2)) * x(t-a3*s)
         v_sq, v_lin = xs
-        return math.exp(max(a1 * s, v_sq * v_sq)) * v_lin
+        lin, sq = a1 * s, v_sq * v_sq
+        arg = np.where(sq > lin, sq, lin)
+        return _elementwise(map(math.exp, arg.ravel().tolist()), arg) * v_lin
 
     b_value = math.exp(a1) * (math.exp(a1) - 1.0) / a1
     return make_distributed_delay(
@@ -213,17 +232,25 @@ def _validate_app3(p: dict) -> None:
 
 def _build_app3(p: dict, label: str) -> AmnesiaOperator:
     a, b, m, l = float(p["a"]), float(p["b"]), float(p["m"]), int(p["l"])
+    s_range = (0.0, 1.0)
+    nodes = simpson_nodes_weights(*s_range, _APP_PANELS)[0]
+    poly = np.array([a * s ** m for s in nodes])
+    modulation = np.array([b * s * s for s in nodes])
 
-    def kernel(t: float, s: float, xs: list) -> float:
+    def kernel(t, s, xs):
+        # (a*s**m + b*s*s * sin(x(t-s-5)**3)**l) * x(t-s-1)
         v_arg, v_lin = xs
-        return (a * s ** m + b * s * s * math.sin(v_arg ** 3) ** l) * v_lin
+        cubes = map(pow, v_arg.ravel().tolist(), repeat(3.0))
+        sines = _elementwise(map(pow, map(math.sin, cubes), repeat(float(l))), v_arg)
+        return (poly + modulation * sines) * v_lin
 
     b_value = app3_derived_bound(a, b, m, l)
     return make_distributed_delay(
         kernel,
-        (0.0, 1.0),
+        s_range,
         [lambda t, s: t - s - 5.0, lambda t, s: t - s - 1.0],
         bound_b=lambda t: b_value,
+        quadrature_panels=_APP_PANELS,
         label=label,
     )
 

@@ -93,14 +93,20 @@ def tower_iterates(base: float) -> Iterator[float]:
         t = base ** t
 
 
+def _check_base(base: float) -> None:
+    if not base > 0.0:  # also rejects NaN
+        raise InvalidParameterError(f"base must be positive, got {base}")
+    if base == math.inf:
+        raise InvalidParameterError(f"base must be finite, got {base}")
+
+
 def power_tower(base: float, n: int) -> float:
     """The n-fold right-associated exponential base^(base^(...^base)).
 
     The n-th of :func:`tower_iterates`; ``math.inf`` once an intermediate
     would overflow the float range.
     """
-    if not base > 0.0:  # also rejects NaN
-        raise InvalidParameterError(f"base must be positive, got {base}")
+    _check_base(base)
     if n < 1:
         raise InvalidParameterError(f"n must be >= 1, got {n}")
     return next(islice(tower_iterates(base), n - 1, None), math.inf)
@@ -148,8 +154,7 @@ def tower_limit(base: float, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_M
     does so to a limit y = base**y <= e, so no iterate of a convergent
     tower can exceed e.
     """
-    if not base > 0.0:  # also rejects NaN
-        raise InvalidParameterError(f"base must be positive, got {base}")
+    _check_base(base)
     if tol <= 0.0:
         raise InvalidParameterError(f"tol must be positive, got {tol}")
     if max_iter < 1:

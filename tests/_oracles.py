@@ -1,13 +1,15 @@
 """Independent oracles used to freeze expected values in the tests.
 
 Everything here is deliberately primitive (bisection, plain fixed-point
-iteration, dense-grid scans) and shares no code with the implementations
-under test.
+iteration, dense-grid scans, one scalar operation at a time) and shares no
+code with the implementations under test.
 """
 
 import math
 
 import numpy as np
+
+from ddeosc.errors import HistoryDomainError
 
 
 def bisect_root(f, a, b, iters=200):
@@ -53,6 +55,70 @@ def characteristic_root(p, tau):
     return bisect_root(f, lo, 0.0)
 
 
+def _simpson_rule(a, b, panels):
+    h = (b - a) / panels
+    nodes = [a + i * h for i in range(panels + 1)]
+    weights = [h / 3.0 * (1.0 if i in (0, panels) else (4.0 if i % 2 else 2.0)) for i in range(panels + 1)]
+    return nodes, weights
+
+
+class ScalarDistributedDelay:
+    """A distributed-delay operator evaluated one quadrature node at a time.
+
+    All reads come first, node by node and, within a node, in delay-map
+    order; then one kernel call per node with Python floats, and the weighted
+    terms summed left to right from 0.0.  ``kernel(t, s, xs)`` and the delay
+    maps ``d(t, s)`` take floats.
+    """
+
+    def __init__(self, kernel, s_range, delay_maps, panels=64):
+        self.kernel = kernel
+        self.maps = list(delay_maps)
+        self.nodes, self.weights = _simpson_rule(s_range[0], s_range[1], panels)
+
+    def evaluate(self, t, history):
+        rows = [[history(d(t, s)) for d in self.maps] for s in self.nodes]
+        total = 0.0
+        for s, w, xs in zip(self.nodes, self.weights, rows):
+            total += w * self.kernel(t, s, xs)
+        return total
+
+
+def scalar_app2(a1=1.0, a2=1.0, a3=1.0):
+    """exp(max(a1*s, x(t-a2*s)^2)) * x(t-a3*s) over s in [1, 2], one node at a time."""
+    return ScalarDistributedDelay(
+        lambda t, s, xs: math.exp(max(a1 * s, xs[0] * xs[0])) * xs[1],
+        (1.0, 2.0),
+        [lambda t, s: t - a2 * s, lambda t, s: t - a3 * s],
+    )
+
+
+def scalar_app3(a=3.0, b=0.1, m=1.0, l=2):
+    """(a*s^m + b*s^2*sin(x(t-s-5)^3)^l) * x(t-s-1) over s in [0, 1], one node at a time."""
+    return ScalarDistributedDelay(
+        lambda t, s, xs: (a * s ** m + b * s * s * math.sin(xs[0] ** 3) ** l) * xs[1],
+        (0.0, 1.0),
+        [lambda t, s: t - s - 5.0, lambda t, s: t - s - 1.0],
+    )
+
+
+def scalar_random_history(seed, domain_start, domain_end=0.0, modes=5, amplitude=1.0):
+    """The seeded Fourier history, peak-normalised over all 512 grid points."""
+    rng = np.random.default_rng(seed)
+    cos_coef = rng.uniform(-1.0, 1.0, modes)
+    sin_coef = rng.uniform(-1.0, 1.0, modes)
+    length = domain_end - domain_start
+    omegas = np.array([math.pi * (m + 1) / length for m in range(modes)])
+
+    def raw(t):
+        phases = omegas * (t - domain_start)
+        return float(np.dot(cos_coef, np.cos(phases)) + np.dot(sin_coef, np.sin(phases)))
+
+    peak = max(abs(raw(float(t))) for t in np.linspace(domain_start, domain_end, 512))
+    scale = amplitude / peak if peak > 1e-12 else 0.0
+    return lambda t: scale * raw(t)
+
+
 class _ScalarReader:
     """A history read one time at a time; ``many`` loops over ``__call__``."""
 
@@ -83,7 +149,11 @@ def scalar_integrate(op, initial_history, config):
     def read(t):
         if t <= 0.0:
             return initial_history(t)
-        assert t <= frontier * h + 1e-9 * max(1.0, t), "read ahead of the computed trajectory"
+        if t > frontier * h + 1e-9 * max(1.0, t):
+            raise HistoryDomainError(
+                f"delayed read at t={t} is ahead of the computed trajectory "
+                f"(frontier {frontier * h}); decrease the step"
+            )
         j = max(min(int(t / h), frontier - 1), 0)
         theta = (t - j * h) / h
         if not hermite:

@@ -254,8 +254,11 @@ class TestClickWiring:
         (["simulate", "--transient-fraction", "1.5"], 2),
         (["simulate", "--transient-fraction", "-0.1"], 2),
         (["tower", "--base", "nan"], 2),
+        (["tower", "--base", "inf"], 2),
+        (["tower", "--base", "inf", "--format", "json"], 2),
     ],
-    ids=["a1=0", "m=-1", "m=0", "a1=1000", "l=2.5", "transient=1.5", "transient=-0.1", "tower-nan"],
+    ids=["a1=0", "m=-1", "m=0", "a1=1000", "l=2.5", "transient=1.5", "transient=-0.1", "tower-nan",
+         "tower-inf", "tower-inf-json"],
 )
 def test_bad_input_exits_with_one_line_error(args, code, single_delay_spec, tmp_path):
     if args[0] == "reproduce":

@@ -18,6 +18,8 @@ from ddeosc import (
 from ddeosc.operators import sigma_growth_check
 from ddeosc.specfile import KERNEL_CATALOG, app3_stated_bound
 
+from _oracles import scalar_random_history
+
 
 class TestHistoryFunction:
     def test_domain_enforced(self):
@@ -57,6 +59,17 @@ class TestRandomHistory:
     def test_positive_variant_strictly_positive(self):
         h = random_history(3, -6.0, positive=True)
         assert min(h(float(t)) for t in np.linspace(-6.0, 0.0, 800)) > 0.0
+
+    def test_scale_is_the_scalar_peak_over_all_grid_points(self):
+        rng = np.random.default_rng(2024)
+        for seed in range(300):
+            start = -float(rng.uniform(0.01, 50.0))
+            end = float(rng.uniform(start + 0.01, 10.0)) if seed % 2 else 0.0
+            amplitude = float(rng.choice([1.0, 0.5, 1e-5, 3.0]))
+            ours = random_history(seed, start, end, amplitude=amplitude)
+            oracle = scalar_random_history(seed, start, end, amplitude=amplitude)
+            for t in (start, end, 0.37 * start + 0.63 * end):
+                assert ours(t) == oracle(t)
 
 
 class TestDiscreteDelay:
@@ -145,7 +158,7 @@ class TestDistributedDelay:
 
         def build(panels):
             return KERNEL_CATALOG["app2"].build({}) if panels is None else make_distributed_delay(
-                lambda t, s, xs: math.exp(max(s, xs[0] ** 2)) * xs[1],
+                lambda t, s, xs: np.exp(np.maximum(s, xs[0] ** 2)) * xs[1],
                 (1.0, 2.0),
                 [lambda t, s: t - s, lambda t, s: t - s],
                 bound_b=lambda t: math.e * (math.e - 1.0),
@@ -251,6 +264,25 @@ class TestAuditSignBound:
         op = KERNEL_CATALOG["app2"].build({})
         report = audit_sign_bound(op, t_samples=np.linspace(5.0, 25.0, 5), trials=4, seed=3, amplitude=0.1)
         assert report.passed
+
+    @pytest.mark.parametrize("kernel, amplitude", [("app2", 0.1), ("app3", 1.0)])
+    def test_negative_trial_matches_evaluated_negated_history(self, kernel, amplitude):
+        # The default audit reuses each positive trial's window samples for
+        # the negated history; reading that history instead gives the same
+        # report.
+        op = KERNEL_CATALOG[kernel].build({})
+        if kernel == "app3":  # a bound too large, so that violations are compared too
+            op = op.__class__(**{**vars(op), "bound_b": lambda t: 40.0})
+
+        def factory(t, trial, sign):
+            lo = op.sigma(t)
+            base = random_history(4 * 1_000_003 + trial, lo - 1e-6, t, amplitude=amplitude, positive=True)
+            return base if sign > 0 else HistoryFunction(lambda s: -base(s), lo - 1e-6, t)
+
+        kwargs = dict(t_samples=[9.0, 14.5], trials=2, seed=4, amplitude=amplitude)
+        report = audit_sign_bound(op, **kwargs)
+        assert report == audit_sign_bound(op, history_factory=factory, **kwargs)
+        assert report.passed == (kernel == "app2")
 
     def test_app3_stated_bound_fails_audit(self):
         # The commonly quoted bound a/m is larger than the kernel integral

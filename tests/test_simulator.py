@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ddeosc import (
     HistoryCoverageError,
+    HistoryDomainError,
     HistoryFunction,
     Interpolation,
     InvalidParameterError,
@@ -19,13 +20,14 @@ from ddeosc import (
     concordance_experiment,
     integrate,
     make_discrete_delay,
+    make_distributed_delay,
     random_history,
     zero_crossings,
 )
 from ddeosc.simulator import sigma_pad_start
 from ddeosc.specfile import KERNEL_CATALOG
 
-from _oracles import characteristic_root, scalar_integrate
+from _oracles import ScalarDistributedDelay, characteristic_root, scalar_app2, scalar_app3, scalar_integrate
 
 LAMBDA_01 = characteristic_root(0.1, 1.0)  # real root of lam + 0.1 e^-lam = 0
 
@@ -124,47 +126,95 @@ class TestIntegrate:
 
 
 class TestDistributedReadsMatchScalarOracle:
-    """The array gather of delayed reads gives the per-read integrator's bits.
+    """Blocks of array evaluations give the bits of one scalar read and one
+    scalar kernel call per quadrature node, step by step.
 
     The horizons pass the largest lag (2 for app2, 6 for app3), so the runs
     read the initial history, the computed trajectory, and both in one stage,
     and end with stages that read only computed nodes.
     """
 
+    ORACLES = {"app2": scalar_app2, "app3": scalar_app3}
+    CASES = {
+        "app2": ("app2", {}, 0.01, 2.5, 1e-5),
+        "app3-l2": ("app3", {"l": 2}, 0.05, 7.0, 0.5),
+        # a larger modulation and history, so that sin(x^3) reaches the
+        # last bits of the trajectory
+        "app3-l3": ("app3", {"l": 3, "b": 1.0}, 0.05, 7.0, 1.5),
+    }
+
+    @staticmethod
+    def _assert_same_run(op, oracle, hist, config):
+        traj = integrate(op, hist, config)
+        values, derivative_values, overflowed = scalar_integrate(oracle, hist, config)
+        assert traj.overflowed == overflowed
+        assert np.array_equal(traj.values, values)
+        assert np.array_equal(traj.derivative_values, derivative_values)
+        return traj
+
     @pytest.mark.parametrize(
-        "kernel, parameters, step, t_end, amplitude, interpolation, seed",
+        "case, interpolation, seed",
         [
-            ("app2", {}, 0.01, 2.5, 1e-5, Interpolation.CUBIC_HERMITE, 0),
-            ("app2", {}, 0.01, 2.5, 1e-5, Interpolation.CUBIC_HERMITE, 5),
-            ("app3", {"l": 2}, 0.05, 7.0, 0.5, Interpolation.CUBIC_HERMITE, 0),
-            ("app3", {"l": 2}, 0.05, 7.0, 0.5, Interpolation.CUBIC_HERMITE, 5),
-            ("app3", {"l": 3}, 0.05, 7.0, 0.5, Interpolation.CUBIC_HERMITE, 0),
-            ("app3", {"l": 3}, 0.05, 7.0, 0.5, Interpolation.CUBIC_HERMITE, 5),
-            ("app3", {"l": 3}, 0.05, 7.0, 0.5, Interpolation.LINEAR, 0),
+            pytest.param(case, interpolation, seed, id=f"{case}-{tag}{seed}")
+            for case in ("app2", "app3-l2", "app3-l3")
+            for interpolation, tag in ((Interpolation.CUBIC_HERMITE, ""), (Interpolation.LINEAR, "linear-"))
+            for seed in (0, 5)
         ],
-        ids=["app2-0", "app2-5", "app3-l2-0", "app3-l2-5", "app3-l3-0", "app3-l3-5", "app3-l3-linear-0"],
     )
-    def test_bit_identical(self, kernel, parameters, step, t_end, amplitude, interpolation, seed):
+    def test_bit_identical(self, case, interpolation, seed):
+        kernel, parameters, step, t_end, amplitude = self.CASES[case]
         op = KERNEL_CATALOG[kernel].build(parameters)
+        oracle = self.ORACLES[kernel](**parameters)
         hist = random_history(seed, sigma_pad_start(op), 0.0, amplitude=amplitude)
         config = SimulationConfig(t_end=t_end, step=step, interpolation=interpolation)
-        traj = integrate(op, hist, config)
-        values, derivative_values, overflowed = scalar_integrate(op, hist, config)
-        assert not traj.overflowed and not overflowed
-        assert np.array_equal(traj.values, values)
-        assert np.array_equal(traj.derivative_values, derivative_values)
+        traj = self._assert_same_run(op, oracle, hist, config)
+        assert not traj.overflowed
 
     def test_kernel_overflow_flags_the_run(self):
-        # x(t-s)^2 = 900 once the reads pass t = -0.5: math.exp overflows
+        # x(t-s)^2 = 900 once the reads pass t = -0.5: math.exp overflows at
+        # about t = 0.5, inside a block of several steps
         op = KERNEL_CATALOG["app2"].build({})
         hist = HistoryFunction(lambda t: 30.0 if t > -0.5 else 0.0, sigma_pad_start(op))
-        config = SimulationConfig(t_end=2.0, step=0.05)
-        traj = integrate(op, hist, config)
-        values, derivative_values, overflowed = scalar_integrate(op, hist, config)
-        assert traj.overflowed and overflowed
+        traj = self._assert_same_run(op, scalar_app2(), hist, SimulationConfig(t_end=2.0, step=0.05))
+        assert traj.overflowed
         assert 0.0 < traj.final_time < 1.0
-        assert np.array_equal(traj.values, values)
-        assert np.array_equal(traj.derivative_values, derivative_values)
+
+    def test_zero_terms_sum_to_positive_zero(self):
+        # -0.0 terms: the scalar sum starts from +0.0, and so must the array one
+        op = make_distributed_delay(lambda t, s, xs: 0.0 * xs[0], (0.0, 1.0), [lambda t, s: t - s - 1.0],
+                                    bound_b=lambda t: 0.0)
+        hist = HistoryFunction.constant(-1.0, sigma_pad_start(op))
+        traj = integrate(op, hist, SimulationConfig(t_end=1.0, step=0.05))
+        assert all(math.copysign(1.0, d) == -1.0 for d in traj.derivative_values)  # -(+0.0)
+
+    # A lag of 0.2 + 0.8/(1 + t) behind t - s: 1 at t = 0, which sizes the
+    # blocks, then down to 4 steps, so that blocks read past their start.
+    # Squared, 1/(1 + t)^2 falls below one step and reads pass the frontier.
+    SHRINKING_LAGS = {
+        "stays-behind": lambda t, s: t - s - (0.2 + 0.8 / (1.0 + t)),
+        "passes-frontier": lambda t, s: t - s - 1.0 / ((1.0 + t) * (1.0 + t)),
+    }
+
+    @pytest.mark.parametrize("name", list(SHRINKING_LAGS))
+    def test_shrinking_lag_falls_back_to_single_steps(self, name):
+        delay = self.SHRINKING_LAGS[name]
+
+        def kernel(t, s, xs):  # floats in the oracle, arrays in the operator
+            return (1.0 - s) * xs[0]
+
+        op = make_distributed_delay(kernel, (0.0, 1.0), [delay], bound_b=lambda t: 0.5)
+        oracle = ScalarDistributedDelay(kernel, (0.0, 1.0), [delay])
+        hist = random_history(3, sigma_pad_start(op), 0.0)
+        config = SimulationConfig(t_end=6.0, step=0.05)
+        if name == "stays-behind":
+            self._assert_same_run(op, oracle, hist, config)
+            return
+        with pytest.raises(HistoryDomainError) as ours:
+            integrate(op, hist, config)
+        with pytest.raises(HistoryDomainError) as oracles:
+            scalar_integrate(oracle, hist, config)
+        assert "ahead of the computed trajectory" in str(ours.value)
+        assert str(ours.value) == str(oracles.value)
 
 
 class TestEventualSign:

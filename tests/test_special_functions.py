@@ -128,6 +128,12 @@ class TestTowerLimit:
         with pytest.raises(InvalidParameterError, match="base must be positive"):
             power_tower(math.nan, 3)
 
+    def test_infinite_base_rejected(self):
+        with pytest.raises(InvalidParameterError, match="base must be finite"):
+            tower_limit(math.inf)
+        with pytest.raises(InvalidParameterError, match="base must be finite"):
+            power_tower(math.inf, 3)
+
     @given(st.floats(min_value=EULER_LOWER + 1e-3, max_value=EULER_UPPER - 1e-3, allow_nan=False))
     @settings(max_examples=60, deadline=None)
     def test_interval_interior_converges_and_matches_lambert(self, base):
