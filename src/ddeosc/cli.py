@@ -38,6 +38,7 @@ from .operators import HistoryFunction, random_history, sigma_growth_check
 from .simulator import (
     Interpolation,
     SimulationConfig,
+    check_transient_fraction,
     classify,
     concordance_experiment,
     integrate,
@@ -232,7 +233,9 @@ def cmd_simulate(
     op = build_operator(load_spec(spec_path))
     hist, hist_desc = _parse_history_preset(history_preset, op)
     interp = Interpolation.LINEAR if interpolation == "linear" else Interpolation.CUBIC_HERMITE
-    traj = integrate(op, hist, SimulationConfig(t_end=t_end, step=step, interpolation=interp))
+    config = SimulationConfig(t_end=t_end, step=step, interpolation=interp)
+    check_transient_fraction(transient_fraction)
+    traj = integrate(op, hist, config)
 
     if csv_path is not None:
         write_trajectory_csv(traj, csv_path)

@@ -151,6 +151,11 @@ class AmnesiaOperator:
     evaluate_many: Optional[Callable[[np.ndarray, HistoryFunction], np.ndarray]] = None
 
 
+def _row_sums(terms: np.ndarray) -> np.ndarray:
+    """Each row of a (times, terms) array summed left to right from +0.0, as ``sum`` does."""
+    return np.add.accumulate(np.hstack([np.zeros((len(terms), 1)), terms]), axis=1)[:, -1]
+
+
 def _as_time_function(value) -> TimeFunction:
     if callable(value):
         return value
@@ -170,6 +175,12 @@ def make_discrete_delay(
     b(t) = sum_i p_i(t) is derived automatically (negative parts are clipped
     pointwise); pass ``bound_b`` to override, which is necessary for
     sign-changing coefficients if the criterion machinery will be used.
+
+    ``evaluate_many(ts, history)`` makes one ``history.many`` call for all
+    reads, time by time and term by term, calls the scalar coefficients once
+    per time (numpy's exp and sin differ from ``math`` in the last bit), and
+    sums each time's products left to right from +0.0, giving the bits of
+    the scalar sum.  ``evaluate(t, history)`` is its one-time case.
     """
     if not terms:
         raise InvalidParameterError("at least one (coefficient, delay) term is required")
@@ -182,9 +193,18 @@ def make_discrete_delay(
         coefs.append(_as_time_function(coef))
         delays.append(d)
     d_min, d_max = min(delays), max(delays)
+    lags = np.array(delays)
+
+    def evaluate_many(ts, history: HistoryFunction) -> np.ndarray:
+        t = np.asarray(ts, dtype=float).ravel()
+        with np.errstate(all="ignore"):
+            reads = t[:, None] - lags
+            values = history.many(reads.ravel()).reshape(reads.shape)
+            coef_values = np.array([[c(time) for c in coefs] for time in t.tolist()], dtype=float)
+            return _row_sums(coef_values * values)
 
     def ev(t: float, history: HistoryFunction) -> float:
-        return sum(c(t) * history(t - d) for c, d in zip(coefs, delays))
+        return float(evaluate_many([t], history)[0])
 
     def default_bound(t: float) -> float:
         return sum(max(c(t), 0.0) for c in coefs)
@@ -197,6 +217,7 @@ def make_discrete_delay(
         bound_b=bound_b if bound_b is not None else default_bound,
         read_points=lambda t: [t - d for d in delays],
         min_lag=d_min,
+        evaluate_many=evaluate_many,
     )
 
 
@@ -260,9 +281,7 @@ def make_distributed_delay(
             times = read_times(t, t.shape[0])
             values = history.many(times.ravel()).reshape(times.shape)
             integrand = kernel(t, nodes, [values[:, :, m] for m in range(len(maps))])
-            terms = np.zeros((t.shape[0], nodes.size + 1))
-            terms[:, 1:] = weights * integrand
-            return np.add.accumulate(terms, axis=1)[:, -1]
+            return _row_sums(weights * integrand)
 
     def ev(t: float, history: HistoryFunction) -> float:
         return float(evaluate_many([t], history)[0])

@@ -10,27 +10,26 @@ derivative samples by default, which preserves the fourth-order accuracy;
 linear interpolation is available for cross-checks.  Trajectories are
 written to and read back from CSV without loss.
 
-The integrator hands operators a history that reads either one time
-(``history(t)``, as discrete-delay operators do) or an array of times in
-one numpy gather (``history.many(ts)``, as distributed-delay operators do
-for all quadrature nodes).  Both give the same bits: the gather repeats
-the scalar arithmetic elementwise with exactly rounded operations only,
-and keeps the Python power for the one square in the Hermite basis.
-Reads at t <= 0 call the initial history one time at a time, once per
-distinct time in a run.
+Every operator reads the history through one numpy gather over an array
+of times (``history.many(ts)``; a call ``history(t)`` gathers one time).
+The gather uses exactly rounded operations only and keeps the Python power
+for the one square in the Hermite basis, so each read has the bits of the
+scalar formula.  Reads at t <= 0 call the initial history one time at a
+time, once per distinct time in a run.
 
-Operators with an array evaluation (``evaluate_many``) are integrated in
-blocks of steps, the method of steps in its literal form: with
-tau(t) <= t - min_lag, every stage of the next min_lag/step - 1 steps reads
-only nodes that are already computed, so one evaluation gives all stage
-derivatives of the block, and the RK4 update then runs step by step over
-them.  A block is capped at a fixed number of reads.  It is valid only if
-every read at t > 0 lies between nodes computed before it
-(int(t/step) + 1 <= the block's first step), which the gather checks.  A
-block that fails the check, or whose evaluation fails (an overflow, a
-domain error), is replayed one step at a time, which is the step-by-step
-loop itself: overflow truncation and error messages stay those of single
-steps.  Operators without an array evaluation always take single steps.
+Operators with an array evaluation (``evaluate_many``; every operator this
+package builds has one) are integrated in blocks of steps, the method of
+steps in its literal form: with tau(t) <= t - min_lag, every stage of the
+next min_lag/step - 1 steps reads only nodes that are already computed, so
+one evaluation gives all stage derivatives of the block, and the RK4 update
+then runs step by step over them.  A block is capped at a fixed number of
+reads.  It is valid only if every read at t > 0 lies between nodes computed
+before it (int(t/step) + 1 <= the block's first step), which the gather
+checks.  A block that fails the check, or whose evaluation raises any
+error (an overflow, a domain error), is replayed one step at a time, which
+is the step-by-step loop itself: overflow truncation and error messages
+stay those of single steps.  A single step reads up to the last computed
+node and raises for a read ahead of it.
 """
 
 import math
@@ -72,11 +71,10 @@ class SimulationConfig:
     overflow_guard: float = 1e12
 
     def __post_init__(self):
-        if self.t_end <= 0.0:
-            raise InvalidParameterError(f"t_end must be positive, got {self.t_end}")
-        if self.step <= 0.0:
-            raise InvalidParameterError(f"step must be positive, got {self.step}")
-        if self.overflow_guard <= 0.0:
+        for name, value in (("t_end", self.t_end), ("step", self.step)):
+            if not 0.0 < value < math.inf:
+                raise InvalidParameterError(f"{name} must be finite and positive, got {value}")
+        if not self.overflow_guard > 0.0:
             raise InvalidParameterError(f"overflow_guard must be positive, got {self.overflow_guard}")
 
 
@@ -155,22 +153,16 @@ def read_trajectory_csv(path) -> Trajectory:
 
 
 class _TrajectoryReader(HistoryFunction):
-    """The integrator's history: the initial history, then the computed nodes.
-
-    ``fn`` reads one time; ``gather`` reads an array of times in one pass,
-    or returns None for a call that must go one time at a time.
-    """
+    """The initial history, then the computed nodes; a call gathers one time."""
 
     __slots__ = ("_gather",)
 
-    def __init__(self, fn, gather, domain_start: float, domain_end: float):
-        super().__init__(fn, domain_start, domain_end)
+    def __init__(self, gather, domain_start: float, domain_end: float):
+        super().__init__(lambda t: gather(np.array([t]))[0], domain_start, domain_end)
         self._gather = gather
 
     def many(self, ts) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        values = self._gather(ts)
-        return super().many(ts) if values is None else values
+        return self._gather(np.asarray(ts, dtype=float))
 
 
 #: The most delayed reads one block gathers: eight steps of the catalog's
@@ -231,33 +223,11 @@ def integrate(
     block = False  # whether the current evaluation spans several steps
     hermite = config.interpolation is Interpolation.CUBIC_HERMITE
 
-    def read(t: float) -> float:
-        if t <= 0.0:
-            return initial_history(t)
-        if t > frontier * h + 1e-9 * max(1.0, t):
-            raise HistoryDomainError(
-                f"delayed read at t={t} is ahead of the computed trajectory "
-                f"(frontier {frontier * h}); decrease the step"
-            )
-        j = min(int(t / h), frontier - 1)
-        j = max(j, 0)
-        theta = (t - j * h) / h
-        if not hermite:
-            return x[j] * (1.0 - theta) + x[j + 1] * theta
-        h00 = (1.0 + 2.0 * theta) * (1.0 - theta) ** 2
-        h10 = theta * (1.0 - theta) ** 2
-        h01 = theta * theta * (3.0 - 2.0 * theta)
-        h11 = theta * theta * (theta - 1.0)
-        return x[j] * h00 + h * dx[j] * h10 + x[j + 1] * h01 + h * dx[j + 1] * h11
-
-    start = initial_history.domain_start
     initial_values: dict[float, float] = {}  # the lags recur, so past reads repeat
 
     def interpolate(ts: np.ndarray) -> np.ndarray:
-        # ``read`` for t <= frontier, elementwise: the same index clamp,
-        # phase and Hermite arithmetic (values at t <= 0 are not used).  The
-        # phase square stays a Python power, which numpy's square differs
-        # from in the last bit now and then.
+        # The phase square stays a Python power, which numpy's square
+        # differs from in the last bit now and then.
         j = np.maximum(np.minimum((ts / h).astype(np.int64), frontier - 1), 0)
         theta = (ts - j * h) / h
         if not hermite:
@@ -272,34 +242,39 @@ def integrate(
             + h * dx[j1] * (tt * (theta - 1.0))
         )
 
-    def gather(ts: np.ndarray) -> Optional[np.ndarray]:
+    def gather(ts: np.ndarray) -> np.ndarray:
         # Reads at t <= 0 go to the initial history, once per distinct time;
         # they are interpolated too (clamped to node 0) and then overwritten,
-        # so that every temporary has the full size of the call.  A call
-        # with a read near a domain edge (below the history's start, past
-        # the frontier, or NaN) is rare; in a single step it is left to the
-        # scalar reads, which clamp and raise one time at a time.  A block
-        # reads at t > 0 only between nodes computed before it,
-        # int(t/h) + 1 <= frontier, so that no index is clamped and every
-        # read has the bits it has in its own step; otherwise the block
-        # is abandoned.
+        # so that every temporary has the full size of the call.  A single
+        # step reads up to the frontier, within a relative slack of 1e-9; the
+        # first read ahead of it (or NaN) raises.  A block reads at t > 0 only
+        # between nodes computed before it, int(t/h) + 1 <= frontier, so that
+        # no index is clamped and every read has the bits it has in its own
+        # step; otherwise the block is abandoned.
         past = ts <= 0.0
-        early = ts[past].tolist()
-        newest = ts.max() if ts.size else math.nan
-        covered = (newest <= 0.0 or newest / h < frontier) if block else newest <= frontier * h
-        if not (covered and min(early, default=start) >= start):
-            if block:
+        if block:
+            newest = ts.max()
+            if not (newest <= 0.0 or newest / h < frontier):
                 raise HistoryDomainError(f"block read at t={newest} is not behind node {frontier}")
-            return None
+        else:
+            ahead = ~(past | (ts <= frontier * h + 1e-9 * np.maximum(1.0, ts)))
+            if ahead.any():
+                t = float(ts[ahead][0])
+                if math.isnan(t):
+                    raise ValueError("cannot convert float NaN to integer")
+                raise HistoryDomainError(
+                    f"delayed read at t={t} is ahead of the computed trajectory "
+                    f"(frontier {frontier * h}); decrease the step"
+                )
         values = interpolate(ts)
-        if early:
-            for t in early:
-                if t not in initial_values:
-                    initial_values[t] = initial_history(t)
-            values[past] = [initial_values[t] for t in early]
+        early = ts[past].tolist()
+        for t in early:
+            if t not in initial_values:
+                initial_values[t] = initial_history(t)
+        values[past] = [initial_values[t] for t in early]
         return values
 
-    reader = _TrajectoryReader(read, gather, start, float(times[-1]))
+    reader = _TrajectoryReader(gather, initial_history.domain_start, float(times[-1]))
 
     x[0] = initial_history(0.0)
     dx[0] = -op.evaluate(0.0, reader)
@@ -316,12 +291,10 @@ def integrate(
         block = size > 1
         # Stage derivatives at t_k + h/2 and t_k + h for each step of the block.
         if block:
-            stage_times = np.empty(2 * size)
-            stage_times[0::2] = times[k : k + size] + 0.5 * h
-            stage_times[1::2] = times[k : k + size] + h
+            stage_times = (times[k : k + size, None] + [0.5 * h, h]).ravel()
             try:
                 stages = (-op.evaluate_many(stage_times, reader)).tolist()
-            except (ArithmeticError, ValueError):
+            except Exception:
                 # Replayed one step at a time, a failure surfaces at the step
                 # it belongs to, or not at all if the run stops before it.
                 single_until = k + size
@@ -419,6 +392,11 @@ def _tail_sign_changes(values: np.ndarray) -> int:
     return changes
 
 
+def check_transient_fraction(transient_fraction: float) -> None:
+    if not 0.0 <= transient_fraction < 1.0:
+        raise InvalidParameterError(f"transient_fraction must be in [0, 1), got {transient_fraction}")
+
+
 def classify(
     traj: Trajectory,
     transient_fraction: float = 0.25,
@@ -435,8 +413,7 @@ def classify(
     """
     if traj.overflowed:
         raise InvalidParameterError("cannot classify an overflow-flagged trajectory")
-    if not 0.0 <= transient_fraction < 1.0:
-        raise InvalidParameterError(f"transient_fraction must be in [0, 1), got {transient_fraction}")
+    check_transient_fraction(transient_fraction)
 
     ts = traj.times
     vs = traj.values

@@ -155,7 +155,7 @@ def tower_limit(base: float, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_M
     tower can exceed e.
     """
     _check_base(base)
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise InvalidParameterError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise InvalidParameterError(f"max_iter must be >= 1, got {max_iter}")

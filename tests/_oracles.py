@@ -84,6 +84,19 @@ class ScalarDistributedDelay:
         return total
 
 
+class ScalarDiscreteDelay:
+    """A discrete-delay operator summed term by term: sum(c(t) * history(t - d)).
+
+    Coefficients are numbers or callables of t, each delay a positive number.
+    """
+
+    def __init__(self, terms):
+        self.terms = [(c if callable(c) else (lambda t, v=float(c): v), float(d)) for c, d in terms]
+
+    def evaluate(self, t, history):
+        return sum(c(t) * history(t - d) for c, d in self.terms)
+
+
 def scalar_app2(a1=1.0, a2=1.0, a3=1.0):
     """exp(max(a1*s, x(t-a2*s)^2)) * x(t-a3*s) over s in [1, 2], one node at a time."""
     return ScalarDistributedDelay(

@@ -253,12 +253,14 @@ class TestClickWiring:
         (["reproduce", "--app", "3", "--set", "l=2.5"], 2),
         (["simulate", "--transient-fraction", "1.5"], 2),
         (["simulate", "--transient-fraction", "-0.1"], 2),
+        (["simulate", "--step", "nan"], 2),
         (["tower", "--base", "nan"], 2),
         (["tower", "--base", "inf"], 2),
         (["tower", "--base", "inf", "--format", "json"], 2),
+        (["tower", "--base", "1.2", "--tol", "nan"], 2),
     ],
-    ids=["a1=0", "m=-1", "m=0", "a1=1000", "l=2.5", "transient=1.5", "transient=-0.1", "tower-nan",
-         "tower-inf", "tower-inf-json"],
+    ids=["a1=0", "m=-1", "m=0", "a1=1000", "l=2.5", "transient=1.5", "transient=-0.1", "step-nan", "tower-nan",
+         "tower-inf", "tower-inf-json", "tower-tol-nan"],
 )
 def test_bad_input_exits_with_one_line_error(args, code, single_delay_spec, tmp_path):
     if args[0] == "reproduce":
@@ -270,3 +272,12 @@ def test_bad_input_exits_with_one_line_error(args, code, single_delay_spec, tmp_
     assert isinstance(result.exception, SystemExit)  # not an uncaught error
     assert result.stderr.startswith("error: ")
     assert len(result.stderr.splitlines()) == 1
+
+
+def test_bad_transient_fraction_rejected_before_integrating(single_delay_spec, tmp_path):
+    csv = tmp_path / "traj.csv"
+    args = ["simulate", "--spec", str(single_delay_spec), "--transient-fraction", "1.5", "--out", str(csv)]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2
+    assert result.stderr == "error: transient_fraction must be in [0, 1), got 1.5\n"
+    assert not csv.exists()

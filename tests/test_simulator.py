@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddeosc import (
+    AmnesiaOperator,
     HistoryCoverageError,
     HistoryDomainError,
     HistoryFunction,
@@ -24,10 +26,18 @@ from ddeosc import (
     random_history,
     zero_crossings,
 )
+from ddeosc.expressions import parse_expression
 from ddeosc.simulator import sigma_pad_start
-from ddeosc.specfile import KERNEL_CATALOG
+from ddeosc.specfile import KERNEL_CATALOG, build_operator, make_scenarios
 
-from _oracles import ScalarDistributedDelay, characteristic_root, scalar_app2, scalar_app3, scalar_integrate
+from _oracles import (
+    ScalarDiscreteDelay,
+    ScalarDistributedDelay,
+    characteristic_root,
+    scalar_app2,
+    scalar_app3,
+    scalar_integrate,
+)
 
 LAMBDA_01 = characteristic_root(0.1, 1.0)  # real root of lam + 0.1 e^-lam = 0
 
@@ -116,6 +126,12 @@ class TestIntegrate:
         with pytest.raises(InvalidParameterError):
             classify(traj)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("name", ["t_end", "step"])
+    def test_config_rejects_non_finite(self, name, value):
+        with pytest.raises(InvalidParameterError, match=f"{name} must be finite and positive"):
+            SimulationConfig(**{"t_end": 5.0, "step": 0.1, name: value})
+
     def test_deterministic_runs_bit_identical(self):
         op = _single_delay(1.0, 1.0)
         cfg = SimulationConfig(t_end=30.0, step=0.01)
@@ -123,6 +139,15 @@ class TestIntegrate:
         b = integrate(op, random_history(11, -1.1), cfg)
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.derivative_values, b.derivative_values)
+
+
+def _assert_same_run(op, oracle, hist, config):
+    traj = integrate(op, hist, config)
+    values, derivative_values, overflowed = scalar_integrate(oracle, hist, config)
+    assert traj.overflowed == overflowed
+    assert np.array_equal(traj.values, values)
+    assert np.array_equal(traj.derivative_values, derivative_values)
+    return traj
 
 
 class TestDistributedReadsMatchScalarOracle:
@@ -143,15 +168,6 @@ class TestDistributedReadsMatchScalarOracle:
         "app3-l3": ("app3", {"l": 3, "b": 1.0}, 0.05, 7.0, 1.5),
     }
 
-    @staticmethod
-    def _assert_same_run(op, oracle, hist, config):
-        traj = integrate(op, hist, config)
-        values, derivative_values, overflowed = scalar_integrate(oracle, hist, config)
-        assert traj.overflowed == overflowed
-        assert np.array_equal(traj.values, values)
-        assert np.array_equal(traj.derivative_values, derivative_values)
-        return traj
-
     @pytest.mark.parametrize(
         "case, interpolation, seed",
         [
@@ -167,7 +183,7 @@ class TestDistributedReadsMatchScalarOracle:
         oracle = self.ORACLES[kernel](**parameters)
         hist = random_history(seed, sigma_pad_start(op), 0.0, amplitude=amplitude)
         config = SimulationConfig(t_end=t_end, step=step, interpolation=interpolation)
-        traj = self._assert_same_run(op, oracle, hist, config)
+        traj = _assert_same_run(op, oracle, hist, config)
         assert not traj.overflowed
 
     def test_kernel_overflow_flags_the_run(self):
@@ -175,7 +191,7 @@ class TestDistributedReadsMatchScalarOracle:
         # about t = 0.5, inside a block of several steps
         op = KERNEL_CATALOG["app2"].build({})
         hist = HistoryFunction(lambda t: 30.0 if t > -0.5 else 0.0, sigma_pad_start(op))
-        traj = self._assert_same_run(op, scalar_app2(), hist, SimulationConfig(t_end=2.0, step=0.05))
+        traj = _assert_same_run(op, scalar_app2(), hist, SimulationConfig(t_end=2.0, step=0.05))
         assert traj.overflowed
         assert 0.0 < traj.final_time < 1.0
 
@@ -207,13 +223,102 @@ class TestDistributedReadsMatchScalarOracle:
         hist = random_history(3, sigma_pad_start(op), 0.0)
         config = SimulationConfig(t_end=6.0, step=0.05)
         if name == "stays-behind":
-            self._assert_same_run(op, oracle, hist, config)
+            _assert_same_run(op, oracle, hist, config)
             return
         with pytest.raises(HistoryDomainError) as ours:
             integrate(op, hist, config)
         with pytest.raises(HistoryDomainError) as oracles:
             scalar_integrate(oracle, hist, config)
         assert "ahead of the computed trajectory" in str(ours.value)
+        assert str(ours.value) == str(oracles.value)
+
+
+class TestDiscreteReadsMatchScalarOracle:
+    """Blocks of discrete-delay evaluations give the bits of the per-term
+    scalar sum, read by read and step by step.
+
+    App1's lags are 6 and 8, so at step 0.05 a block spans 119 steps; runs
+    to t = 20 cross several blocks, read the initial history, the computed
+    trajectory and both in one block.
+    """
+
+    @pytest.mark.parametrize(
+        "q, interpolation, seed",
+        [
+            pytest.param(q, interpolation, seed, id=f"q{q:g}-{tag}{seed}")
+            for q in (10.0, 20.0)
+            for interpolation, tag in ((Interpolation.CUBIC_HERMITE, ""), (Interpolation.LINEAR, "linear-"))
+            for seed in (0, 5)
+        ],
+    )
+    def test_app1_bit_identical(self, q, interpolation, seed):
+        spec = make_scenarios(1, {"q": q})[0].spec
+        op = build_operator(spec)
+        oracle = ScalarDiscreteDelay([(parse_expression(coef), delay) for coef, delay in spec.terms])
+        hist = random_history(seed, sigma_pad_start(op), 0.0)
+        config = SimulationConfig(t_end=20.0, step=0.05, interpolation=interpolation)
+        assert not _assert_same_run(op, oracle, hist, config).overflowed
+
+    def test_integrates_in_blocks(self):
+        op = build_operator(make_scenarios(1, {"q": 10.0})[0].spec)
+        times = []
+        counted = dataclasses.replace(op, evaluate=lambda t, history: times.append(t) or op.evaluate(t, history))
+        integrate(counted, random_history(0, sigma_pad_start(op), 0.0), SimulationConfig(t_end=20.0, step=0.05))
+        assert times == [0.0]  # every stage after t = 0 came from a block
+
+    def test_coefficient_overflow_flags_the_run(self):
+        # exp(100 t) overflows at t = 7.098, inside the block of steps
+        # 133-151 (19 steps each at lag 1); it multiplies reads at
+        # t - 8 <= -0.5, where the history is 0
+        terms = [(0.5, 1.0), (lambda t: math.exp(100.0 * t), 8.0)]
+        op = make_discrete_delay(terms, bound_b=lambda t: 0.5)
+        hist = HistoryFunction(lambda t: 1.0 if t > -0.5 else 0.0, sigma_pad_start(op))
+        traj = _assert_same_run(op, ScalarDiscreteDelay(terms), hist, SimulationConfig(t_end=10.0, step=0.05))
+        assert traj.overflowed
+        assert len(traj.times) == 142
+
+    def test_failure_past_the_overflow_is_not_reached(self):
+        # x' = x(t - 1) passes the guard at step 484 (t = 24.2), inside the
+        # block of steps 475-493; a coefficient that fails from t = 24.4 on
+        # (as a complex power does) is never reached step by step
+        def late(t):
+            if t > 24.4:
+                raise TypeError("unreachable")
+            return 0.0
+
+        terms = [(-1.0, 1.0), (late, 1.0)]
+        op = make_discrete_delay(terms, bound_b=lambda t: 0.0)
+        config = SimulationConfig(t_end=60.0, step=0.05, overflow_guard=1e6)
+        traj = _assert_same_run(op, ScalarDiscreteDelay(terms), HistoryFunction.constant(1.0, -1.1), config)
+        assert traj.overflowed
+        assert len(traj.times) == 485
+
+    def test_zero_coefficient_on_negative_history(self):
+        # 0.0 * -1.0 = -0.0; the sum starts from +0.0, so (Tx)(t) = +0.0
+        terms = [(0.0, 1.0)]
+        op = make_discrete_delay(terms)
+        hist = HistoryFunction.constant(-1.0, sigma_pad_start(op))
+        traj = _assert_same_run(op, ScalarDiscreteDelay(terms), hist, SimulationConfig(t_end=3.0, step=0.05))
+        assert all(math.copysign(1.0, d) == -1.0 for d in traj.derivative_values)  # -(+0.0)
+
+    @pytest.mark.parametrize("lag", [1.5, 0.01, math.nan], ids=["behind", "reads-ahead", "reads-nan"])
+    def test_operator_with_scalar_evaluate_only(self, lag):
+        # No evaluate_many: single steps, one ``history(t)`` call per read.
+        # With no min_lag there is no step rule, and a lag below one step
+        # reads ahead of the frontier; a NaN read raises ValueError.
+        oracle = ScalarDiscreteDelay([(0.5, 1.0), (lambda t: 0.25 * math.cos(t), lag)])
+        op = AmnesiaOperator(label="scalar only", evaluate=oracle.evaluate,
+                             tau=lambda t: t - min(1.0, lag), sigma=lambda t: t - 1.5)
+        hist = random_history(2, -1.6, 0.0)
+        config = SimulationConfig(t_end=6.0, step=0.05)
+        if lag > 1.0:
+            _assert_same_run(op, oracle, hist, config)
+            return
+        with pytest.raises(ValueError) as ours:
+            integrate(op, hist, config)
+        with pytest.raises(ValueError) as oracles:
+            scalar_integrate(oracle, hist, config)
+        assert type(ours.value) is type(oracles.value)
         assert str(ours.value) == str(oracles.value)
 
 
