@@ -10,7 +10,7 @@ import ast
 import math
 from typing import Callable
 
-from .errors import ExpressionError
+from .errors import DomainError, ExpressionError
 
 _FUNCTIONS = {
     "exp": math.exp,
@@ -44,7 +44,9 @@ def parse_expression(source: str) -> Callable[[float], float]:
     """Compile ``source`` into a float-valued function of t.
 
     The returned callable carries the original text in its ``source``
-    attribute so specs can round-trip exactly.
+    attribute so specs can round-trip exactly.  It raises
+    :class:`~ddeosc.errors.DomainError` where the expression has no real
+    value, such as ``(t-10)**0.5`` at t < 10.
     """
     if not isinstance(source, str) or not source.strip():
         raise ExpressionError(f"expression must be a nonempty string, got {source!r}")
@@ -91,7 +93,12 @@ def parse_expression(source: str) -> Callable[[float], float]:
     env.update(_CONSTANTS)
 
     def fn(t: float) -> float:
-        return float(eval(code, env, {"t": t}))
+        try:
+            return float(eval(code, env, {"t": t}))
+        except TypeError as exc:  # a complex value, e.g. a negative base to a fractional power
+            raise DomainError(
+                f"expression {source!r} does not evaluate to a real number at t={t!r}: {exc}"
+            ) from None
 
     fn.source = source  # type: ignore[attr-defined]
     return fn

@@ -35,9 +35,15 @@ class HistoryFunction:
     Evaluation outside the domain raises :class:`HistoryDomainError`; there
     is no extrapolation.  A small relative slack absorbs floating-point
     noise in delayed-time arithmetic, and in-slack arguments are clamped to
-    the domain before the underlying callable sees them.  ``many(ts)``
-    evaluates a whole array of times; operators that read several times per
-    evaluation call it once.
+    the domain before the underlying function sees them.  ``many(ts)``
+    evaluates a whole array of times; operators and the integrator read
+    through it.
+
+    ``HistoryFunction(fn, ...)`` wraps a scalar function of t, and its
+    ``many`` calls it once per element.  The histories this module builds
+    (``constant``, ``exponential``, :func:`random_history`) are array
+    functions instead: ``many`` checks the domain in one pass, clamps and
+    evaluates the whole array, and a call ``h(t)`` is its one-element case.
     """
 
     __slots__ = ("domain_start", "domain_end", "_fn")
@@ -51,33 +57,99 @@ class HistoryFunction:
         self.domain_end = float(domain_end)
         self._fn = fn
 
+    def _outside(self, t: float) -> HistoryDomainError:
+        return HistoryDomainError(
+            f"history evaluated at t={t}, outside [{self.domain_start}, {self.domain_end}]"
+        )
+
     def __call__(self, t: float) -> float:
         slack = 1e-9 * max(1.0, abs(t))
         if t < self.domain_start - slack or t > self.domain_end + slack:
-            raise HistoryDomainError(
-                f"history evaluated at t={t}, outside [{self.domain_start}, {self.domain_end}]"
-            )
+            raise self._outside(t)
         return float(self._fn(min(max(t, self.domain_start), self.domain_end)))
 
     def many(self, ts) -> np.ndarray:
-        """Evaluate at every time in ``ts``, in order, as one float array.
-
-        This calls the scalar evaluation once per element, so domain checks
-        (and any subclass that overrides ``__call__``) apply to each read.
-        Subclasses with an array form of the same arithmetic override it.
-        """
+        """Evaluate at every time in ``ts``, in order, as one float array."""
         return np.array([self(t) for t in np.asarray(ts, dtype=float).tolist()])
 
     @classmethod
     def constant(cls, value: float, domain_start: float, domain_end: float = 0.0) -> "HistoryFunction":
         v = float(value)
-        return cls(lambda t: v, domain_start, domain_end)
+        return _ArrayHistory(lambda ts: np.full(ts.shape, v), domain_start, domain_end)
 
     @classmethod
     def exponential(cls, rate: float, domain_start: float, domain_end: float = 0.0) -> "HistoryFunction":
-        """h(t) = exp(rate * t)."""
+        """h(t) = exp(rate * t), through ``math.exp`` (numpy's exp differs in the last bit)."""
         r = float(rate)
-        return cls(lambda t: math.exp(r * t), domain_start, domain_end)
+        return _ArrayHistory(
+            lambda ts: np.fromiter(map(math.exp, (r * ts).tolist()), float, ts.size), domain_start, domain_end
+        )
+
+
+class _ArrayHistory(HistoryFunction):
+    """A history whose function maps an array of in-domain times to values."""
+
+    __slots__ = ()
+
+    def __call__(self, t: float) -> float:
+        return float(self.many(np.array([t], dtype=float))[0])
+
+    def many(self, ts) -> np.ndarray:
+        ts = np.asarray(ts, dtype=float)
+        slack = 1e-9 * np.maximum(1.0, np.abs(ts))
+        outside = (ts < self.domain_start - slack) | (ts > self.domain_end + slack)
+        if outside.any():
+            raise self._outside(float(ts[outside][0]))
+        return self._fn(np.minimum(np.maximum(ts, self.domain_start), self.domain_end))
+
+
+#: Veltkamp's splitter for doubles, 2**27 + 1.
+_SPLIT = 134217729.0
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low halves of each element, of 26 bits or fewer each (Veltkamp)."""
+    c = _SPLIT * a
+    high = c - (c - a)
+    return high, a - high
+
+
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rounded sum s and its error e, with s + e = a + b exactly (Knuth)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _fma_dots(coefs: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``np.dot(coefs[c], values[i, c])`` for every row i and chain c, as a (rows, chains) array.
+
+    ``coefs`` is (chains, terms) and ``values`` (rows, chains, terms).  Each
+    dot is a left-to-right chain of fused multiply-adds from +0.0, the form
+    OpenBLAS's ``ddot`` takes for short vectors on x86-64 with FMA.  numpy
+    has no fma, so each one is emulated exactly (Boldo and Melquiond, IEEE
+    Trans. Computers 57(4), 2008): TwoProduct (a Veltkamp split and Dekker's
+    product) gives the product as p + pl, TwoSum gives acc + p as th + tl,
+    tl + pl is added with rounding to odd, and th plus that sum is rounded
+    to nearest once.  TwoProduct is exact only for products far from
+    underflow, so a row with a term whose factors are nonzero and whose
+    product is below 1e-290 goes to ``np.dot``.
+    """
+    p = coefs * values
+    ah, al = _split(coefs)
+    bh, bl = _split(values)
+    pl = al * bl - (((p - ah * bh) - al * bh) - ah * bl)
+    acc = p[..., 0]  # fma(a, b, +0.0) but for a zero's sign, which the next step's sum washes out
+    for m in range(1, p.shape[-1]):
+        th, tl = _two_sum(acc, p[..., m])
+        v, e = _two_sum(tl, pl[..., m])
+        # Round to odd: an inexact sum with an even last bit steps toward the exact one.
+        np.nextafter(v, np.copysign(np.inf, e), out=v, where=(v.view(np.int64) & 1) < (e != 0.0))
+        acc = th + v
+    tiny = ((np.abs(p) < 1e-290) & (coefs != 0.0) & (values != 0.0)).any(axis=(1, 2))
+    for i in np.flatnonzero(tiny).tolist():
+        acc[i] = [np.dot(c, row) for c, row in zip(coefs, values[i])]
+    return acc
 
 
 def random_history(
@@ -90,9 +162,14 @@ def random_history(
 ) -> HistoryFunction:
     """Seeded truncated Fourier sum, peak-normalized to ``amplitude``.
 
-    With ``positive=True`` the normalized sum is shifted up by 1.1x the
-    amplitude, so the result is strictly positive with minimum 0.1x.
-    Identical seeds produce identical histories.
+    The raw sum at t is ``np.dot(cos_coef, np.cos(phases)) +
+    np.dot(sin_coef, np.sin(phases))`` with ``phases = omegas * (t -
+    domain_start)``, each dot an emulated fused multiply-add chain (see
+    ``_fma_dots``); ``many`` reads a whole array of times at once.  The
+    peak is the largest |raw| over 512 grid points.  With ``positive=True``
+    the normalized sum is shifted up by 1.1x the amplitude, so the result is
+    strictly positive with minimum 0.1x.  Identical seeds produce identical
+    histories.
     """
     if not domain_start < domain_end:
         raise InvalidParameterError(f"empty history domain [{domain_start}, {domain_end}]")
@@ -101,27 +178,20 @@ def random_history(
     rng = np.random.default_rng(seed)
     cos_coef = rng.uniform(-1.0, 1.0, modes)
     sin_coef = rng.uniform(-1.0, 1.0, modes)
+    coefs = np.stack([cos_coef, sin_coef])
     length = domain_end - domain_start
     omegas = np.array([math.pi * (m + 1) / length for m in range(modes)])
 
-    def raw(t: float) -> float:
-        phases = omegas * (t - domain_start)
-        return float(np.dot(cos_coef, np.cos(phases)) + np.dot(sin_coef, np.sin(phases)))
+    def raw_many(ts: np.ndarray) -> np.ndarray:
+        phases = (ts[:, None] - domain_start) * omegas
+        dots = _fma_dots(coefs, np.stack([np.cos(phases), np.sin(phases)], axis=1))
+        return dots[:, 0] + dots[:, 1]
 
-    # The peak of |raw| over 512 grid points.  The array form below is within
-    # about 1e-14 of the exact sum (numpy's cos/sin and matrix product round
-    # differently), so only the points within 2e-12 of its maximum can hold
-    # the peak; ``raw`` evaluates those, which gives the same bits as
-    # evaluating all of them.
-    grid = np.linspace(domain_start, domain_end, 512)
-    phases = np.outer(grid - domain_start, omegas)
-    approx = np.abs(np.cos(phases) @ cos_coef + np.sin(phases) @ sin_coef)
-    near = grid[approx >= approx.max() - 2e-12]
-    peak = max(abs(raw(t)) for t in near.tolist())
+    peak = float(np.abs(raw_many(np.linspace(domain_start, domain_end, 512))).max())
     scale = amplitude / peak if peak > 1e-12 else 0.0
     shift = 1.1 * amplitude if positive else 0.0
 
-    return HistoryFunction(lambda t: scale * raw(t) + shift, domain_start, domain_end)
+    return _ArrayHistory(lambda ts: scale * raw_many(ts) + shift, domain_start, domain_end)
 
 
 @dataclass(frozen=True)
@@ -382,7 +452,9 @@ def audit_sign_bound(
     the bound inequality is evaluated with inf/sup taken over a dense window
     grid that includes the operator's own read points.  A check fails when its
     slack drops below ``-tol * max(1, |b(t) * inf/sup|)``; the tolerance
-    absorbs the quadrature error of integral-backed operators.
+    absorbs the quadrature error of integral-backed operators.  Each history
+    is sampled over the window with one ``many`` call; the default negative
+    history is the positive one negated, and so are its window samples.
     """
     if trials < 1:
         raise InvalidParameterError(f"trials must be >= 1, got {trials}")
@@ -412,12 +484,12 @@ def audit_sign_bound(
                         seed * 1_000_003 + trial, lo - 1e-6, t, amplitude=amplitude, positive=True
                     )
                 else:
-                    hist = HistoryFunction(lambda s, h=base: -h(s), lo - 1e-6, t)
+                    hist = _ArrayHistory(lambda s, f=base._fn: -f(s), lo - 1e-6, t)
                 value = op.evaluate(t, hist)
                 if history_factory is None and sign < 0:
                     samples = [-v for v in samples]  # the positive trial's, negated exactly
                 else:
-                    samples = [hist(float(s)) for s in window]
+                    samples = hist.many(window).tolist()
                 if sign > 0:
                     bound_term = b_t * min(samples)
                     slack = value - bound_term

@@ -14,8 +14,9 @@ Every operator reads the history through one numpy gather over an array
 of times (``history.many(ts)``; a call ``history(t)`` gathers one time).
 The gather uses exactly rounded operations only and keeps the Python power
 for the one square in the Hermite basis, so each read has the bits of the
-scalar formula.  Reads at t <= 0 call the initial history one time at a
-time, once per distinct time in a run.
+scalar formula.  Reads at t <= 0 go to the initial history once per
+distinct time in a run: each gather reads the times it has not seen before
+with one ``initial_history.many`` call and looks the others up.
 
 Operators with an array evaluation (``evaluate_many``; every operator this
 package builds has one) are integrated in blocks of steps, the method of
@@ -198,7 +199,9 @@ def integrate(
     node.  Integration halts early, with the trajectory flagged, as soon as
     |x| exceeds ``config.overflow_guard`` or an operator evaluation overflows.
     The initial history must be a pure function of t: its value at a time is
-    computed once and reused for every later read at that time.
+    computed once and reused for every later read at that time.  Each
+    evaluation reads the times at or before 0 that it is the first to need
+    with one ``initial_history.many`` call.
     """
     h = config.step
     if op.min_lag is not None and h > op.min_lag / 4.0 + 1e-12:
@@ -243,14 +246,15 @@ def integrate(
         )
 
     def gather(ts: np.ndarray) -> np.ndarray:
-        # Reads at t <= 0 go to the initial history, once per distinct time;
-        # they are interpolated too (clamped to node 0) and then overwritten,
-        # so that every temporary has the full size of the call.  A single
-        # step reads up to the frontier, within a relative slack of 1e-9; the
-        # first read ahead of it (or NaN) raises.  A block reads at t > 0 only
-        # between nodes computed before it, int(t/h) + 1 <= frontier, so that
-        # no index is clamped and every read has the bits it has in its own
-        # step; otherwise the block is abandoned.
+        # Reads at t <= 0 go to the initial history once per distinct time,
+        # the new ones in one call; they are interpolated too (clamped to
+        # node 0) and then overwritten, so that every temporary has the full
+        # size of the call.  A single step reads up to the frontier, within a
+        # relative slack of 1e-9; the first read ahead of it (or NaN) raises.
+        # A block reads at t > 0 only between nodes computed before it,
+        # int(t/h) + 1 <= frontier, so that no index is clamped and every
+        # read has the bits it has in its own step; otherwise the block is
+        # abandoned.
         past = ts <= 0.0
         if block:
             newest = ts.max()
@@ -268,9 +272,9 @@ def integrate(
                 )
         values = interpolate(ts)
         early = ts[past].tolist()
-        for t in early:
-            if t not in initial_values:
-                initial_values[t] = initial_history(t)
+        missing = [t for t in dict.fromkeys(early) if t not in initial_values]
+        if missing:
+            initial_values.update(zip(missing, initial_history.many(np.array(missing)).tolist()))
         values[past] = [initial_values[t] for t in early]
         return values
 

@@ -6,6 +6,7 @@ code with the implementations under test.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -115,8 +116,11 @@ def scalar_app3(a=3.0, b=0.1, m=1.0, l=2):
     )
 
 
-def scalar_random_history(seed, domain_start, domain_end=0.0, modes=5, amplitude=1.0):
-    """The seeded Fourier history, peak-normalised over all 512 grid points."""
+def scalar_random_history(seed, domain_start, domain_end=0.0, modes=5, amplitude=1.0, positive=False):
+    """The seeded Fourier history, peak-normalised over all 512 grid points.
+
+    Each read is two 5-term ``np.dot`` calls; there is no domain check or clamp.
+    """
     rng = np.random.default_rng(seed)
     cos_coef = rng.uniform(-1.0, 1.0, modes)
     sin_coef = rng.uniform(-1.0, 1.0, modes)
@@ -129,7 +133,21 @@ def scalar_random_history(seed, domain_start, domain_end=0.0, modes=5, amplitude
 
     peak = max(abs(raw(float(t))) for t in np.linspace(domain_start, domain_end, 512))
     scale = amplitude / peak if peak > 1e-12 else 0.0
-    return lambda t: scale * raw(t)
+    shift = 1.1 * amplitude if positive else 0.0
+    return lambda t: scale * raw(t) + shift
+
+
+def fraction_fma_dot(a, b):
+    """sum(a[i] * b[i]) left to right from +0.0, each step a fused multiply-add.
+
+    Each step is computed exactly in rationals and rounded to the nearest
+    double once (int / int division in Python is correctly rounded).
+    """
+    acc = 0.0
+    for x, y in zip(a, b):
+        exact = Fraction(x) * Fraction(y) + Fraction(acc)
+        acc = exact.numerator / exact.denominator
+    return acc
 
 
 class _ScalarReader:
@@ -158,10 +176,13 @@ def scalar_integrate(op, initial_history, config):
     x = np.zeros(n + 1)
     dx = np.zeros(n + 1)
     frontier = 0
+    past = {}  # the initial history is a pure function of t, read once per distinct time
 
     def read(t):
         if t <= 0.0:
-            return initial_history(t)
+            if t not in past:
+                past[t] = initial_history(t)
+            return past[t]
         if t > frontier * h + 1e-9 * max(1.0, t):
             raise HistoryDomainError(
                 f"delayed read at t={t} is ahead of the computed trajectory "

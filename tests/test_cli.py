@@ -274,6 +274,17 @@ def test_bad_input_exits_with_one_line_error(args, code, single_delay_spec, tmp_
     assert len(result.stderr.splitlines()) == 1
 
 
+def test_complex_coefficient_exits_3(tmp_path):
+    spec = EquationSpec(kind="discrete_delay", label="complex", terms=(("(t-10)**0.5", 1.0),))
+    path = tmp_path / "complex.json"
+    save_spec(spec, path)
+    result = CliRunner().invoke(main, ["simulate", "--spec", str(path), "--t-end", "5"])
+    assert result.exit_code == 3
+    assert isinstance(result.exception, SystemExit)  # not an uncaught TypeError
+    assert result.stderr.startswith("error: expression '(t-10)**0.5' does not evaluate to a real number at t=0.0: ")
+    assert len(result.stderr.splitlines()) == 1
+
+
 def test_bad_transient_fraction_rejected_before_integrating(single_delay_spec, tmp_path):
     csv = tmp_path / "traj.csv"
     args = ["simulate", "--spec", str(single_delay_spec), "--transient-fraction", "1.5", "--out", str(csv)]

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from ddeosc import ExpressionError
+from ddeosc import DomainError, ExpressionError
 from ddeosc.expressions import parse_expression
 
 
@@ -66,3 +66,12 @@ def test_rejects_empty():
 def test_syntax_error_reported():
     with pytest.raises(ExpressionError):
         parse_expression("1 +")
+
+
+def test_complex_value_raises_domain_error():
+    f = parse_expression("(t-10)**0.5")
+    assert f(14.0) == 2.0
+    with pytest.raises(DomainError, match=r"^expression '\(t-10\)\*\*0\.5' does not evaluate to a real number at t=5\.0: "):
+        f(5.0)
+    with pytest.raises(DomainError, match=r"^expression 'min\(\(t-10\)\*\*0\.5, 1\)' does not evaluate"):
+        parse_expression("min((t-10)**0.5, 1)")(5.0)

@@ -15,10 +15,10 @@ from ddeosc import (
     make_distributed_delay,
     random_history,
 )
-from ddeosc.operators import sigma_growth_check
+from ddeosc.operators import _ArrayHistory, _fma_dots, sigma_growth_check
 from ddeosc.specfile import KERNEL_CATALOG, app3_stated_bound
 
-from _oracles import scalar_random_history
+from _oracles import fraction_fma_dot, scalar_random_history
 
 
 class TestHistoryFunction:
@@ -70,6 +70,124 @@ class TestRandomHistory:
             oracle = scalar_random_history(seed, start, end, amplitude=amplitude)
             for t in (start, end, 0.37 * start + 0.63 * end):
                 assert ours(t) == oracle(t)
+
+
+class TestArrayHistories:
+    """Package-built histories read arrays with the bits of the scalar formulas."""
+
+    def test_random_many_matches_the_dot_oracle(self):
+        rng = np.random.default_rng(6)
+        reads = 0
+        for seed in range(100):
+            start = -float(rng.uniform(0.01, 50.0))
+            end = float(rng.uniform(start + 0.01, 10.0)) if seed % 2 else 0.0
+            amplitude = float(rng.choice([1.0, 0.5, 1e-5, 3.0]))
+            positive = seed % 3 == 0
+            ours = random_history(seed, start, end, amplitude=amplitude, positive=positive)
+            oracle = scalar_random_history(seed, start, end, amplitude=amplitude, positive=positive)
+            ts = np.concatenate([[start, end], np.linspace(start, end, 499), rng.uniform(start, end, 499)])
+            assert np.array_equal(ours.many(ts), [oracle(t) for t in ts.tolist()])
+            reads += ts.size
+        assert reads == 100_000
+
+    def test_call_is_the_one_element_read(self):
+        h = random_history(9, -7.0, amplitude=0.3, positive=True)
+        ts = np.linspace(-7.0, 0.0, 301)
+        assert np.array_equal(h.many(ts), [h(t) for t in ts.tolist()])
+
+    def test_in_slack_times_read_the_endpoints(self):
+        h = random_history(2, -3.0, 1.0)
+        assert np.array_equal(h.many([-3.0 - 1e-10, 1.0 + 1e-10]), h.many([-3.0, 1.0]))
+
+    @pytest.mark.parametrize("batch", range(4))
+    def test_fma_chain_is_exact(self, batch):
+        # cosines like the history's, and factors spread over 2^-80 .. 2^80 so
+        # that the low parts straddle many exponents and rounding to odd acts
+        rng = np.random.default_rng(batch)
+        rows = 800
+        if batch % 2:
+            coefs = rng.uniform(-1.0, 1.0, (2, 5)) * 2.0 ** rng.integers(-80, 80, (2, 5))
+            values = rng.uniform(-1.0, 1.0, (rows, 2, 5)) * 2.0 ** rng.integers(-80, 80, (rows, 2, 5))
+        else:
+            coefs = rng.uniform(-1.0, 1.0, (2, 5))
+            values = np.cos(rng.uniform(0.0, 100.0, (rows, 2, 5)))
+        expected = [[fraction_fma_dot(c, v) for c, v in zip(coefs, row)] for row in values.tolist()]
+        assert np.array_equal(_fma_dots(coefs, values), expected)
+
+    def test_products_near_underflow_take_np_dot(self):
+        coefs = np.array([[3e-160, 7e-161, -5e-160], [0.75, -0.5, 0.25]])
+        values = np.array(
+            [
+                [[1.1e-150, -3.3e-150, 2.7e-150], [0.1, 0.2, 0.3]],  # subnormal products
+                [[0.4, 0.5, 0.6], [0.7, 1e-320, 0.9]],  # one product below 1e-290
+                [[1e-170, 0.5, 0.6], [0.7, 0.8, 0.9]],  # a product that rounds to zero
+                [[0.4, 0.5, 0.6], [0.7, 0.8, 0.0]],  # a zero factor is exact
+            ]
+        )
+        expected = [[np.dot(c, v) for c, v in zip(coefs, row)] for row in values]
+        assert np.array_equal(_fma_dots(coefs, values), expected)
+
+    def test_signed_zeros_as_np_dot(self):
+        # -0.0 products: np.dot of one term is the bare product, -0.0, and a
+        # longer chain starts from +0.0, so that its zero sum is +0.0
+        for coefs, sign in (([[-1.0], [3.0]], True), ([[-1.0, -2.0, -0.5], [3.0, -1.0, 2.0]], False)):
+            coefs = np.array(coefs)
+            values = np.where(coefs > 0.0, -0.0, 0.0)[None]
+            expected = np.array([[np.dot(c, v) for c, v in zip(coefs, values[0])]])
+            dots = _fma_dots(coefs, values)
+            assert dots.tolist() == expected.tolist() == [[0.0, 0.0]]
+            assert np.signbit(dots).tolist() == np.signbit(expected).tolist() == [[sign, sign]]
+
+    def test_double_rounding_ties_round_to_odd(self):
+        # 1 + 2^-52 plus a product 2^-53 - 2^-113, just below a tie: TwoSum
+        # gives th = 1 + 2^-51 and tl = -2^-53, and tl + pl rounds to -2^-53;
+        # only a sum rounded to odd keeps th + v off the tie and gives 1 + 2^-52
+        coefs = np.array([[1.0, 1.0 + 2.0**-30], [1.0, -(1.0 + 2.0**-30)]])
+        values = np.array([[[1.0 + 2.0**-52, 2.0**-53 * (1.0 - 2.0**-30)], [1.0 + 2.0**-52, 2.0**-53 * (1.0 - 2.0**-30)]]])
+        expected = [[fraction_fma_dot(c, v) for c, v in zip(coefs, values[0])]]
+        assert expected == [[1.0 + 2.0**-52, 1.0 + 2.0**-52]]
+        assert np.array_equal(_fma_dots(coefs, values), expected)
+
+    @pytest.mark.parametrize(
+        "history",
+        [
+            HistoryFunction.constant(1.0, -2.0),
+            HistoryFunction.exponential(0.3, -2.0),
+            random_history(4, -2.0),
+            HistoryFunction(lambda t: t, -2.0),
+        ],
+        ids=["constant", "exponential", "random", "scalar"],
+    )
+    @pytest.mark.parametrize("bad", [0.5, -3.0])
+    def test_many_raises_the_call_message_for_the_first_bad_time(self, history, bad):
+        with pytest.raises(HistoryDomainError) as call:
+            history(bad)
+        with pytest.raises(HistoryDomainError) as many:
+            history.many([-1.0, bad, 0.7, -2.5])
+        assert str(many.value) == str(call.value) == f"history evaluated at t={bad}, outside [-2.0, 0.0]"
+
+    def test_constant_and_exponential_many_match_the_scalar_formulas(self):
+        ts = np.concatenate([np.linspace(-3.0, 0.0, 1001), [-3.0 - 1e-10, 1e-10, -0.0]])
+        clamped = [min(max(t, -3.0), 0.0) for t in ts.tolist()]
+        for rate in (0.3, -0.7, 250.0):
+            h = HistoryFunction.exponential(rate, -3.0)
+            assert np.array_equal(h.many(ts), [math.exp(rate * t) for t in clamped])
+            assert np.array_equal(h.many(ts), [h(t) for t in ts.tolist()])
+        h = HistoryFunction.constant(-0.25, -3.0)
+        assert np.array_equal(h.many(ts), np.full(ts.size, -0.25))
+        assert np.array_equal(h.many(ts), [h(t) for t in ts.tolist()])
+
+    @pytest.mark.parametrize("kernel", ["app2", "app3"])
+    def test_audit_reads_each_window_and_evaluation_in_one_call(self, kernel, monkeypatch):
+        op = KERNEL_CATALOG[kernel].build({})
+        calls, reads = [], []
+        many = _ArrayHistory.many
+        monkeypatch.setattr(_ArrayHistory, "__call__", lambda self, t: calls.append(t) or float(many(self, [t])[0]))
+        monkeypatch.setattr(_ArrayHistory, "many", lambda self, ts: reads.append(len(ts)) or many(self, ts))
+        report = audit_sign_bound(op, [10.0, 12.0, 14.0], trials=3)
+        assert report.checked == 18
+        assert calls == []
+        assert len(reads) == 3 * 3 * 3  # per time and trial: the window and two evaluations
 
 
 class TestDiscreteDelay:

@@ -27,6 +27,7 @@ from ddeosc import (
     zero_crossings,
 )
 from ddeosc.expressions import parse_expression
+from ddeosc.operators import _ArrayHistory
 from ddeosc.simulator import sigma_pad_start
 from ddeosc.specfile import KERNEL_CATALOG, build_operator, make_scenarios
 
@@ -37,6 +38,7 @@ from _oracles import (
     scalar_app2,
     scalar_app3,
     scalar_integrate,
+    scalar_random_history,
 )
 
 LAMBDA_01 = characteristic_root(0.1, 1.0)  # real root of lam + 0.1 e^-lam = 0
@@ -320,6 +322,50 @@ class TestDiscreteReadsMatchScalarOracle:
             scalar_integrate(oracle, hist, config)
         assert type(ours.value) is type(oracles.value)
         assert str(ours.value) == str(oracles.value)
+
+
+class TestSeededHistoryReads:
+    """Runs from array-read seeded histories have the bits of runs from the
+    per-read ``np.dot`` history, through the scalar integrator."""
+
+    CASES = {
+        "app1": (lambda: build_operator(make_scenarios(1, {"q": 10.0})[0].spec), 0.05, 20.0),
+        "app2": (lambda: KERNEL_CATALOG["app2"].build({}), 0.01, 2.5),
+        "app3": (lambda: KERNEL_CATALOG["app3"].build({"l": 2}), 0.05, 7.0),
+    }
+
+    @staticmethod
+    def _oracle(case):
+        if case == "app1":
+            spec = make_scenarios(1, {"q": 10.0})[0].spec
+            return ScalarDiscreteDelay([(parse_expression(coef), delay) for coef, delay in spec.terms])
+        return scalar_app2() if case == "app2" else scalar_app3(l=2)
+
+    @pytest.mark.parametrize("interpolation", list(Interpolation), ids=lambda i: i.value)
+    @pytest.mark.parametrize("case, seed", [("app1", 0), ("app1", 140891), ("app2", 3), ("app3", 7)])
+    def test_matches_the_dot_history_run(self, case, seed, interpolation):
+        build, step, t_end = self.CASES[case]
+        op = build()
+        config = SimulationConfig(t_end=t_end, step=step, interpolation=interpolation)
+        traj = integrate(op, random_history(seed, sigma_pad_start(op)), config)
+        values, derivative_values, overflowed = scalar_integrate(
+            self._oracle(case), scalar_random_history(seed, sigma_pad_start(op)), config
+        )
+        assert not traj.overflowed and not overflowed
+        assert np.array_equal(traj.values, values)
+        assert np.array_equal(traj.derivative_values, derivative_values)
+
+    def test_each_past_time_is_read_once_in_arrays(self, monkeypatch):
+        op = KERNEL_CATALOG["app2"].build({})
+        calls, reads = [], []
+        many = _ArrayHistory.many
+        monkeypatch.setattr(_ArrayHistory, "__call__", lambda self, t: calls.append(t) or float(many(self, [t])[0]))
+        monkeypatch.setattr(_ArrayHistory, "many", lambda self, ts: reads.append(list(ts)) or many(self, ts))
+        integrate(op, random_history(0, sigma_pad_start(op)), SimulationConfig(t_end=2.5, step=0.01))
+        assert calls == [0.0]  # x(0)
+        past = [t for chunk in reads for t in chunk]
+        assert len(past) == len(set(past)) > 4000
+        assert len(reads) < 100
 
 
 class TestEventualSign:
