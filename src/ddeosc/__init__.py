@@ -44,7 +44,6 @@ from .operators import (
     AuditViolation,
     HistoryFunction,
     audit_sign_bound,
-    evaluate,
     make_discrete_delay,
     make_distributed_delay,
     random_history,
@@ -116,7 +115,6 @@ __all__ = [
     "concordance_experiment",
     "estimate_liminf_w",
     "euler_interval_contains",
-    "evaluate",
     "integral_over_amnesia",
     "integrate",
     "lambert_w0",

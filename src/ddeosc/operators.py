@@ -198,27 +198,30 @@ def random_history(
 class AmnesiaOperator:
     """A causal response (Tx)(t) reading x only on [sigma(t), tau(t)].
 
-    ``evaluate(t, history)`` returns the operator value; ``tau``/``sigma``
-    are the newest/oldest times it may read for a given t (tau(t) <= t).
-    ``bound_b`` is the rate function of the sign-respecting bound described
-    in the module docstring, or None when no bound is known.  ``read_points``
-    optionally lists the exact times the operator samples at a given t; the
-    audit folds them into its window grid so that bound checks never flag
-    spurious violations from grid placement.  ``min_lag`` is the smallest
-    value of t - tau(t) over the operating range, used by the integrator's
-    step-size rule when known.  ``evaluate_many(ts, history)``, when given,
-    evaluates an array of times in one pass, each with the bits of
-    ``evaluate``; the integrator uses it for blocks of steps.
+    The operator is its array evaluation: ``evaluate_many(ts, history)``
+    returns the values at an array of times in one pass, each with the bits
+    it has when evaluated alone, and ``evaluate(t, history)`` is its
+    one-time case.  ``tau``/``sigma`` are the newest/oldest times it may
+    read for a given t (tau(t) <= t).  ``bound_b`` is the rate function of
+    the sign-respecting bound described in the module docstring, or None
+    when no bound is known.  ``read_points`` optionally lists the exact
+    times the operator samples at a given t; the audit folds them into its
+    window grid so that bound checks never flag spurious violations from
+    grid placement.  ``min_lag`` is the smallest value of t - tau(t) over
+    the operating range, used by the integrator's step-size rule when known.
     """
 
     label: str
-    evaluate: Callable[[float, HistoryFunction], float]
+    evaluate_many: Callable[[np.ndarray, HistoryFunction], np.ndarray]
     tau: TimeFunction
     sigma: TimeFunction
     bound_b: Optional[TimeFunction] = None
     read_points: Optional[Callable[[float], list[float]]] = None
     min_lag: Optional[float] = None
-    evaluate_many: Optional[Callable[[np.ndarray, HistoryFunction], np.ndarray]] = None
+
+    def evaluate(self, t: float, history: HistoryFunction) -> float:
+        """(Tx)(t); requires [sigma(t), t] inside the history domain."""
+        return float(self.evaluate_many(np.array([t], dtype=float), history)[0])
 
 
 def _row_sums(terms: np.ndarray) -> np.ndarray:
@@ -273,21 +276,17 @@ def make_discrete_delay(
             coef_values = np.array([[c(time) for c in coefs] for time in t.tolist()], dtype=float)
             return _row_sums(coef_values * values)
 
-    def ev(t: float, history: HistoryFunction) -> float:
-        return float(evaluate_many([t], history)[0])
-
     def default_bound(t: float) -> float:
         return sum(max(c(t), 0.0) for c in coefs)
 
     return AmnesiaOperator(
         label=label,
-        evaluate=ev,
+        evaluate_many=evaluate_many,
         tau=lambda t: t - d_min,
         sigma=lambda t: t - d_max,
         bound_b=bound_b if bound_b is not None else default_bound,
         read_points=lambda t: [t - d for d in delays],
         min_lag=d_min,
-        evaluate_many=evaluate_many,
     )
 
 
@@ -353,9 +352,6 @@ def make_distributed_delay(
             integrand = kernel(t, nodes, [values[:, :, m] for m in range(len(maps))])
             return _row_sums(weights * integrand)
 
-    def ev(t: float, history: HistoryFunction) -> float:
-        return float(evaluate_many([t], history)[0])
-
     def reads(t: float) -> list[float]:
         return read_times(t).ravel().tolist()
 
@@ -371,19 +367,13 @@ def make_distributed_delay(
 
     return AmnesiaOperator(
         label=label,
-        evaluate=ev,
+        evaluate_many=evaluate_many,
         tau=tau,
         sigma=sigma,
         bound_b=bound_b,
         read_points=reads,
         min_lag=min_lag,
-        evaluate_many=evaluate_many,
     )
-
-
-def evaluate(op: AmnesiaOperator, t: float, history: HistoryFunction) -> float:
-    """Evaluate (Tx)(t); requires [op.sigma(t), t] inside the history domain."""
-    return op.evaluate(t, history)
 
 
 def sigma_growth_check(op: AmnesiaOperator, t_start: float, t_end: float, samples: int = 64) -> bool:

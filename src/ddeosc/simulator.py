@@ -10,27 +10,29 @@ derivative samples by default, which preserves the fourth-order accuracy;
 linear interpolation is available for cross-checks.  Trajectories are
 written to and read back from CSV without loss.
 
-Every operator reads the history through one numpy gather over an array
-of times (``history.many(ts)``; a call ``history(t)`` gathers one time).
-The gather uses exactly rounded operations only and keeps the Python power
-for the one square in the Hermite basis, so each read has the bits of the
-scalar formula.  Reads at t <= 0 go to the initial history once per
-distinct time in a run: each gather reads the times it has not seen before
-with one ``initial_history.many`` call and looks the others up.
+An operator is its array evaluation (``op.evaluate_many(ts, history)``),
+and the step loop calls it at one site.  It reads the history through one
+numpy gather over an array of times (``history.many(ts)``; a call
+``history(t)`` gathers one time).  The gather uses exactly rounded
+operations only and keeps the Python power for the one square in the
+Hermite basis, so each read has the bits of the scalar formula.  Reads at
+t <= 0 go to the initial history once per distinct time in a run: each
+gather reads the times it has not seen before with one
+``initial_history.many`` call and looks the others up.
 
-Operators with an array evaluation (``evaluate_many``; every operator this
-package builds has one) are integrated in blocks of steps, the method of
-steps in its literal form: with tau(t) <= t - min_lag, every stage of the
-next min_lag/step - 1 steps reads only nodes that are already computed, so
-one evaluation gives all stage derivatives of the block, and the RK4 update
-then runs step by step over them.  A block is capped at a fixed number of
-reads.  It is valid only if every read at t > 0 lies between nodes computed
-before it (int(t/step) + 1 <= the block's first step), which the gather
-checks.  A block that fails the check, or whose evaluation raises any
-error (an overflow, a domain error), is replayed one step at a time, which
-is the step-by-step loop itself: overflow truncation and error messages
-stay those of single steps.  A single step reads up to the last computed
-node and raises for a read ahead of it.
+The loop evaluates blocks of steps, the method of steps in its literal
+form: with tau(t) <= t - min_lag, every stage of the next min_lag/step - 1
+steps reads only nodes that are already computed, so one evaluation gives
+all stage derivatives of the block, and the RK4 update then runs step by
+step over them.  A block is capped at a fixed number of reads.  It is
+valid only if every read at t > 0 lies between nodes computed before it
+(int(t/step) + 1 <= the block's first step), which the gather checks.  A
+block that fails the check, or whose evaluation raises any error (an
+overflow, a domain error), is replayed one step at a time.  A single step
+is a block of one, its two stage times evaluated in one call: it reads up
+to the last computed node and raises for a read ahead of it, an overflow
+flags the run and any other error propagates.  Operators without a known
+``min_lag`` take single steps throughout.
 """
 
 import math
@@ -56,7 +58,7 @@ from .errors import (
     SpecFormatError,
     StepSizeError,
 )
-from .operators import AmnesiaOperator, AuditReport, HistoryFunction, audit_sign_bound, random_history
+from .operators import AmnesiaOperator, AuditReport, HistoryFunction, _ArrayHistory, audit_sign_bound, random_history
 
 
 class Interpolation(Enum):
@@ -153,17 +155,13 @@ def read_trajectory_csv(path) -> Trajectory:
     )
 
 
-class _TrajectoryReader(HistoryFunction):
-    """The initial history, then the computed nodes; a call gathers one time."""
+class _TrajectoryReader(_ArrayHistory):
+    """The initial history, then the computed nodes; the gather checks every read."""
 
-    __slots__ = ("_gather",)
-
-    def __init__(self, gather, domain_start: float, domain_end: float):
-        super().__init__(lambda t: gather(np.array([t]))[0], domain_start, domain_end)
-        self._gather = gather
+    __slots__ = ()
 
     def many(self, ts) -> np.ndarray:
-        return self._gather(np.asarray(ts, dtype=float))
+        return self._fn(np.asarray(ts, dtype=float))
 
 
 #: The most delayed reads one block gathers: eight steps of the catalog's
@@ -177,9 +175,9 @@ def _block_steps(op: AmnesiaOperator, h: float) -> int:
 
     With tau(t) <= t - min_lag, every stage of steps k0 .. k0 + min_lag/h - 2
     reads at or before t_{k0} - h, behind the nodes computed before step k0.
-    Operators without an array evaluation take one step at a time.
+    Operators without a known lag or read points take one step at a time.
     """
-    if op.evaluate_many is None or op.min_lag is None or op.read_points is None:
+    if op.min_lag is None or op.read_points is None:
         return 1
     by_lag = int(op.min_lag / h) - 1
     by_budget = _BLOCK_READS // (2 * len(op.read_points(0.0)))
@@ -294,23 +292,20 @@ def integrate(
         frontier = k
         block = size > 1
         # Stage derivatives at t_k + h/2 and t_k + h for each step of the block.
-        if block:
-            stage_times = (times[k : k + size, None] + [0.5 * h, h]).ravel()
-            try:
-                stages = (-op.evaluate_many(stage_times, reader)).tolist()
-            except Exception:
+        stage_times = (times[k : k + size, None] + [0.5 * h, h]).ravel()
+        try:
+            stages = (-op.evaluate_many(stage_times, reader)).tolist()
+        except Exception as error:
+            if block:
                 # Replayed one step at a time, a failure surfaces at the step
                 # it belongs to, or not at all if the run stops before it.
                 single_until = k + size
                 continue
-        else:
-            t = float(times[k])
-            try:
-                stages = [-op.evaluate(t + 0.5 * h, reader), -op.evaluate(t + h, reader)]
-            except OverflowError:
-                overflowed = True
-                last = k
-                break
+            if not isinstance(error, OverflowError):
+                raise
+            overflowed = True
+            last = k
+            break
         for fmid, fend in zip(stages[0::2], stages[1::2]):
             # RK4 with state-independent stages: k2 = k3 = fmid, Simpson update.
             incr = (h / 6.0) * (dx[k] + 4.0 * fmid + fend) - comp

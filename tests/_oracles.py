@@ -85,6 +85,15 @@ class ScalarDistributedDelay:
         return total
 
 
+def looped(evaluate):
+    """An array evaluation that calls a scalar ``evaluate(t, history)`` once per time, in order."""
+
+    def evaluate_many(ts, history):
+        return np.array([evaluate(t, history) for t in np.asarray(ts, dtype=float).tolist()])
+
+    return evaluate_many
+
+
 class ScalarDiscreteDelay:
     """A discrete-delay operator summed term by term: sum(c(t) * history(t - d)).
 

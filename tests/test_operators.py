@@ -10,7 +10,6 @@ from ddeosc import (
     HistoryFunction,
     InvalidParameterError,
     audit_sign_bound,
-    evaluate,
     make_discrete_delay,
     make_distributed_delay,
     random_history,
@@ -205,7 +204,7 @@ class TestDiscreteDelay:
         op = make_discrete_delay([(2.0, 3.0)])
         h = HistoryFunction(lambda s: s, 0.0, 5.0)
         assert op.evaluate(5.0, h) == 4.0
-        assert evaluate(op, 5.0, h) == 4.0
+        assert op.evaluate_many([4.0, 5.0], h).tolist() == [2.0, 4.0]
 
     def test_zero_operator(self):
         op = make_discrete_delay([(0.0, 1.0)])
@@ -410,7 +409,7 @@ class TestAuditSignBound:
         stated = app3_stated_bound(3.0, 0.1, 1.0, 2)
         bad = op.__class__(
             label=op.label,
-            evaluate=op.evaluate,
+            evaluate_many=op.evaluate_many,
             tau=op.tau,
             sigma=op.sigma,
             bound_b=lambda t: stated,
@@ -430,7 +429,7 @@ class TestAuditSignBound:
         assert sigma_growth_check(op, 0.0, 50.0)
         frozen = op.__class__(
             label="frozen window",
-            evaluate=op.evaluate,
+            evaluate_many=op.evaluate_many,
             tau=op.tau,
             sigma=lambda t: 0.0,  # window start never advances
             bound_b=op.bound_b,
@@ -450,7 +449,7 @@ class TestAuditSignBound:
         )
         stripped = op.__class__(
             label=op.label,
-            evaluate=op.evaluate,
+            evaluate_many=op.evaluate_many,
             tau=op.tau,
             sigma=op.sigma,
             bound_b=None,

@@ -35,6 +35,7 @@ from _oracles import (
     ScalarDiscreteDelay,
     ScalarDistributedDelay,
     characteristic_root,
+    looped,
     scalar_app2,
     scalar_app3,
     scalar_integrate,
@@ -263,10 +264,12 @@ class TestDiscreteReadsMatchScalarOracle:
 
     def test_integrates_in_blocks(self):
         op = build_operator(make_scenarios(1, {"q": 10.0})[0].spec)
-        times = []
-        counted = dataclasses.replace(op, evaluate=lambda t, history: times.append(t) or op.evaluate(t, history))
+        calls = []
+        counted = dataclasses.replace(
+            op, evaluate_many=lambda ts, history: calls.append(ts.tolist()) or op.evaluate_many(ts, history)
+        )
         integrate(counted, random_history(0, sigma_pad_start(op), 0.0), SimulationConfig(t_end=20.0, step=0.05))
-        assert times == [0.0]  # every stage after t = 0 came from a block
+        assert [ts for ts in calls if len(ts) <= 2] == [[0.0]]  # every stage after t = 0 came from a block
 
     def test_coefficient_overflow_flags_the_run(self):
         # exp(100 t) overflows at t = 7.098, inside the block of steps
@@ -305,11 +308,12 @@ class TestDiscreteReadsMatchScalarOracle:
 
     @pytest.mark.parametrize("lag", [1.5, 0.01, math.nan], ids=["behind", "reads-ahead", "reads-nan"])
     def test_operator_with_scalar_evaluate_only(self, lag):
-        # No evaluate_many: single steps, one ``history(t)`` call per read.
-        # With no min_lag there is no step rule, and a lag below one step
-        # reads ahead of the frontier; a NaN read raises ValueError.
+        # An array evaluation looped over the scalar one, one ``history(t)``
+        # call per read, and no min_lag: single steps, and no step rule, so
+        # a lag below one step reads ahead of the frontier; a NaN read
+        # raises ValueError.
         oracle = ScalarDiscreteDelay([(0.5, 1.0), (lambda t: 0.25 * math.cos(t), lag)])
-        op = AmnesiaOperator(label="scalar only", evaluate=oracle.evaluate,
+        op = AmnesiaOperator(label="scalar only", evaluate_many=looped(oracle.evaluate),
                              tau=lambda t: t - min(1.0, lag), sigma=lambda t: t - 1.5)
         hist = random_history(2, -1.6, 0.0)
         config = SimulationConfig(t_end=6.0, step=0.05)
@@ -322,6 +326,25 @@ class TestDiscreteReadsMatchScalarOracle:
             scalar_integrate(oracle, hist, config)
         assert type(ours.value) is type(oracles.value)
         assert str(ours.value) == str(oracles.value)
+
+
+    def test_single_step_is_one_call(self):
+        # Without min_lag every step is a block of one: its two stage times,
+        # t_k + h/2 and t_k + h, go to the operator in one call.
+        oracle = ScalarDiscreteDelay([(0.5, 1.0), (lambda t: 0.25 * math.cos(t), 1.5)])
+        calls = []
+
+        def evaluate_many(ts, history):
+            calls.append(ts.tolist())
+            return looped(oracle.evaluate)(ts, history)
+
+        op = AmnesiaOperator(label="counted", evaluate_many=evaluate_many,
+                             tau=lambda t: t - 1.0, sigma=lambda t: t - 1.5)
+        h = 0.05
+        traj = _assert_same_run(op, oracle, random_history(2, -1.6, 0.0), SimulationConfig(t_end=6.0, step=h))
+        n = len(traj.times) - 1
+        assert n == 120
+        assert calls == [[0.0]] + [[k * h + 0.5 * h, k * h + h] for k in range(n)]
 
 
 class TestSeededHistoryReads:
