@@ -355,12 +355,7 @@ def cmd_reproduce(
     out = Path(out_dir) if out_dir is not None else Path(f"reproduce_app{app_id}")
     summaries = []
     for sc in scenarios:
-        bundle = out / sc.name
-        traj_dir = bundle / "trajectories"
-        traj_dir.mkdir(parents=True, exist_ok=True)
-        save_spec(sc.spec, bundle / "spec.json")
         report, op, estimate = analyze_spec(sc.spec, sc.crit_t_start, sc.crit_t_end)
-        (bundle / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
         conc = concordance_experiment(
             op,
             sc.sim,
@@ -372,6 +367,13 @@ def cmd_reproduce(
             keep_trajectories=True,
             estimate=estimate,
         )
+        # Written only once the ensemble has returned, so that a failed run
+        # leaves no partial bundle.
+        bundle = out / sc.name
+        traj_dir = bundle / "trajectories"
+        traj_dir.mkdir(parents=True, exist_ok=True)
+        save_spec(sc.spec, bundle / "spec.json")
+        (bundle / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
         for run_seed, traj in zip(conc.seeds, conc.trajectories):
             write_trajectory_csv(traj, traj_dir / f"traj_seed{run_seed}.csv")
 

@@ -142,6 +142,8 @@ def estimate_liminf_w(
     """
     if not t_start < t_end:
         raise InvalidParameterError(f"need t_start < t_end, got [{t_start}, {t_end}]")
+    if not (math.isfinite(t_start) and math.isfinite(t_end)):
+        raise InvalidParameterError(f"criterion window ends must be finite, got [{t_start}, {t_end}]")
     if grid_points < 10:
         raise InvalidParameterError(f"grid_points must be >= 10, got {grid_points}")
 

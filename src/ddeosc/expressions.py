@@ -1,9 +1,10 @@
 """A small arithmetic grammar for coefficient and bound expressions.
 
 Allowed: numbers, the variable t, + - * / **, unary minus, parentheses,
-the functions exp, log, sin, cos, min, max, and the constants e and pi.
-Anything else is rejected with an :class:`ExpressionError` naming the
-offending construct.
+the functions exp, log, sin and cos (one argument each) and min and max
+(two or more), and the constants e and pi.  Anything else, a call with the
+wrong number of arguments included, is rejected with an
+:class:`ExpressionError` naming the offending construct.
 """
 
 import ast
@@ -66,6 +67,12 @@ def parse_expression(source: str) -> Callable[[float], float]:
                 raise ExpressionError(f"unknown function call in expression {source!r}")
             if node.keywords:
                 raise ExpressionError(f"keyword arguments not allowed in expression {source!r}")
+            variadic = node.func.id in ("min", "max")
+            if len(node.args) < 2 if variadic else len(node.args) != 1:
+                expected = "at least two arguments" if variadic else "exactly one argument"
+                raise ExpressionError(
+                    f"{node.func.id}() takes {expected}, got {len(node.args)}, in expression {source!r}"
+                )
             call_names.add(id(node.func))
         elif isinstance(node, ast.Constant):
             if not isinstance(node.value, (int, float)) or isinstance(node.value, bool):

@@ -74,16 +74,23 @@ class HistoryFunction:
 
     @classmethod
     def constant(cls, value: float, domain_start: float, domain_end: float = 0.0) -> "HistoryFunction":
-        v = float(value)
+        v = _finite("constant history value", value)
         return _ArrayHistory(lambda ts: np.full(ts.shape, v), domain_start, domain_end)
 
     @classmethod
     def exponential(cls, rate: float, domain_start: float, domain_end: float = 0.0) -> "HistoryFunction":
         """h(t) = exp(rate * t), through ``math.exp`` (numpy's exp differs in the last bit)."""
-        r = float(rate)
+        r = _finite("exponential history rate", rate)
         return _ArrayHistory(
             lambda ts: np.fromiter(map(math.exp, (r * ts).tolist()), float, ts.size), domain_start, domain_end
         )
+
+
+def _finite(name: str, value: float) -> float:
+    v = float(value)
+    if not math.isfinite(v):
+        raise InvalidParameterError(f"{name} must be finite, got {v}")
+    return v
 
 
 class _ArrayHistory(HistoryFunction):

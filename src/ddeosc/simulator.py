@@ -495,6 +495,8 @@ def concordance_experiment(
     """
     if n_histories < 1:
         raise InvalidParameterError(f"n_histories must be >= 1, got {n_histories}")
+    if seed < 0:
+        raise InvalidParameterError(f"seed must be >= 0, got {seed}")
     if op.bound_b is None:
         raise InvalidParameterError("operator has no bound_b; the criterion needs one")
 

@@ -258,19 +258,50 @@ class TestClickWiring:
         (["tower", "--base", "inf"], 2),
         (["tower", "--base", "inf", "--format", "json"], 2),
         (["tower", "--base", "1.2", "--tol", "nan"], 2),
+        (["reproduce", "--app", "2", "--n-histories", "0"], 2),
+        (["reproduce", "--app", "1", "--seed", "-1"], 2),
+        (["simulate", "--history", "constant:nan"], 2),
+        (["simulate", "--history", "constant:inf"], 2),
+        (["simulate", "--history", "exponential:nan"], 2),
+        (["simulate", "--history", "exponential:inf"], 2),
+        (["analyze", "--t-end", "inf"], 2),
+        (["analyze", "--t-start", "nan"], 2),
+        (["analyze", "--t-start", "-inf"], 2),
     ],
     ids=["a1=0", "m=-1", "m=0", "a1=1000", "l=2.5", "transient=1.5", "transient=-0.1", "step-nan", "tower-nan",
-         "tower-inf", "tower-inf-json", "tower-tol-nan"],
+         "tower-inf", "tower-inf-json", "tower-tol-nan", "n-histories=0", "seed=-1", "constant-nan",
+         "constant-inf", "exponential-nan", "exponential-inf", "analyze-t-end-inf", "analyze-t-start-nan",
+         "analyze-t-start-minus-inf"],
 )
 def test_bad_input_exits_with_one_line_error(args, code, single_delay_spec, tmp_path):
+    out = tmp_path / "rep"
     if args[0] == "reproduce":
-        args = [*args, "--n-histories", "1", "--out", str(tmp_path / "rep")]
+        if "--n-histories" not in args:
+            args = [*args, "--n-histories", "1"]
+        args = [*args, "--out", str(out)]
     elif args[0] == "simulate":
         args = [*args, "--spec", str(single_delay_spec), "--t-end", "5"]
+    elif args[0] == "analyze":
+        args = [*args, "--spec", str(single_delay_spec)]
     result = CliRunner().invoke(main, args)
     assert result.exit_code == code
     assert isinstance(result.exception, SystemExit)  # not an uncaught error
     assert result.stderr.startswith("error: ")
+    assert len(result.stderr.splitlines()) == 1
+    assert not out.exists()  # a failed reproduce leaves no partial bundle
+
+
+@pytest.mark.parametrize("coef, message", [
+    ("min(t)", "min() takes at least two arguments, got 1, in expression 'min(t)'"),
+    ("exp(t, t)", "exp() takes exactly one argument, got 2, in expression 'exp(t, t)'"),
+])
+def test_call_arity_rejected_at_load(coef, message, tmp_path):
+    path = tmp_path / "arity.json"
+    save_spec(EquationSpec(kind="discrete_delay", label="arity", terms=((coef, 1.0),)), path)
+    result = CliRunner().invoke(main, ["simulate", "--spec", str(path), "--t-end", "5"])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.endswith(message + "\n")
     assert len(result.stderr.splitlines()) == 1
 
 

@@ -88,6 +88,9 @@ class TestEstimateLiminf:
             estimate_liminf_w(lambda s: 1.0, lambda t: t - 1.0, 10.0, 10.0)
         with pytest.raises(InvalidParameterError):
             estimate_liminf_w(lambda s: 1.0, lambda t: t - 1.0, 0.0, 10.0, grid_points=5)
+        for t_start, t_end in ((0.0, math.inf), (-math.inf, 10.0), (math.nan, 10.0)):
+            with pytest.raises(InvalidParameterError):
+                estimate_liminf_w(lambda s: 1.0, lambda t: t - 1.0, t_start, t_end)
 
 
 class TestTheoremVerdict:

@@ -14,6 +14,7 @@ def test_basic_arithmetic():
 def test_functions_and_constants():
     f = parse_expression("exp(1) * e + min(t, pi) - max(cos(0), sin(0))")
     assert f(1.0) == pytest.approx(math.e * math.e + 1.0 - 1.0)
+    assert parse_expression("min(t, 2, 3) + max(t, 2, 3)")(1.0) == 4.0
 
 
 def test_power_and_unary_minus():
@@ -75,3 +76,9 @@ def test_complex_value_raises_domain_error():
         f(5.0)
     with pytest.raises(DomainError, match=r"^expression 'min\(\(t-10\)\*\*0\.5, 1\)' does not evaluate"):
         parse_expression("min((t-10)**0.5, 1)")(5.0)
+
+
+@pytest.mark.parametrize("source", ["exp(t, t)", "log()", "sin(t, 1)", "cos()", "min(t)", "max(t)", "min()", "exp(min(t))"])
+def test_rejects_wrong_call_arity(source):
+    with pytest.raises(ExpressionError, match=r"takes (exactly one argument|at least two arguments), got \d+, in expression"):
+        parse_expression(source)

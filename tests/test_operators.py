@@ -38,6 +38,12 @@ class TestHistoryFunction:
         h = HistoryFunction.exponential(-0.5, -2.0, 2.0)
         assert h(2.0) == pytest.approx(math.exp(-1.0))
 
+    @pytest.mark.parametrize("factory", [HistoryFunction.constant, HistoryFunction.exponential])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_preset_rejected(self, factory, value):
+        with pytest.raises(InvalidParameterError, match="must be finite"):
+            factory(value, -1.0)
+
     def test_empty_domain_rejected(self):
         with pytest.raises(InvalidParameterError):
             HistoryFunction.constant(1.0, 1.0, 0.0)

@@ -327,7 +327,6 @@ class TestDiscreteReadsMatchScalarOracle:
         assert type(ours.value) is type(oracles.value)
         assert str(ours.value) == str(oracles.value)
 
-
     def test_single_step_is_one_call(self):
         # Without min_lag every step is a block of one: its two stage times,
         # t_k + h/2 and t_k + h, go to the operator in one call.
@@ -513,6 +512,10 @@ class TestConcordance:
         op = make_discrete_delay([(-1.0, 1.0)], bound_b=lambda t: 1.0)
         with pytest.raises(InvalidParameterError):
             concordance_experiment(op, SimulationConfig(t_end=10.0, step=0.1), n_histories=2)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(InvalidParameterError, match="seed must be >= 0, got -1"):
+            concordance_experiment(_single_delay(1.0, 1.0), SimulationConfig(t_end=10.0, step=0.1), seed=-1)
 
     def test_keep_trajectories(self):
         op = _single_delay(1.0, 1.0)
