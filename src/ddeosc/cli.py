@@ -12,7 +12,6 @@ and pi.
 """
 
 import functools
-import json
 import math
 import sys
 from collections import Counter
@@ -55,7 +54,7 @@ from .special_functions import (
     tower_limit,
     tower_limit_via_lambert,
 )
-from .specfile import EquationSpec, build_operator, load_spec, make_scenarios, save_spec
+from .specfile import EquationSpec, build_operator, load_spec, make_scenarios, save_spec, strict_json
 
 # The CSV reader and the scenario builder are re-exported for callers of this module.
 __all__ = ["analyze_spec", "cmd_analyze", "cmd_reproduce", "cmd_simulate", "cmd_tower", "main",
@@ -142,7 +141,7 @@ def analyze_spec(
 
 def _print_analysis(report: dict, fmt: str) -> None:
     if fmt == "json":
-        click.echo(json.dumps(report, indent=2, sort_keys=True, allow_nan=False))
+        click.echo(strict_json(report))
         return
     if fmt == "csv":
         click.echo("window_start,infimum")
@@ -190,7 +189,7 @@ def cmd_analyze(
 ) -> int:
     report, _, _ = analyze_spec(load_spec(spec_path), t_start, t_end, grid_points, panels)
     if output_path is not None:
-        Path(output_path).write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
+        Path(output_path).write_text(strict_json(report) + "\n")
     _print_analysis(report, fmt)
     return 0
 
@@ -261,7 +260,7 @@ def cmd_simulate(
         "tail_monotone": cls.tail_monotone,
     }
     if fmt == "json":
-        click.echo(json.dumps(summary, indent=2, sort_keys=True, allow_nan=False))
+        click.echo(strict_json(summary))
     else:
         click.echo(
             f"simulated {op.label!r}: {len(traj.times) - 1} steps of {step:g} "
@@ -300,7 +299,7 @@ def cmd_tower(base: float, max_iter: int = 10_000, tol: float = 1e-10, fmt: str 
             "inside_euler_interval": inside,
             "lambert_limit": lambert_value,
         }
-        click.echo(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False))
+        click.echo(strict_json(doc))
         return 0
 
     click.echo(f"infinite power tower, base = {base!r}")
@@ -359,13 +358,10 @@ def cmd_reproduce(
         conc = concordance_experiment(
             op,
             sc.sim,
+            estimate,
             n_histories=n_histories,
             seed=seed,
             history_amplitude=sc.history_amplitude,
-            criterion_t_start=sc.crit_t_start,
-            criterion_t_end=sc.crit_t_end,
-            keep_trajectories=True,
-            estimate=estimate,
         )
         # Written only once the ensemble has returned, so that a failed run
         # leaves no partial bundle.
@@ -373,7 +369,7 @@ def cmd_reproduce(
         traj_dir = bundle / "trajectories"
         traj_dir.mkdir(parents=True, exist_ok=True)
         save_spec(sc.spec, bundle / "spec.json")
-        (bundle / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
+        (bundle / "report.json").write_text(strict_json(report) + "\n")
         for run_seed, traj in zip(conc.seeds, conc.trajectories):
             write_trajectory_csv(traj, traj_dir / f"traj_seed{run_seed}.csv")
 
@@ -395,12 +391,12 @@ def cmd_reproduce(
             "stated_condition_holds": sc.stated_condition_holds,
             "discrepancy": sc.discrepancy,
         }
-        (bundle / "concordance.json").write_text(json.dumps(conc_doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
+        (bundle / "concordance.json").write_text(strict_json(conc_doc) + "\n")
         summaries.append((sc, report, conc))
 
     if fmt == "json":
         click.echo(
-            json.dumps(
+            strict_json(
                 [
                     {
                         "scenario": sc.name,
@@ -413,10 +409,7 @@ def cmd_reproduce(
                         "discrepancy": sc.discrepancy,
                     }
                     for sc, rep, conc in summaries
-                ],
-                indent=2,
-                sort_keys=True,
-                allow_nan=False,
+                ]
             )
         )
         return 0

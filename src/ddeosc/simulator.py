@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -48,7 +47,6 @@ from .criterion import (
     LiminfEstimate,
     Verdict,
     VerdictOutcome,
-    estimate_liminf_w,
     theorem_verdict,
 )
 from .errors import (
@@ -88,7 +86,9 @@ class Trajectory:
     ``derivative_values[k]`` is -(Tx)(times[k]) evaluated against the dense
     history available at that node.  ``overflowed`` marks a run halted early
     because |x| passed the overflow guard (or the operator evaluation
-    overflowed); the arrays then end at the offending sample.
+    overflowed); the arrays then end at the offending sample.  A run whose
+    evaluation at t = 0 overflows ends at node 0 with ``derivative_values[0]``
+    NaN, since no derivative was computed.
     """
 
     times: np.ndarray
@@ -101,10 +101,6 @@ class Trajectory:
     @property
     def final_time(self) -> float:
         return float(self.times[-1])
-
-    @property
-    def final_value(self) -> float:
-        return float(self.values[-1])
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
@@ -279,15 +275,20 @@ def integrate(
     reader = _TrajectoryReader(gather, initial_history.domain_start, float(times[-1]))
 
     x[0] = initial_history(0.0)
-    dx[0] = -op.evaluate(0.0, reader)
-
     overflowed = False
-    last = n
+    last = n  # the node the run ends at
+    try:
+        dx[0] = -op.evaluate(0.0, reader)
+    except OverflowError:
+        dx[0] = math.nan  # no derivative was computed
+        overflowed = True
+        last = 0
+
     comp = 0.0  # Kahan compensation keeps the state accumulation at truncation level
     steps = _block_steps(op, h)
     single_until = 0  # steps before this one run one at a time
     k = 0
-    while k < n:
+    while k < last:
         size = 1 if k < single_until else min(steps, n - k)
         frontier = k
         block = size > 1
@@ -318,8 +319,6 @@ def integrate(
                 overflowed = True
                 last = k
                 break
-        if overflowed:
-            break
 
     return Trajectory(
         times=times[: last + 1],
@@ -357,38 +356,23 @@ class SolutionClass:
 def zero_crossings(traj: Trajectory) -> list[float]:
     """Times where the sampled solution changes strict sign.
 
-    Crossings between samples are located by linear interpolation; exact-zero
-    samples are reported at their own timestamp, with runs of consecutive
-    zeros collapsed to their first time.
+    A crossing between two adjacent nonzero samples of opposite sign is
+    located by linear interpolation; exact-zero samples are reported at
+    their own timestamp, with runs of consecutive zeros collapsed to their
+    first time.
     """
-    ts = traj.times
-    vs = traj.values
-    out: list[float] = []
-    in_zero_run = False
-    for k in range(len(vs)):
-        if vs[k] == 0.0:
-            if not in_zero_run:
-                out.append(float(ts[k]))
-                in_zero_run = True
-            continue
-        in_zero_run = False
-        if k + 1 < len(vs) and vs[k + 1] != 0.0 and vs[k] * vs[k + 1] < 0.0:
-            frac = vs[k] / (vs[k] - vs[k + 1])
-            out.append(float(ts[k] + frac * (ts[k + 1] - ts[k])))
-    return out
+    return _crossings(traj.times, traj.values, np.sign(traj.values))
 
 
-def _tail_sign_changes(values: np.ndarray) -> int:
-    changes = 0
-    prev = 0
-    for v in values:
-        if v == 0.0:
-            continue
-        s = 1 if v > 0.0 else -1
-        if prev != 0 and s != prev:
-            changes += 1
-        prev = s
-    return changes
+def _crossings(ts: np.ndarray, vs: np.ndarray, sign: np.ndarray) -> list[float]:
+    flips = np.flatnonzero(sign[:-1] * sign[1:] < 0.0)
+    zero_starts = np.flatnonzero((sign == 0.0) & np.append(True, sign[:-1] != 0.0))
+    frac = vs[flips] / (vs[flips] - vs[flips + 1])
+    # A flip at k needs nonzero samples k and k+1, so no zero run starts at
+    # k or k+1: sorting by sample index puts the times in order.
+    at = np.concatenate([flips, zero_starts])
+    times = np.concatenate([ts[flips] + frac * (ts[flips + 1] - ts[flips]), ts[zero_starts]])
+    return times[np.argsort(at)].tolist()
 
 
 def check_transient_fraction(transient_fraction: float) -> None:
@@ -396,19 +380,16 @@ def check_transient_fraction(transient_fraction: float) -> None:
         raise InvalidParameterError(f"transient_fraction must be in [0, 1), got {transient_fraction}")
 
 
-def classify(
-    traj: Trajectory,
-    transient_fraction: float = 0.25,
-    decay_tol: Optional[float] = None,
-) -> SolutionClass:
+def classify(traj: Trajectory, transient_fraction: float = 0.25) -> SolutionClass:
     """Classify the tail (t >= transient_fraction * final time) of a trajectory.
 
-    Oscillatory needs at least two strict sign changes in the tail.
-    MonotoneToZero needs a one-signed tail, nonincreasing in magnitude, with
-    |final value| below ``decay_tol`` (default: 1e-6 times the peak magnitude
-    over the transient).  Anything failing both patterns is Inconclusive.
-    Scaling the values by a positive constant changes neither the class nor
-    the crossing times.
+    Oscillatory needs at least two sign changes in the tail, counted as the
+    flips between consecutive nonzero samples (zeros are skipped, so a zero
+    between same-signed samples is a tangency).  MonotoneToZero needs no
+    sign change in the tail, a nonincreasing magnitude, and |final value|
+    below ``decay_tol``, 1e-6 times the peak magnitude over the transient.
+    Anything failing both patterns is Inconclusive.  Scaling the values by a
+    positive constant changes neither the class nor the crossing times.
     """
     if traj.overflowed:
         raise InvalidParameterError("cannot classify an overflow-flagged trajectory")
@@ -416,6 +397,7 @@ def classify(
 
     ts = traj.times
     vs = traj.values
+    sign = np.sign(vs)
     cutoff = transient_fraction * float(ts[-1])
     tail_mask = ts >= cutoff - 1e-12
     tail = vs[tail_mask]
@@ -423,30 +405,29 @@ def classify(
     transient = vs[~tail_mask]
     scale_pool = transient if transient.size else vs
     scale = float(np.max(np.abs(scale_pool)))
-    if decay_tol is None:
-        decay_tol = 1e-6 * max(scale, 5e-324)
+    decay_tol = 1e-6 * max(scale, 5e-324)
 
-    changes = _tail_sign_changes(tail)
+    tail_sign = sign[tail_mask]
+    tail_sign = tail_sign[tail_sign != 0.0]
+    changes = int(np.count_nonzero(tail_sign[:-1] != tail_sign[1:]))
     abs_tail = np.abs(tail)
     tail_monotone = bool(np.all(np.diff(abs_tail) <= 1e-12 * max(scale, 1e-300)))
-    signs = {1 if v > 0 else -1 for v in tail if v != 0.0}
-    one_signed = len(signs) <= 1
     final_value = float(vs[-1])
 
     if changes >= 2:
         cls = SolutionClassification.OSCILLATORY
-    elif changes == 0 and one_signed and tail_monotone and abs(final_value) < decay_tol:
+    elif changes == 0 and tail_monotone and abs(final_value) < decay_tol:
         cls = SolutionClassification.MONOTONE_TO_ZERO
     else:
         cls = SolutionClassification.INCONCLUSIVE
 
     return SolutionClass(
         classification=cls,
-        zero_crossings=tuple(zero_crossings(traj)),
+        zero_crossings=tuple(_crossings(ts, vs, sign)),
         final_value=final_value,
         tail_monotone=tail_monotone,
         sign_changes=changes,
-        decay_tol=float(decay_tol),
+        decay_tol=decay_tol,
     )
 
 
@@ -467,49 +448,36 @@ class ConcordanceReport:
     discordant_runs: int
     concordant: bool
     audit: AuditReport
-    trajectories: tuple[Trajectory, ...] = ()
+    trajectories: tuple[Trajectory, ...]
 
 
 def concordance_experiment(
     op: AmnesiaOperator,
     config: SimulationConfig,
+    estimate: LiminfEstimate,
     *,
     n_histories: int = 10,
     seed: int = 0,
     history_amplitude: float = 1.0,
-    transient_fraction: float = 0.25,
-    criterion_t_start: Optional[float] = None,
-    criterion_t_end: Optional[float] = None,
-    audit_trials: int = 5,
-    keep_trajectories: bool = False,
-    estimate: Optional[LiminfEstimate] = None,
 ) -> ConcordanceReport:
-    """Estimate w for the operator's bound, then simulate seeded random histories.
+    """Simulate seeded random histories beside the verdict on ``estimate``.
 
-    The operator must pass its sign-bound audit (a sampled audit runs first
-    and raises on violations, since the criterion hypothesis would be void).
-    Histories are truncated Fourier sums seeded with seed, seed+1, ...; the
-    report is deterministic for fixed arguments.  A caller that already
-    holds the estimate of ``op.bound_b`` over the criterion window passes it
-    as ``estimate`` and it is used as is, not recomputed.
+    ``estimate`` is the criterion estimate of ``op.bound_b``; its verdict is
+    the one checked, and eight times spread over its window are audited.
+    The operator must pass its sign-bound audit (it runs first and raises on
+    violations, since the criterion hypothesis would be void).  Histories
+    are truncated Fourier sums seeded with seed, seed+1, ...; every run's
+    trajectory is kept, and the report is deterministic for fixed arguments.
     """
     if n_histories < 1:
         raise InvalidParameterError(f"n_histories must be >= 1, got {n_histories}")
     if seed < 0:
         raise InvalidParameterError(f"seed must be >= 0, got {seed}")
-    if op.bound_b is None:
-        raise InvalidParameterError("operator has no bound_b; the criterion needs one")
-
-    lag0 = -op.sigma(0.0)
-    if not lag0 > 0.0:
-        raise InvalidParameterError("operator must read strictly into the past at t = 0")
-    t0 = criterion_t_start if criterion_t_start is not None else 2.0 * lag0
-    t1 = criterion_t_end if criterion_t_end is not None else t0 + max(config.t_end, 10.0 * lag0)
 
     audit = audit_sign_bound(
         op,
-        t_samples=np.linspace(t0, t1, 8),
-        trials=audit_trials,
+        t_samples=np.linspace(*estimate.t_range, 8),
+        trials=5,
         seed=seed,
     )
     if not audit.passed:
@@ -517,9 +485,6 @@ def concordance_experiment(
             f"operator {op.label!r} violates its sign bound on {len(audit.violations)} "
             f"sampled pairs (worst margin {audit.worst_margin:.3g}); criterion not applicable"
         )
-
-    if estimate is None:
-        estimate = estimate_liminf_w(op.bound_b, op.tau, t0, t1)
     verdict = theorem_verdict(estimate)
 
     classes: list[SolutionClass] = []
@@ -530,12 +495,11 @@ def concordance_experiment(
     for s in seeds:
         hist = random_history(s, sigma_pad_start(op), 0.0, amplitude=history_amplitude)
         traj = integrate(op, hist, config)
-        if keep_trajectories:
-            kept.append(traj)
+        kept.append(traj)
         if traj.overflowed:
             overflowed += 1
             continue
-        cls = classify(traj, transient_fraction)
+        cls = classify(traj)
         classes.append(cls)
         if (
             verdict.outcome is VerdictOutcome.GUARANTEED

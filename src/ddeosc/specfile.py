@@ -61,7 +61,12 @@ class EquationSpec:
         return doc
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return strict_json(self.to_dict())
+
+
+def strict_json(doc) -> str:
+    """The form of every JSON document the package writes: indented, sorted, finite."""
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
 
 
 def parse_spec(doc: dict) -> EquationSpec:
@@ -95,8 +100,10 @@ def parse_spec(doc: dict) -> EquationSpec:
             coef = _expect_str(item.get("coef_expr"), f"terms[{i}].coef_expr")
             parse_expression(coef)
             delay = item.get("delay")
-            if not isinstance(delay, (int, float)) or delay <= 0:
-                raise SpecFormatError(f"field 'terms[{i}].delay': expected a positive number, got {delay!r}")
+            if not isinstance(delay, (int, float)) or not 0 < delay < math.inf:
+                raise SpecFormatError(
+                    f"field 'terms[{i}].delay': expected a finite positive number, got {delay!r}"
+                )
             terms.append((coef, float(delay)))
         return EquationSpec(kind=kind, label=label, terms=tuple(terms), bound_expr=bound_expr, tau_expr=tau_expr)
 
@@ -109,8 +116,8 @@ def parse_spec(doc: dict) -> EquationSpec:
     if not isinstance(parameters, dict):
         raise SpecFormatError(f"field 'parameters': expected an object, got {parameters!r}")
     for key, value in parameters.items():
-        if not isinstance(value, (int, float)):
-            raise SpecFormatError(f"field 'parameters.{key}': expected a number, got {value!r}")
+        if not isinstance(value, (int, float)) or not math.isfinite(value):
+            raise SpecFormatError(f"field 'parameters.{key}': expected a finite number, got {value!r}")
     KERNEL_CATALOG[kernel].validate(parameters)
     return EquationSpec(
         kind=kind,
@@ -444,5 +451,8 @@ def make_scenarios(app_id: int, overrides: Optional[dict] = None) -> list[Scenar
             raise InvalidParameterError(
                 f"unknown parameter(s) {sorted(unknown)} for scenario {app_id}; valid: {valid}"
             )
+        for name, value in overrides.items():
+            if not math.isfinite(value):
+                raise InvalidParameterError(f"parameter {name} must be finite, got {value}")
         param_sets = ({**param_sets[0], **overrides},)
     return [entry.scenario(params) for params in param_sets]

@@ -135,10 +135,6 @@ class ConvergenceResult:
     last_value: Optional[float] = None
     cycle: Optional[tuple[float, float]] = None
 
-    @property
-    def converged(self) -> bool:
-        return self.outcome is TowerOutcome.CONVERGED
-
 
 def tower_limit(base: float, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> ConvergenceResult:
     """Iterate t -> base**t from t = base until successive iterates settle.

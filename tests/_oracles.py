@@ -209,9 +209,12 @@ def scalar_integrate(op, initial_history, config):
 
     reader = _ScalarReader(read)
     x[0] = initial_history(0.0)
-    dx[0] = -op.evaluate(0.0, reader)
     last, overflowed, comp = n, False, 0.0
-    for k in range(n):
+    try:
+        dx[0] = -op.evaluate(0.0, reader)
+    except OverflowError:
+        dx[0], last, overflowed = math.nan, 0, True
+    for k in range(last):
         frontier = k
         t = k * h
         try:

@@ -14,8 +14,9 @@ from ddeosc.cli import (
     read_trajectory_csv,
     write_trajectory_csv,
 )
-from ddeosc import HistoryFunction, SimulationConfig, integrate, make_discrete_delay
-from ddeosc.specfile import EquationSpec, save_spec
+from ddeosc import HistoryFunction, SimulationConfig, integrate, make_discrete_delay, random_history
+from ddeosc.simulator import sigma_pad_start
+from ddeosc.specfile import EquationSpec, build_operator, load_spec, save_spec
 
 from _oracles import characteristic_root
 
@@ -72,6 +73,25 @@ class TestAnalyze:
         assert cmd_analyze(app1_q10_spec, 16.0, 256.0, None, "json") == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["verdict"] == "guaranteed"
+
+    def test_csv_format_lists_the_window_infima(self, app1_q10_spec, capsys):
+        assert cmd_analyze(app1_q10_spec, 16.0, 256.0, None, "json") == 0
+        infima = json.loads(capsys.readouterr().out)["window_infima"]
+        assert cmd_analyze(app1_q10_spec, 16.0, 256.0, None, "csv") == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "window_start,infimum"
+        assert len(lines) == 34
+        assert [[float(v) for v in line.split(",")] for line in lines[1:]] == infima
+
+    @pytest.mark.parametrize("tau_expr, w_hat", [(None, 0.5), ("t - 2", 1.0)])
+    def test_tau_expr_sets_the_criterion_delay(self, tau_expr, w_hat, tmp_path):
+        spec = EquationSpec(kind="discrete_delay", label="tau", terms=(("0.5", 1.0),), tau_expr=tau_expr)
+        path = tmp_path / "tau.json"
+        save_spec(spec, path)
+        assert load_spec(path) == spec
+        out = tmp_path / "report.json"
+        assert cmd_analyze(path, 10.0, 110.0, out) == 0
+        assert json.loads(out.read_text())["w_hat"] == pytest.approx(w_hat, abs=1e-9)
 
     def test_numerical_failure_exits_3(self, tmp_path, capsys):
         # bound expression hits a math-domain error inside the window
@@ -141,6 +161,28 @@ class TestSimulate:
         code = cmd_simulate(path, "constant:1", 80.0, 0.05, csv)
         assert code == 3
         assert csv.read_text().strip().splitlines()[-1].startswith("# overflow")
+
+    @pytest.mark.parametrize("preset, row", [("exponential:-2", "0.0,1.0,nan"), ("constant:30", "0.0,30.0,nan")])
+    def test_overflow_at_t0_writes_one_row(self, preset, row, tmp_path):
+        path = tmp_path / "app2.json"
+        save_spec(make_scenarios(2)[0].spec, path)
+        csv = tmp_path / "boom.csv"
+        result = CliRunner().invoke(main, ["simulate", "--spec", str(path), "--history", preset, "--out", str(csv)])
+        assert result.exit_code == 3
+        assert f"with history {preset} overflowed at t=0.0; partial trajectory written" in result.stderr
+        assert csv.read_text().splitlines() == [
+            "t,x,dx",
+            row,
+            "# overflow: |x| exceeded 1e+12 (or an operator evaluation overflowed); truncated at t=0.0",
+        ]
+
+    def test_random_history_preset(self, single_delay_spec, tmp_path, capsys):
+        csv = tmp_path / "traj.csv"
+        assert cmd_simulate(single_delay_spec, "random:5", 10.0, 0.01, csv, fmt="json") == 0
+        assert json.loads(capsys.readouterr().out)["history"] == "random:5"
+        op = build_operator(load_spec(single_delay_spec))
+        expected = integrate(op, random_history(5, sigma_pad_start(op)), SimulationConfig(t_end=10.0, step=0.01))
+        assert np.array_equal(read_trajectory_csv(csv).values, expected.values)
 
     def test_unknown_preset_exits_2(self, single_delay_spec):
         assert cmd_simulate(single_delay_spec, "wavelet:3", 10.0, 0.01) == 2
@@ -243,6 +285,9 @@ class TestClickWiring:
         assert result.exit_code == 2
 
 
+_DELAY = '{"schema": 1, "kind": "discrete_delay", "terms": [{"coef_expr": "1", "delay": 1.0}]}'
+
+
 @pytest.mark.parametrize(
     "args, code",
     [
@@ -267,22 +312,35 @@ class TestClickWiring:
         (["analyze", "--t-end", "inf"], 2),
         (["analyze", "--t-start", "nan"], 2),
         (["analyze", "--t-start", "-inf"], 2),
+        (["reproduce", "--app", "2", "--set", "a2=inf"], 2),
+        (["reproduce", "--app", "1", "--set", "q=nan"], 2),
+        (["simulate", "--spec", _DELAY.replace("1.0", "NaN")], 2),
+        (["simulate", "--spec", _DELAY.replace("1.0", "Infinity")], 2),
+        (["simulate", "--spec", '{"schema": 1, "kind": "distributed_delay", "kernel": "app2", '
+                                '"parameters": {"a1": NaN}}'], 2),
     ],
     ids=["a1=0", "m=-1", "m=0", "a1=1000", "l=2.5", "transient=1.5", "transient=-0.1", "step-nan", "tower-nan",
          "tower-inf", "tower-inf-json", "tower-tol-nan", "n-histories=0", "seed=-1", "constant-nan",
          "constant-inf", "exponential-nan", "exponential-inf", "analyze-t-end-inf", "analyze-t-start-nan",
-         "analyze-t-start-minus-inf"],
+         "analyze-t-start-minus-inf", "set-a2=inf", "set-q=nan", "spec-delay-nan", "spec-delay-inf",
+         "spec-a1-nan"],
 )
 def test_bad_input_exits_with_one_line_error(args, code, single_delay_spec, tmp_path):
     out = tmp_path / "rep"
+    spec = single_delay_spec
+    if "--spec" in args:  # the spec document itself, written to a file here
+        at = args.index("--spec")
+        spec = tmp_path / "case.json"
+        spec.write_text(args[at + 1])
+        args = args[:at] + args[at + 2:]
     if args[0] == "reproduce":
         if "--n-histories" not in args:
             args = [*args, "--n-histories", "1"]
         args = [*args, "--out", str(out)]
     elif args[0] == "simulate":
-        args = [*args, "--spec", str(single_delay_spec), "--t-end", "5"]
+        args = [*args, "--spec", str(spec), "--t-end", "5"]
     elif args[0] == "analyze":
-        args = [*args, "--spec", str(single_delay_spec)]
+        args = [*args, "--spec", str(spec)]
     result = CliRunner().invoke(main, args)
     assert result.exit_code == code
     assert isinstance(result.exception, SystemExit)  # not an uncaught error

@@ -20,6 +20,7 @@ from ddeosc import (
     VerdictOutcome,
     classify,
     concordance_experiment,
+    estimate_liminf_w,
     integrate,
     make_discrete_delay,
     make_distributed_delay,
@@ -197,6 +198,18 @@ class TestDistributedReadsMatchScalarOracle:
         traj = _assert_same_run(op, scalar_app2(), hist, SimulationConfig(t_end=2.0, step=0.05))
         assert traj.overflowed
         assert 0.0 < traj.final_time < 1.0
+
+    def test_kernel_overflow_at_t0_flags_the_run(self):
+        # exp(30^2) overflows in the evaluation at t = 0, before any step
+        op = KERNEL_CATALOG["app2"].build({})
+        hist = HistoryFunction.constant(30.0, sigma_pad_start(op))
+        config = SimulationConfig(t_end=2.0, step=0.05)
+        traj = integrate(op, hist, config)
+        values, derivative_values, overflowed = scalar_integrate(scalar_app2(), hist, config)
+        assert traj.overflowed and overflowed
+        assert traj.times.tolist() == [0.0]
+        assert traj.values.tolist() == values.tolist() == [30.0]
+        assert math.isnan(traj.derivative_values[0]) and math.isnan(derivative_values[0])
 
     def test_zero_terms_sum_to_positive_zero(self):
         # -0.0 terms: the scalar sum starts from +0.0, and so must the array one
@@ -481,11 +494,28 @@ class TestZeroCrossings:
         crossings = zero_crossings(_traj_from_samples([0.0, 1.0, 2.0, 3.0], [1.0, 0.0, 0.0, 1.0]))
         assert crossings == [1.0]
 
+    def test_tiny_samples_cross_where_their_product_underflows(self):
+        # 1e-200 * -1e-200 rounds to -0.0: crossings and sign changes read signs
+        traj = _traj_from_samples(np.arange(5) * 0.25, [1.0, 1e-200, -1e-200, 1e-200, -1e-200])
+        assert zero_crossings(traj) == [0.375, 0.625, 0.875]
+        cls = classify(traj)
+        assert cls.sign_changes == 3
+        assert cls.zero_crossings == (0.375, 0.625, 0.875)
+        assert cls.classification is SolutionClassification.OSCILLATORY
+
+
+def _concordance(op, config, **kwargs):
+    """The experiment checking the estimate over [2 lag0, 2 lag0 + max(t_end, 10 lag0)]."""
+    lag0 = -op.sigma(0.0)
+    t0 = 2.0 * lag0
+    estimate = estimate_liminf_w(op.bound_b, op.tau, t0, t0 + max(config.t_end, 10.0 * lag0))
+    return concordance_experiment(op, config, estimate, **kwargs)
+
 
 class TestConcordance:
     def test_classical_oscillatory_case_concordant(self):
         op = _single_delay(1.0, 1.0)
-        report = concordance_experiment(
+        report = _concordance(
             op,
             SimulationConfig(t_end=60.0, step=0.01),
             n_histories=5,
@@ -499,7 +529,7 @@ class TestConcordance:
 
     def test_below_threshold_inconclusive_verdict(self):
         op = _single_delay(0.1, 1.0)
-        report = concordance_experiment(
+        report = _concordance(
             op,
             SimulationConfig(t_end=40.0, step=0.01),
             n_histories=3,
@@ -511,20 +541,37 @@ class TestConcordance:
     def test_rejects_operator_failing_audit(self):
         op = make_discrete_delay([(-1.0, 1.0)], bound_b=lambda t: 1.0)
         with pytest.raises(InvalidParameterError):
-            concordance_experiment(op, SimulationConfig(t_end=10.0, step=0.1), n_histories=2)
+            _concordance(op, SimulationConfig(t_end=10.0, step=0.1), n_histories=2)
 
     def test_rejects_negative_seed(self):
         with pytest.raises(InvalidParameterError, match="seed must be >= 0, got -1"):
-            concordance_experiment(_single_delay(1.0, 1.0), SimulationConfig(t_end=10.0, step=0.1), seed=-1)
+            _concordance(_single_delay(1.0, 1.0), SimulationConfig(t_end=10.0, step=0.1), seed=-1)
 
     def test_keep_trajectories(self):
         op = _single_delay(1.0, 1.0)
-        report = concordance_experiment(
+        report = _concordance(
             op,
             SimulationConfig(t_end=20.0, step=0.01),
             n_histories=2,
             seed=3,
-            keep_trajectories=True,
         )
         assert len(report.trajectories) == 2
         assert report.seeds == (3, 4)
+
+    @pytest.mark.parametrize("amplitude, at_t0", [(3.0, 0), (30.0, 2)], ids=["mid-run", "at-t0"])
+    def test_overflowed_runs_are_counted_and_kept(self, amplitude, at_t0):
+        # At amplitude 30, two of the three histories overflow the evaluation at t = 0.
+        op = KERNEL_CATALOG["app2"].build({})
+        report = _concordance(op, SimulationConfig(t_end=2.0, step=0.01), n_histories=3, history_amplitude=amplitude)
+        assert report.overflowed_runs == 3
+        assert report.classes == ()
+        assert len(report.trajectories) == 3
+        assert all(traj.overflowed for traj in report.trajectories)
+        assert sum(traj.times.size == 1 for traj in report.trajectories) == at_t0
+
+    def test_unsettled_runs_are_discordant(self):
+        # w = 1 > 1/e, but by t = 0.5 no run has crossed zero or decayed
+        report = _concordance(_single_delay(1.0, 1.0), SimulationConfig(t_end=0.5, step=0.01), n_histories=4)
+        assert report.verdict.outcome is VerdictOutcome.GUARANTEED
+        assert report.discordant_runs == 4
+        assert not report.concordant

@@ -8,8 +8,10 @@ from ddeosc.specfile import (
     KERNEL_CATALOG,
     app3_derived_bound,
     app3_stated_bound,
+    EquationSpec,
     build_operator,
     load_spec,
+    make_scenarios,
     parse_spec,
     save_spec,
 )
@@ -46,6 +48,19 @@ def test_parse_and_round_trip_distributed():
     assert spec == again
 
 
+def test_parse_and_round_trip_tau_expr():
+    spec = parse_spec({**DISCRETE_DOC, "tau_expr": "t - 2"})
+    assert spec.tau_expr == "t - 2"
+    again = parse_spec(json.loads(spec.to_json()))
+    assert spec == again
+
+
+def test_to_json_rejects_non_finite_numbers():
+    spec = EquationSpec(kind="distributed_delay", kernel="app2", parameters={"a1": math.inf})
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        spec.to_json()
+
+
 def test_save_and_load(tmp_path):
     spec = parse_spec(DISCRETE_DOC)
     path = tmp_path / "eq.json"
@@ -62,6 +77,11 @@ def test_error_messages_name_fields():
         parse_spec({"schema": 1, "kind": "discrete_delay", "terms": []})
     with pytest.raises(SpecFormatError, match=r"terms\[0\].delay"):
         parse_spec({"schema": 1, "kind": "discrete_delay", "terms": [{"coef_expr": "1", "delay": -1}]})
+    for delay in (math.nan, math.inf):
+        with pytest.raises(SpecFormatError, match=r"terms\[0\].delay': expected a finite positive number"):
+            parse_spec({"schema": 1, "kind": "discrete_delay", "terms": [{"coef_expr": "1", "delay": delay}]})
+    with pytest.raises(SpecFormatError, match=r"parameters.a1': expected a finite number, got nan"):
+        parse_spec({"schema": 1, "kind": "distributed_delay", "kernel": "app2", "parameters": {"a1": math.nan}})
     with pytest.raises(SpecFormatError, match="kernel"):
         parse_spec({"schema": 1, "kind": "distributed_delay", "kernel": "nope"})
     with pytest.raises(SpecFormatError, match="parameters"):
@@ -115,3 +135,9 @@ def test_app3_bound_formulas():
 def test_unknown_spec_type():
     with pytest.raises(SpecFormatError):
         parse_spec(["not", "an", "object"])
+
+
+def test_app3_odd_l_stated_condition():
+    scenario = make_scenarios(3)[1]
+    assert scenario.stated_condition == "(a - m*b)*e > m (value = 7.88302 vs 1)"
+    assert scenario.stated_condition_holds
