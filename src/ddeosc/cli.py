@@ -1,9 +1,9 @@
 """Command-line surface: analyze, simulate, tower, reproduce.
 
-Exit codes: 0 success (regardless of verdict), 2 parse or parameter error,
-3 numerical failure (including overflow-flagged simulations).  All commands
-are deterministic for fixed arguments; random histories are always seeded
-and the seed is echoed in the output.
+Exit codes: 0 success (regardless of verdict), 2 parse, parameter or file
+error, 3 numerical failure (including overflow-flagged simulations).  All
+commands are deterministic for fixed arguments; random histories are always
+seeded and the seed is echoed in the output.
 
 Equation specs are JSON documents (see :mod:`ddeosc.specfile`).  Coefficient
 and bound expressions use the grammar of :mod:`ddeosc.expressions`: numbers,
@@ -23,7 +23,7 @@ from typing import Optional
 import click
 
 from . import __version__
-from .criterion import THRESHOLD, estimate_liminf_w, tetration_proof_trace, theorem_verdict
+from .criterion import DEFAULT_GRID_POINTS, PANELS, THRESHOLD, estimate_liminf_w, tetration_proof_trace, theorem_verdict
 from .errors import (
     CrossValidationError,
     DomainError,
@@ -78,7 +78,7 @@ def _exit_codes(command):
     def run(*args, **kwargs) -> int:
         try:
             return command(*args, **kwargs)
-        except _PARSE_ERRORS as exc:
+        except (*_PARSE_ERRORS, OSError) as exc:
             return _fail(2, str(exc))
         except _NUMERIC_ERRORS as exc:
             return _fail(3, str(exc))
@@ -94,8 +94,8 @@ def analyze_spec(
     spec: EquationSpec,
     t_start: float,
     t_end: float,
-    grid_points: int = 512,
-    panels: int = 64,
+    grid_points: int = DEFAULT_GRID_POINTS,
+    panels: int = PANELS,
 ):
     """Run the criterion for a spec; returns (report dict, operator, estimate)."""
     op = build_operator(spec)
@@ -184,8 +184,8 @@ def cmd_analyze(
     t_end: float,
     output_path=None,
     fmt: str = "text",
-    grid_points: int = 512,
-    panels: int = 64,
+    grid_points: int = DEFAULT_GRID_POINTS,
+    panels: int = PANELS,
 ) -> int:
     report, _, _ = analyze_spec(load_spec(spec_path), t_start, t_end, grid_points, panels)
     if output_path is not None:
@@ -450,8 +450,8 @@ def main():
 @click.option("--spec", "spec_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--t-start", type=float, default=10.0, show_default=True, help="start of the criterion sampling window")
 @click.option("--t-end", type=float, default=110.0, show_default=True, help="end of the criterion sampling window")
-@click.option("--grid-points", type=int, default=512, show_default=True)
-@click.option("--panels", type=int, default=64, show_default=True)
+@click.option("--grid-points", type=int, default=DEFAULT_GRID_POINTS, show_default=True)
+@click.option("--panels", type=int, default=PANELS, show_default=True)
 @click.option("--out", "output_path", type=click.Path(dir_okay=False), default=None, help="write the criterion report JSON here")
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text", show_default=True)
 def _analyze_command(spec_path, t_start, t_end, grid_points, panels, output_path, fmt):

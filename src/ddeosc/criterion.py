@@ -23,7 +23,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import CrossValidationError, DomainError, InvalidParameterError
-from .quadrature import composite_simpson
+from .quadrature import PANELS, composite_simpson
 from .special_functions import (
     EULER_UPPER,
     INV_E,
@@ -38,7 +38,6 @@ from .special_functions import (
 THRESHOLD = INV_E
 
 DEFAULT_GRID_POINTS = 512
-DEFAULT_PANELS = 64
 
 _TREND_SLOPE_TOL = 1e-6  # per unit time
 _TREND_WINDOWS = 15
@@ -114,7 +113,7 @@ def integral_over_amnesia(
     b: Callable[[float], float],
     tau: Callable[[float], float],
     t: float,
-    panels: int = DEFAULT_PANELS,
+    panels: int = PANELS,
 ) -> float:
     """Composite-Simpson value of the integral of b over [tau(t), t]."""
     lo = tau(t)
@@ -129,7 +128,7 @@ def estimate_liminf_w(
     t_start: float,
     t_end: float,
     grid_points: int = DEFAULT_GRID_POINTS,
-    panels: int = DEFAULT_PANELS,
+    panels: int = PANELS,
 ) -> LiminfEstimate:
     """Sample the criterion integral on a uniform grid and take tail infima.
 
@@ -216,19 +215,18 @@ def theorem_verdict(estimate: Union[LiminfEstimate, float]) -> Verdict:
     return Verdict(outcome=outcome, w_hat=w_hat, threshold=THRESHOLD, margin=w_hat - THRESHOLD)
 
 
-def tetration_proof_trace(w: float, max_iter: int = 10_000) -> TetrationTrace:
+def tetration_proof_trace(w: float) -> TetrationTrace:
     """Replay the tower mechanism for rate w and cross-validate three ways.
 
     The three equivalent tests -- the tower of a = e^w diverges, a > e^(1/e),
     w > 1/e -- are computed independently.  A definite contradiction raises
-    :class:`CrossValidationError`; a MAX_ITER_REACHED tower (possible only in
-    a narrow band around the threshold, where convergence is slow) is not a
-    contradiction and the closed-form comparison decides.
+    :class:`CrossValidationError`.  The tower runs for at most
+    :func:`tower_limit`'s default 10,000 iterations; a MAX_ITER_REACHED tower
+    (possible only in a narrow band around the threshold, where convergence
+    is slow) is not a contradiction and the closed-form comparison decides.
     """
     if w <= 0.0:
         raise InvalidParameterError(f"w must be positive, got {w}")
-    if max_iter < 1:
-        raise InvalidParameterError(f"max_iter must be >= 1, got {max_iter}")
 
     a = math.exp(w)
     above_by_w = w > INV_E
@@ -238,13 +236,13 @@ def tetration_proof_trace(w: float, max_iter: int = 10_000) -> TetrationTrace:
             f"threshold tests disagree at w={w!r}: w>1/e is {above_by_w} but e^w>e^(1/e) is {above_by_a}"
         )
 
-    result = tower_limit(a, tol=1e-9, max_iter=max_iter)
+    result = tower_limit(a, tol=1e-9)
     if result.outcome is TowerOutcome.DIVERGED and not above_by_a:
         raise CrossValidationError(f"tower of {a!r} diverged although a <= e^(1/e)")
     if result.outcome is TowerOutcome.CONVERGED and above_by_a:
         raise CrossValidationError(f"tower of {a!r} converged although a > e^(1/e)")
 
-    iterates = tuple(islice(tower_iterates(a), min(max_iter, 100)))
+    iterates = tuple(islice(tower_iterates(a), 100))
     if len(iterates) > 1 and iterates[-1] == math.inf:
         iterates = iterates[:-1]  # the overflow marker, not an iterate
 

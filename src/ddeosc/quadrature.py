@@ -1,40 +1,42 @@
-"""Composite Simpson quadrature for smooth scalar integrands."""
+"""The composite Simpson rule, the package's one quadrature rule."""
 
 from typing import Callable
 
 from .errors import InvalidParameterError
 
+#: Simpson panels per integral, for the criterion and the distributed-delay operators.
+PANELS = 64
 
-def composite_simpson(f: Callable[[float], float], a: float, b: float, panels: int = 64) -> float:
-    """Integrate ``f`` over ``[a, b]`` with ``panels`` Simpson panels.
 
-    ``panels`` must be even and at least 2.  Fourth-order accurate for smooth
-    integrands and exact for polynomials of degree up to three.
+def simpson_rule(a: float, b: float, panels: int = PANELS) -> tuple[float, list[float], list[float]]:
+    """Step ``h``, nodes ``a + i*h`` and factors 1, 4, 2, ..., 4, 1 of the rule on ``[a, b]``.
+
+    The rule is ``h / 3`` times the factor-weighted sum of the integrand at
+    the nodes.  ``panels`` must be even and at least 2.  Every factor is
+    positive, which the operators rely on when turning pointwise kernel
+    bounds into bounds on the quadrature sum.
     """
     if panels < 2 or panels % 2 != 0:
         raise InvalidParameterError(f"panels must be even and >= 2, got {panels}")
+    h = (b - a) / panels
+    nodes = [a + i * h for i in range(panels + 1)]
+    factors = [1.0] + [4.0, 2.0] * (panels // 2 - 1) + [4.0, 1.0]
+    return h, nodes, factors
+
+
+def composite_simpson(f: Callable[[float], float], a: float, b: float, panels: int = PANELS) -> float:
+    """Integrate ``f`` over ``[a, b]`` with ``panels`` Simpson panels.
+
+    Fourth-order accurate for smooth integrands and exact for polynomials of
+    degree up to three.  The sum is ``f(a) + f(b)`` (``f`` taken at ``b``
+    itself, not at the last node), then each interior term left to right.
+    """
+    h, nodes, factors = simpson_rule(a, b, panels)
     if a > b:
         raise InvalidParameterError(f"integration bounds out of order: [{a}, {b}]")
     if a == b:
         return 0.0
-    h = (b - a) / panels
     total = f(a) + f(b)
-    for i in range(1, panels):
-        total += f(a + i * h) * (4.0 if i % 2 else 2.0)
+    for s, factor in zip(nodes[1:-1], factors[1:-1]):
+        total += f(s) * factor
     return total * h / 3.0
-
-
-def simpson_nodes_weights(a: float, b: float, panels: int) -> tuple[list[float], list[float]]:
-    """Nodes and weights of the composite Simpson rule on ``[a, b]``.
-
-    All weights are strictly positive, which downstream code relies on when
-    turning pointwise kernel bounds into bounds on the quadrature sum.
-    """
-    if panels < 2 or panels % 2 != 0:
-        raise InvalidParameterError(f"panels must be even and >= 2, got {panels}")
-    if not a < b:
-        raise InvalidParameterError(f"need a < b, got [{a}, {b}]")
-    h = (b - a) / panels
-    nodes = [a + i * h for i in range(panels + 1)]
-    weights = [h / 3.0 * (1.0 if i in (0, panels) else (4.0 if i % 2 else 2.0)) for i in range(panels + 1)]
-    return nodes, weights

@@ -95,7 +95,6 @@ class Trajectory:
     values: np.ndarray
     derivative_values: np.ndarray
     config: SimulationConfig
-    operator_label: str = ""
     overflowed: bool = False
 
     @property
@@ -325,7 +324,6 @@ def integrate(
         values=x[: last + 1],
         derivative_values=dx[: last + 1],
         config=config,
-        operator_label=op.label,
         overflowed=overflowed,
     )
 

@@ -30,7 +30,6 @@ import numpy as np
 from .errors import InvalidParameterError, SpecFormatError
 from .expressions import parse_expression
 from .operators import AmnesiaOperator, make_discrete_delay, make_distributed_delay
-from .quadrature import simpson_nodes_weights
 from .simulator import SimulationConfig
 
 SCHEMA_VERSION = 1
@@ -164,7 +163,7 @@ def build_operator(spec: EquationSpec) -> AmnesiaOperator:
 class KernelEntry:
     """A named distributed kernel: builder, parameter defaults, validation."""
 
-    def __init__(self, name, description, defaults, builder, validator=None):
+    def __init__(self, name, description, defaults, builder, validator):
         self.name = name
         self.description = description
         self.defaults = dict(defaults)
@@ -182,8 +181,7 @@ class KernelEntry:
             raise SpecFormatError(
                 f"field 'parameters': unknown parameter(s) {sorted(unknown)} for kernel {self.name!r}"
             )
-        if self._validator is not None:
-            self._validator(self.merged(parameters))
+        self._validator(self.merged(parameters))
 
     def build(self, parameters: dict, label: str = "") -> AmnesiaOperator:
         self.validate(parameters)
@@ -199,9 +197,7 @@ def _validate_app2(p: dict) -> None:
 
 # The catalog kernels are array forms of scalar formulas with the same bits
 # (see make_distributed_delay): exp, sin and ** run element by element in
-# Python, and Python's max(a, b) is np.where(b > a, b, a).  app3 computes its
-# per-node coefficients once, on the nodes of its own panel count.
-_APP_PANELS = 64
+# Python, and Python's max(a, b) is np.where(b > a, b, a).
 
 
 def _elementwise(values, like: np.ndarray) -> np.ndarray:
@@ -239,25 +235,21 @@ def _validate_app3(p: dict) -> None:
 
 def _build_app3(p: dict, label: str) -> AmnesiaOperator:
     a, b, m, l = float(p["a"]), float(p["b"]), float(p["m"]), int(p["l"])
-    s_range = (0.0, 1.0)
-    nodes = simpson_nodes_weights(*s_range, _APP_PANELS)[0]
-    poly = np.array([a * s ** m for s in nodes])
-    modulation = np.array([b * s * s for s in nodes])
 
     def kernel(t, s, xs):
         # (a*s**m + b*s*s * sin(x(t-s-5)**3)**l) * x(t-s-1)
         v_arg, v_lin = xs
+        poly = a * _elementwise(map(pow, s.tolist(), repeat(m)), s)
         cubes = map(pow, v_arg.ravel().tolist(), repeat(3.0))
         sines = _elementwise(map(pow, map(math.sin, cubes), repeat(float(l))), v_arg)
-        return (poly + modulation * sines) * v_lin
+        return (poly + b * s * s * sines) * v_lin
 
     b_value = app3_derived_bound(a, b, m, l)
     return make_distributed_delay(
         kernel,
-        s_range,
+        (0.0, 1.0),
         [lambda t, s: t - s - 5.0, lambda t, s: t - s - 1.0],
         bound_b=lambda t: b_value,
-        quadrature_panels=_APP_PANELS,
         label=label,
     )
 
@@ -401,10 +393,10 @@ def _scenario_app3(a: float, b: float, m: float, l: int) -> dict:
         condition = f"a*e > m (value = {a * math.e:.6g} vs {m:g})"
         holds = a * math.e > m
     return dict(
-        name=f"app3_a={a:g}_b={b:g}_m={m:g}_l={l}",
+        name=f"app3_a={a:g}_b={b:g}_m={m:g}_l={l:g}",
         spec=EquationSpec(
             kind="distributed_delay",
-            label=f"scenario 3: polynomial kernel with sin^l modulation, a={a:g}, b={b:g}, m={m:g}, l={l}",
+            label=f"scenario 3: polynomial kernel with sin^l modulation, a={a:g}, b={b:g}, m={m:g}, l={l:g}",
             kernel="app3",
             parameters={"a": a, "b": b, "m": m, "l": l},
         ),

@@ -41,9 +41,10 @@ def lambert_w0(x: float) -> float:
     """Principal branch of the Lambert W function: the w >= -1 with w*e^w = x.
 
     Defined for x >= -1/e; inputs within 1e-15 below the branch point are
-    clamped to it.  Halley iteration from a regime-appropriate seed (series
-    around the branch point, log1p near zero, log asymptotic for large x)
-    converges to near machine precision in a handful of steps.
+    clamped to it.  Below e, Halley iteration from a series seed around the
+    branch point or a log1p seed near zero; from e up, Newton iteration on
+    w + ln w = ln x from the log asymptotic seed.  Both converge to near
+    machine precision in a handful of steps.
     """
     if math.isnan(x):
         raise DomainError("lambert_w0 is undefined for NaN")
@@ -59,8 +60,15 @@ def lambert_w0(x: float) -> float:
     elif x < math.e:
         w = math.log1p(x)
     else:
+        # Newton on the log form w + ln w = ln x, as w e^w overflows near the float maximum.
         lx = math.log(x)
         w = lx - math.log(lx)
+        for _ in range(50):
+            dw = (w + math.log(w) - lx) / (1.0 + 1.0 / w)
+            w -= dw
+            if abs(dw) <= 1e-16 * w:
+                break
+        return w
 
     for _ in range(50):
         ew = math.exp(w)

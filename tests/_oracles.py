@@ -56,7 +56,17 @@ def characteristic_root(p, tau):
     return bisect_root(f, lo, 0.0)
 
 
-def _simpson_rule(a, b, panels):
+def looped_simpson(f, a, b, panels):
+    """Composite Simpson as one loop: f(a) + f(b), then f(a + i*h) * 4 or 2, then * h / 3."""
+    h = (b - a) / panels
+    total = f(a) + f(b)
+    for i in range(1, panels):
+        total += f(a + i * h) * (4.0 if i % 2 else 2.0)
+    return total * h / 3.0
+
+
+def simpson_nodes_weights(a, b, panels):
+    """Nodes a + i*h and weights h / 3.0 * (1, 4, 2, ..., 4, 1) of composite Simpson."""
     h = (b - a) / panels
     nodes = [a + i * h for i in range(panels + 1)]
     weights = [h / 3.0 * (1.0 if i in (0, panels) else (4.0 if i % 2 else 2.0)) for i in range(panels + 1)]
@@ -75,7 +85,7 @@ class ScalarDistributedDelay:
     def __init__(self, kernel, s_range, delay_maps, panels=64):
         self.kernel = kernel
         self.maps = list(delay_maps)
-        self.nodes, self.weights = _simpson_rule(s_range[0], s_range[1], panels)
+        self.nodes, self.weights = simpson_nodes_weights(s_range[0], s_range[1], panels)
 
     def evaluate(self, t, history):
         rows = [[history(d(t, s)) for d in self.maps] for s in self.nodes]

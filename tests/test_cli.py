@@ -381,3 +381,24 @@ def test_bad_transient_fraction_rejected_before_integrating(single_delay_spec, t
     assert result.exit_code == 2
     assert result.stderr == "error: transient_fraction must be in [0, 1), got 1.5\n"
     assert not csv.exists()
+
+
+@pytest.mark.parametrize("command, name", [("simulate", "x.csv"), ("analyze", "r.json")])
+def test_unwritable_output_exits_2(command, name, single_delay_spec, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    args = [command, "--spec", str(single_delay_spec), "--out", str(blocker / name)]
+    result = CliRunner().invoke(main, args + (["--t-end", "5"] if command == "simulate" else []))
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # not an uncaught NotADirectoryError
+    assert result.stderr.startswith("error: [Errno 20] Not a directory: ")
+    assert len(result.stderr.splitlines()) == 1
+
+
+def test_reproduce_names_a_huge_integer_l_in_g_form(tmp_path):
+    out = tmp_path / "o"
+    args = ["reproduce", "--app", "3", "--set", "l=1e300", "--n-histories", "1", "--out", str(out)]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0
+    assert [p.name for p in out.iterdir()] == ["app3_a=3_b=0.1_m=1_l=1e+300"]
+    assert [sc.name for sc in make_scenarios(3)] == ["app3_a=3_b=0.1_m=1_l=2", "app3_a=3_b=0.1_m=1_l=3"]

@@ -10,14 +10,16 @@ from ddeosc import (
     HistoryFunction,
     InvalidParameterError,
     audit_sign_bound,
+    composite_simpson,
     make_discrete_delay,
     make_distributed_delay,
     random_history,
 )
 from ddeosc.operators import _ArrayHistory, _fma_dots, sigma_growth_check
+from ddeosc.quadrature import PANELS
 from ddeosc.specfile import KERNEL_CATALOG, app3_stated_bound
 
-from _oracles import fraction_fma_dot, scalar_random_history
+from _oracles import fraction_fma_dot, scalar_random_history, simpson_nodes_weights
 
 
 class TestHistoryFunction:
@@ -270,28 +272,30 @@ class TestDistributedDelay:
             (0.0, 1.0),
             [lambda t, s: t - s - 1.0],
             bound_b=lambda t: 1.0 / 3.0,
-            quadrature_panels=4,
         )
         h = HistoryFunction.constant(1.0, -3.0, 10.0)
         assert op.evaluate(10.0, h) == pytest.approx(1.0 / 3.0, abs=1e-14)
 
-    def test_simpson_order_on_smooth_history(self):
-        # smooth small history keeps max(a1*s, x^2) = a1*s, so the integrand is smooth
+    def test_simpson_accuracy_on_smooth_history(self):
+        # smooth small history keeps max(a1*s, x^2) = a1*s, so the integrand e^s * x(t-s) is smooth
         hist = HistoryFunction(lambda s: 0.5 * math.sin(1.3 * s), -30.0, 30.0)
+        value = KERNEL_CATALOG["app2"].build({}).evaluate(10.0, hist)
+        reference = composite_simpson(lambda s: math.exp(s) * hist(10.0 - s), 1.0, 2.0, 512)
+        # Simpson's error bound (b - a) * h**4 * max|f''''| / 180 is about 9e-9 at h = 1/64
+        assert 0.0 < abs(value - reference) < 1e-8
 
-        def build(panels):
-            return KERNEL_CATALOG["app2"].build({}) if panels is None else make_distributed_delay(
-                lambda t, s, xs: np.exp(np.maximum(s, xs[0] ** 2)) * xs[1],
-                (1.0, 2.0),
-                [lambda t, s: t - s, lambda t, s: t - s],
-                bound_b=lambda t: math.e * (math.e - 1.0),
-                quadrature_panels=panels,
-            )
-
-        reference = build(512).evaluate(10.0, hist)
-        err8 = abs(build(8).evaluate(10.0, hist) - reference)
-        err16 = abs(build(16).evaluate(10.0, hist) - reference)
-        assert err8 / err16 > 10.0
+    @pytest.mark.parametrize("s_range", [(1.0, 2.0), (0.0, 1.0), (-0.3, 2.7), (1e-3, 1e3)])
+    def test_weights_are_the_simpson_list(self, s_range):
+        # kernel row i is the indicator of node i, so evaluation i returns weight i alone
+        op = make_distributed_delay(
+            lambda t, s, xs: (np.arange(s.size) == t).astype(float),
+            s_range,
+            [lambda t, s: t - s],
+            bound_b=lambda t: 1.0,
+        )
+        hist = HistoryFunction.constant(1.0, -1e3, PANELS + 1.0)
+        weights = op.evaluate_many(np.arange(PANELS + 1.0), hist)
+        assert weights.tolist() == simpson_nodes_weights(*s_range, PANELS)[1]
 
     def test_delay_map_independent_of_s(self):
         # delay maps get the whole node array; one that ignores s returns a scalar
@@ -300,12 +304,12 @@ class TestDistributedDelay:
             (0.0, 1.0),
             [lambda t, s: t - 1.0, lambda t, s: t - 2.0 * s - 1.0],
             bound_b=lambda t: 0.5,
-            quadrature_panels=4,
         )
         h = HistoryFunction(lambda s: s, 0.0, 10.0)
         assert op.tau(5.0) == 4.0
         assert op.sigma(5.0) == 2.0
-        assert sorted(op.read_points(5.0)) == [2.0, 2.5, 3.0, 3.5, 4.0] + [4.0] * 5
+        nodes = simpson_nodes_weights(0.0, 1.0, PANELS)[0]
+        assert sorted(op.read_points(5.0)) == sorted([4.0] * len(nodes) + [5.0 - 2.0 * s - 1.0 for s in nodes])
         # integral of s * 4 * (4 - 2s) over [0, 1] = 8 - 8/3, exact for Simpson
         assert op.evaluate(5.0, h) == pytest.approx(16.0 / 3.0, abs=1e-12)
 

@@ -1,9 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 
 from ddeosc import InvalidParameterError, composite_simpson
-from ddeosc.quadrature import simpson_nodes_weights
+from ddeosc.quadrature import PANELS, simpson_rule
+
+from _oracles import looped_simpson
 
 
 def test_exact_for_cubics():
@@ -36,7 +39,30 @@ def test_parameter_errors():
 
 
 def test_nodes_weights_positive_and_sum():
-    nodes, weights = simpson_nodes_weights(0.0, 3.0, 6)
-    assert len(nodes) == len(weights) == 7
-    assert all(w > 0 for w in weights)
-    assert sum(weights) == pytest.approx(3.0, abs=1e-14)
+    h, nodes, factors = simpson_rule(0.0, 3.0, 6)
+    assert nodes == [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
+    assert factors == [1.0, 4.0, 2.0, 4.0, 2.0, 4.0, 1.0]
+    assert h / 3.0 * sum(factors) == pytest.approx(3.0, abs=1e-14)
+    with pytest.raises(InvalidParameterError):
+        simpson_rule(0.0, 1.0, 5)
+
+
+def test_same_bits_as_one_loop():
+    # 2,400 seeded integrals over smooth, oscillating and polynomial integrands
+    rng = np.random.default_rng(2400)
+    shapes = [
+        lambda c: (lambda s: math.exp(c * s)),
+        lambda c: (lambda s: math.sin(c * s) / (1.0 + s * s)),
+        lambda c: (lambda s: c * s ** 3 - s + 0.1),
+    ]
+    checked = 0
+    for _ in range(100):
+        a = float(rng.uniform(-20.0, 20.0))
+        b = a + float(rng.exponential(5.0))
+        c = float(rng.uniform(-2.0, 2.0))
+        for shape in shapes:
+            f = shape(c)
+            for panels in (2, 4, 6, 10, 16, 34, PANELS, 128):
+                assert composite_simpson(f, a, b, panels) == looped_simpson(f, a, b, panels)
+                checked += 1
+    assert checked == 2_400
