@@ -99,10 +99,6 @@ def analyze_spec(
 ):
     """Run the criterion for a spec; returns (report dict, operator, estimate)."""
     op = build_operator(spec)
-    if op.bound_b is None:
-        raise InvalidParameterError(
-            "spec has no usable bound function; set 'bound_expr' (field bound_expr)"
-        )
     tau = parse_expression(spec.tau_expr) if spec.tau_expr else op.tau
     estimate = estimate_liminf_w(op.bound_b, tau, t_start, t_end, grid_points, panels)
     verdict = theorem_verdict(estimate)

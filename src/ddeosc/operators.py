@@ -3,6 +3,9 @@
 An operator here is causal with *amnesia*: its value at time t depends on
 the solution only through a window [sigma(t), tau(t)] strictly in the past
 of t.  Two histories that agree on that window produce the same value.
+The operator's read map ``read_points(t)``, the exact times it reads at
+t, is the one description of that window: tau(t) is its newest read,
+sigma(t) its oldest, and the lag the integrator relies on is -tau(0).
 Each operator carries a nonnegative rate function ``bound_b`` that is
 supposed to satisfy, for histories of a single strict sign on [sigma(t), t],
 
@@ -208,32 +211,72 @@ class AmnesiaOperator:
     The operator is its array evaluation: ``evaluate_many(ts, history)``
     returns the values at an array of times in one pass, each with the bits
     it has when evaluated alone, and ``evaluate(t, history)`` is its
-    one-time case.  ``tau``/``sigma`` are the newest/oldest times it may
-    read for a given t (tau(t) <= t).  ``bound_b`` is the rate function of
-    the sign-respecting bound described in the module docstring, or None
-    when no bound is known.  ``read_points`` optionally lists the exact
-    times the operator samples at a given t; the audit folds them into its
-    window grid so that bound checks never flag spurious violations from
-    grid placement.  ``min_lag`` is the smallest value of t - tau(t) over
-    the operating range, used by the integrator's step-size rule when known.
+    one-time case.  ``read_points(t)``, the array of the exact times it
+    reads at t, is the one description of where it reads: ``tau(t)`` (<= t)
+    is the newest, ``sigma(t)`` the oldest, and ``min_lag`` is -tau(0) when
+    that is positive, else None.  The integrator takes ``min_lag`` as the
+    smallest lag of the run, which holds when the lags do not shrink.
+    ``bound_b`` is the rate function of the sign-respecting bound described
+    in the module docstring, or None when no bound is known.
     """
 
     label: str
     evaluate_many: Callable[[np.ndarray, HistoryFunction], np.ndarray]
-    tau: TimeFunction
-    sigma: TimeFunction
+    read_points: Callable[[float], np.ndarray]
     bound_b: Optional[TimeFunction] = None
-    read_points: Optional[Callable[[float], list[float]]] = None
-    min_lag: Optional[float] = None
 
     def evaluate(self, t: float, history: HistoryFunction) -> float:
         """(Tx)(t); requires [sigma(t), t] inside the history domain."""
         return float(self.evaluate_many(np.array([t], dtype=float), history)[0])
 
+    def tau(self, t: float) -> float:
+        """The newest time read at t."""
+        # argmax and argmin cost less than max and min on arrays this small.
+        points = self.read_points(t)
+        return float(points[points.argmax()])
+
+    def sigma(self, t: float) -> float:
+        """The oldest time read at t."""
+        points = self.read_points(t)
+        return float(points[points.argmin()])
+
+    @property
+    def min_lag(self) -> Optional[float]:
+        lag = -self.tau(0.0)
+        return lag if lag > 0.0 else None
+
 
 def _row_sums(terms: np.ndarray) -> np.ndarray:
     """Each row of a (times, terms) array summed left to right from +0.0, as ``sum`` does."""
     return np.add.accumulate(np.hstack([np.zeros((len(terms), 1)), terms]), axis=1)[:, -1]
+
+
+def _delay_operator(
+    label: str,
+    reads: Callable,
+    combine: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    bound_b: Optional[TimeFunction],
+) -> AmnesiaOperator:
+    """The operator that reads the history at ``reads(t)`` and sums ``combine``'s terms.
+
+    ``reads(t)`` gives the read times for a column t of times (shape
+    (times, 1)), an array with one leading row per time, or for one float t.
+    ``combine(t, values)`` turns the history values, shaped like the reads,
+    into a (times, terms) array.  ``evaluate_many`` makes one
+    ``history.many`` call for all reads in row order and sums each time's
+    terms left to right from +0.0, giving the bits of the scalar sum.
+    Numpy's floating-point warnings are off inside, as Python float
+    arithmetic prints none.
+    """
+
+    def evaluate_many(ts, history: HistoryFunction) -> np.ndarray:
+        t = np.reshape(np.asarray(ts, dtype=float), (-1, 1))
+        with np.errstate(all="ignore"):
+            times = reads(t)
+            values = history.many(times.ravel()).reshape(times.shape)
+            return _row_sums(combine(t, values))
+
+    return AmnesiaOperator(label, evaluate_many, lambda t: reads(t).ravel(), bound_b)
 
 
 def _as_time_function(value) -> TimeFunction:
@@ -256,11 +299,9 @@ def make_discrete_delay(
     pointwise); pass ``bound_b`` to override, which is necessary for
     sign-changing coefficients if the criterion machinery will be used.
 
-    ``evaluate_many(ts, history)`` makes one ``history.many`` call for all
-    reads, time by time and term by term, calls the scalar coefficients once
-    per time (numpy's exp and sin differ from ``math`` in the last bit), and
-    sums each time's products left to right from +0.0, giving the bits of
-    the scalar sum.  ``evaluate(t, history)`` is its one-time case.
+    The reads at t are t - d_i, term by term.  The evaluation calls the
+    scalar coefficients once per time (numpy's exp and sin differ from
+    ``math`` in the last bit) and multiplies them with the history values.
     """
     if not terms:
         raise InvalidParameterError("at least one (coefficient, delay) term is required")
@@ -272,29 +313,15 @@ def make_discrete_delay(
             raise InvalidParameterError(f"delays must be positive, got {delay}")
         coefs.append(_as_time_function(coef))
         delays.append(d)
-    d_min, d_max = min(delays), max(delays)
     lags = np.array(delays)
 
-    def evaluate_many(ts, history: HistoryFunction) -> np.ndarray:
-        t = np.asarray(ts, dtype=float).ravel()
-        with np.errstate(all="ignore"):
-            reads = t[:, None] - lags
-            values = history.many(reads.ravel()).reshape(reads.shape)
-            coef_values = np.array([[c(time) for c in coefs] for time in t.tolist()], dtype=float)
-            return _row_sums(coef_values * values)
+    def combine(t: np.ndarray, values: np.ndarray) -> np.ndarray:
+        return np.array([[c(time) for c in coefs] for time in t[:, 0].tolist()], dtype=float) * values
 
     def default_bound(t: float) -> float:
         return sum(max(c(t), 0.0) for c in coefs)
 
-    return AmnesiaOperator(
-        label=label,
-        evaluate_many=evaluate_many,
-        tau=lambda t: t - d_min,
-        sigma=lambda t: t - d_max,
-        bound_b=bound_b if bound_b is not None else default_bound,
-        read_points=lambda t: [t - d for d in delays],
-        min_lag=d_min,
-    )
+    return _delay_operator(label, lambda t: t - lags, combine, bound_b if bound_b is not None else default_bound)
 
 
 def make_distributed_delay(
@@ -308,10 +335,11 @@ def make_distributed_delay(
     """Build (Tx)(t) as the integral over s in [s_lo, s_hi] of a delayed kernel.
 
     The integral is the composite Simpson rule of :mod:`ddeosc.quadrature`
-    with its ``PANELS`` panels.  tau/sigma are the extremes of the delay
-    maps over the quadrature grid.  A rate bound cannot be inferred from an
-    arbitrary kernel, so ``bound_b`` is required; use
-    :func:`audit_sign_bound` to sanity-check it.
+    with its ``PANELS`` panels.  The reads at t are d(t, s) for every delay
+    map d and quadrature node s, node by node and, within a node, in
+    delay-map order.  A rate bound cannot be inferred from an arbitrary
+    kernel, so ``bound_b`` is required; use :func:`audit_sign_bound` to
+    sanity-check it.
 
     Everything works on arrays.  For a set of times, ``t`` is a column of
     those times (shape (times, 1)) and ``s`` the array of quadrature nodes.
@@ -319,17 +347,11 @@ def make_distributed_delay(
     (times, nodes) array of read times (a map that ignores ``s`` may return
     the column).  ``kernel(t, s, xs)`` receives ``xs``, one (times, nodes)
     array of history values per delay map, and returns the (times, nodes)
-    integrand.  A kernel must give each element the bits of the scalar
-    formula: exactly rounded numpy operations are fine, but library calls
-    such as exp, sin and ``**`` go element by element through Python's
-    ``math`` module and float power, because numpy's differ in the last bit.
-
-    ``evaluate_many(ts, history)`` makes one ``history.many`` call for all
-    reads, ordered time by time, node by node and, within a node, in
-    delay-map order, then one kernel call; each time's weighted terms are
-    summed left to right from +0.0.  ``evaluate(t, history)`` is its
-    one-time case.  Numpy's floating-point warnings are off inside, as
-    Python float arithmetic has none.
+    integrand, whose Simpson-weighted values are the terms of each time's
+    sum.  A kernel must give each element the bits of the scalar formula:
+    exactly rounded numpy operations are fine, but library calls such as
+    exp, sin and ``**`` go element by element through Python's ``math``
+    module and float power, because numpy's differ in the last bit.
     """
     s_lo, s_hi = float(s_range[0]), float(s_range[1])
     if not s_lo < s_hi:
@@ -343,44 +365,18 @@ def make_distributed_delay(
     weights = np.array([h / 3.0 * factor for factor in factors])
     maps = list(delay_maps)
 
-    def read_times(t, rows: int = 1) -> np.ndarray:
-        # Entry [i, j, m] is d_m(t_i, s_j), for a column t of ``rows`` times
-        # or one float t.
-        times = np.empty((rows, nodes.size, len(maps)))
+    def reads(t) -> np.ndarray:
+        # Entry [i, j, m] is d_m(t_i, s_j), for a column t of times or one
+        # float t (one row; np.shape of a float costs a caught exception).
+        times = np.empty((len(t) if isinstance(t, np.ndarray) else 1, nodes.size, len(maps)))
         for m, d in enumerate(maps):
             times[:, :, m] = d(t, nodes)
         return times
 
-    def evaluate_many(ts, history: HistoryFunction) -> np.ndarray:
-        t = np.reshape(np.asarray(ts, dtype=float), (-1, 1))
-        with np.errstate(all="ignore"):
-            times = read_times(t, t.shape[0])
-            values = history.many(times.ravel()).reshape(times.shape)
-            integrand = kernel(t, nodes, [values[:, :, m] for m in range(len(maps))])
-            return _row_sums(weights * integrand)
+    def combine(t: np.ndarray, values: np.ndarray) -> np.ndarray:
+        return weights * kernel(t, nodes, [values[:, :, m] for m in range(len(maps))])
 
-    def reads(t: float) -> list[float]:
-        return read_times(t).ravel().tolist()
-
-    def tau(t: float) -> float:
-        return float(read_times(t).max())
-
-    def sigma(t: float) -> float:
-        return float(read_times(t).min())
-
-    # Lags are assumed time-invariant for the step-size rule, which holds
-    # for delay maps of the form t - g(s).
-    min_lag = -tau(0.0) if tau(0.0) < 0.0 else None
-
-    return AmnesiaOperator(
-        label=label,
-        evaluate_many=evaluate_many,
-        tau=tau,
-        sigma=sigma,
-        bound_b=bound_b,
-        read_points=reads,
-        min_lag=min_lag,
-    )
+    return _delay_operator(label, reads, combine, bound_b)
 
 
 def sigma_growth_check(op: AmnesiaOperator, t_start: float, t_end: float) -> bool:
@@ -465,10 +461,8 @@ def audit_sign_bound(
         lo = op.sigma(t)
         if not lo < t:
             raise InvalidParameterError(f"sigma(t) must be below t; sigma({t}) = {lo}")
-        window = np.linspace(lo, t, 257)
-        if op.read_points is not None:
-            extra = [p for p in op.read_points(t) if lo <= p <= t]
-            window = np.unique(np.concatenate([window, np.array(extra)]))
+        points = op.read_points(t)
+        window = np.unique(np.concatenate([np.linspace(lo, t, 257), points[(lo <= points) & (points <= t)]]))
         b_t = op.bound_b(t)
         for trial in range(trials):
             for sign in (+1, -1):

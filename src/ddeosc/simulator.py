@@ -24,15 +24,17 @@ The loop evaluates blocks of steps, the method of steps in its literal
 form: with tau(t) <= t - min_lag, every stage of the next min_lag/step - 1
 steps reads only nodes that are already computed, so one evaluation gives
 all stage derivatives of the block, and the RK4 update then runs step by
-step over them.  A block is capped at a fixed number of reads.  It is
-valid only if every read at t > 0 lies between nodes computed before it
-(int(t/step) + 1 <= the block's first step), which the gather checks.  A
-block that fails the check, or whose evaluation raises any error (an
-overflow, a domain error), is replayed one step at a time.  A single step
-is a block of one, its two stage times evaluated in one call: it reads up
-to the last computed node and raises for a read ahead of it, an overflow
-flags the run and any other error propagates.  Operators without a known
-``min_lag`` take single steps throughout.
+step over them.  A block is capped at a fixed number of reads.  Both
+sizes come from the operator's read points, its one description of where
+it reads.  Every evaluation, a block or a single step, follows one read
+rule, which the gather checks: a read at t > 0 lies between nodes computed
+before it (int(t/step) + 1 <= the evaluation's first step), so that no
+read is clamped and each has the bits it has in its own step.  A block
+that breaks the rule, or whose evaluation raises any error (an overflow, a
+domain error), is replayed one step at a time.  A single step is a block
+of one, its two stage times evaluated in one call: a read that breaks the
+rule raises, an overflow flags the run and any other error propagates.
+Operators without a positive ``min_lag`` take single steps throughout.
 """
 
 import math
@@ -170,11 +172,12 @@ def _block_steps(op: AmnesiaOperator, h: float) -> int:
 
     With tau(t) <= t - min_lag, every stage of steps k0 .. k0 + min_lag/h - 2
     reads at or before t_{k0} - h, behind the nodes computed before step k0.
-    Operators without a known lag or read points take one step at a time.
+    Operators without a positive lag take one step at a time.
     """
-    if op.min_lag is None or op.read_points is None:
+    min_lag = op.min_lag
+    if min_lag is None:
         return 1
-    by_lag = int(op.min_lag / h) - 1
+    by_lag = int(min_lag / h) - 1
     by_budget = _BLOCK_READS // (2 * len(op.read_points(0.0)))
     return max(1, min(by_lag, by_budget))
 
@@ -186,20 +189,22 @@ def integrate(
 ) -> Trajectory:
     """Integrate x'(t) = -(Tx)(t) on [0, t_end] from the given history.
 
-    The initial history must cover [sigma(0), 0].  For operators with a known
-    ``min_lag`` the step rule step <= min_lag / 4 is enforced up front; it
-    guarantees that every delayed read lies at or before the last completed
-    node.  Integration halts early, with the trajectory flagged, as soon as
-    |x| exceeds ``config.overflow_guard`` or an operator evaluation overflows.
-    The initial history must be a pure function of t: its value at a time is
+    The initial history must cover [sigma(0), 0].  For operators with a
+    positive ``min_lag`` the step rule step <= min_lag / 4 is enforced up
+    front; with lags that do not shrink, it keeps every read of a single
+    step three steps behind the last completed node.  Integration halts
+    early, with the trajectory flagged, as soon as |x| exceeds
+    ``config.overflow_guard`` or an operator evaluation overflows.  The
+    initial history must be a pure function of t: its value at a time is
     computed once and reused for every later read at that time.  Each
     evaluation reads the times at or before 0 that it is the first to need
     with one ``initial_history.many`` call.
     """
     h = config.step
-    if op.min_lag is not None and h > op.min_lag / 4.0 + 1e-12:
+    min_lag = op.min_lag
+    if min_lag is not None and h > min_lag / 4.0 + 1e-12:
         raise StepSizeError(
-            f"step {h} exceeds min_lag/4 = {op.min_lag / 4.0} for operator {op.label!r}"
+            f"step {h} exceeds min_lag/4 = {min_lag / 4.0} for operator {op.label!r}"
         )
     n = int(math.floor(config.t_end / h + 1e-9))
     if n < 1:
@@ -216,7 +221,6 @@ def integrate(
     x = np.zeros(n + 1)
     dx = np.zeros(n + 1)
     frontier = 0  # index of the last node computed before the current evaluation
-    block = False  # whether the current evaluation spans several steps
     hermite = config.interpolation is Interpolation.CUBIC_HERMITE
 
     initial_values: dict[float, float] = {}  # the lags recur, so past reads repeat
@@ -224,7 +228,7 @@ def integrate(
     def interpolate(ts: np.ndarray) -> np.ndarray:
         # The phase square stays a Python power, which numpy's square
         # differs from in the last bit now and then.
-        j = np.maximum(np.minimum((ts / h).astype(np.int64), frontier - 1), 0)
+        j = np.maximum((ts / h).astype(np.int64), 0)
         theta = (ts - j * h) / h
         if not hermite:
             return x[j] * (1.0 - theta) + x[j + 1] * theta
@@ -239,30 +243,20 @@ def integrate(
         )
 
     def gather(ts: np.ndarray) -> np.ndarray:
-        # Reads at t <= 0 go to the initial history once per distinct time,
-        # the new ones in one call; they are interpolated too (clamped to
-        # node 0) and then overwritten, so that every temporary has the full
-        # size of the call.  A single step reads up to the frontier, within a
-        # relative slack of 1e-9; the first read ahead of it (or NaN) raises.
-        # A block reads at t > 0 only between nodes computed before it,
-        # int(t/h) + 1 <= frontier, so that no index is clamped and every
-        # read has the bits it has in its own step; otherwise the block is
-        # abandoned.
+        # An evaluation reads at t > 0 only between nodes computed before
+        # it, int(t/h) + 1 <= frontier; the first read in array order that
+        # is not (or is NaN) raises.  Reads at t <= 0 go to the initial
+        # history once per distinct time, the new ones in one call; they are
+        # interpolated too (at node 0) and then overwritten, so that every
+        # temporary has the full size of the call.
+        newest = ts.max()
         past = ts <= 0.0
-        if block:
-            newest = ts.max()
-            if not (newest <= 0.0 or newest / h < frontier):
-                raise HistoryDomainError(f"block read at t={newest} is not behind node {frontier}")
-        else:
-            ahead = ~(past | (ts <= frontier * h + 1e-9 * np.maximum(1.0, ts)))
-            if ahead.any():
-                t = float(ts[ahead][0])
-                if math.isnan(t):
-                    raise ValueError("cannot convert float NaN to integer")
-                raise HistoryDomainError(
-                    f"delayed read at t={t} is ahead of the computed trajectory "
-                    f"(frontier {frontier * h}); decrease the step"
-                )
+        if not (newest <= 0.0 or newest / h < frontier):
+            t = float(ts[~(past | (ts / h < frontier))][0])
+            raise HistoryDomainError(
+                f"delayed read at t={t} is not behind the computed trajectory "
+                f"(frontier {frontier * h}); decrease the step"
+            )
         values = interpolate(ts)
         early = ts[past].tolist()
         missing = [t for t in dict.fromkeys(early) if t not in initial_values]
@@ -290,13 +284,12 @@ def integrate(
     while k < last:
         size = 1 if k < single_until else min(steps, n - k)
         frontier = k
-        block = size > 1
         # Stage derivatives at t_k + h/2 and t_k + h for each step of the block.
         stage_times = (times[k : k + size, None] + [0.5 * h, h]).ravel()
         try:
             stages = (-op.evaluate_many(stage_times, reader)).tolist()
         except Exception as error:
-            if block:
+            if size > 1:
                 # Replayed one step at a time, a failure surfaces at the step
                 # it belongs to, or not at all if the run stops before it.
                 single_until = k + size

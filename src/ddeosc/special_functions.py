@@ -44,10 +44,12 @@ def lambert_w0(x: float) -> float:
     clamped to it.  Below e, Halley iteration from a series seed around the
     branch point or a log1p seed near zero; from e up, Newton iteration on
     w + ln w = ln x from the log asymptotic seed.  Both converge to near
-    machine precision in a handful of steps.
+    machine precision in a handful of steps.  W(inf) = inf.
     """
     if math.isnan(x):
         raise DomainError("lambert_w0 is undefined for NaN")
+    if x == math.inf:
+        return x  # the log seed would be inf - inf
     if x < BRANCH_POINT - _BRANCH_CLAMP:
         raise DomainError(f"lambert_w0 requires x >= -1/e ~ {BRANCH_POINT:.17g}, got {x}")
     if x <= BRANCH_POINT:
@@ -147,6 +149,9 @@ class ConvergenceResult:
 def tower_limit(base: float, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> ConvergenceResult:
     """Iterate t -> base**t from t = base until successive iterates settle.
 
+    At most ``max_iter`` iterates are taken, counting t1 = base; the
+    result's ``iterations_used`` is the number taken.
+
     Converged: the step |t_{k+1} - t_k| (which equals the fixed-point
     residual at t_k) dropped to ``tol``.  For base < 1 the iterates
     alternate, so a step below ``tol`` certifies that the even and odd
@@ -167,7 +172,7 @@ def tower_limit(base: float, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_M
     iterates = tower_iterates(base)
     t = next(iterates)
     iterations = 1
-    for nxt in islice(iterates, max_iter):
+    for nxt in islice(iterates, max_iter - 1):
         iterations += 1
         if nxt > _DIVERGENCE_CAP or (base > 1.0 and nxt > math.e + 1e-9):
             return ConvergenceResult(

@@ -202,12 +202,12 @@ def scalar_integrate(op, initial_history, config):
             if t not in past:
                 past[t] = initial_history(t)
             return past[t]
-        if t > frontier * h + 1e-9 * max(1.0, t):
+        if not t / h < frontier:  # int(t/h) + 1 <= frontier: between nodes computed before the step
             raise HistoryDomainError(
-                f"delayed read at t={t} is ahead of the computed trajectory "
+                f"delayed read at t={t} is not behind the computed trajectory "
                 f"(frontier {frontier * h}); decrease the step"
             )
-        j = max(min(int(t / h), frontier - 1), 0)
+        j = int(t / h)
         theta = (t - j * h) / h
         if not hermite:
             return x[j] * (1.0 - theta) + x[j + 1] * theta

@@ -161,6 +161,7 @@ class TestSimulate:
         code = cmd_simulate(path, "constant:1", 80.0, 0.05, csv)
         assert code == 3
         assert csv.read_text().strip().splitlines()[-1].startswith("# overflow")
+        assert read_trajectory_csv(csv).overflowed
 
     @pytest.mark.parametrize("preset, row", [("exponential:-2", "0.0,1.0,nan"), ("constant:30", "0.0,30.0,nan")])
     def test_overflow_at_t0_writes_one_row(self, preset, row, tmp_path):
@@ -228,6 +229,17 @@ class TestTower:
         assert doc["outcome"] == "converged"
         assert doc["inside_euler_interval"] is True
 
+    def test_max_iter_caps_the_iterates(self, capsys):
+        # base 0.01 lies below e^-e: its iterates alternate and never settle
+        assert cmd_tower(0.01, max_iter=5) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines[2:7]] == ["1", "2", "3", "4", "5"]
+        assert lines[7].startswith("outcome: no decision after 5 iterations; last value ")
+        assert cmd_tower(0.01, max_iter=5, fmt="json") == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["outcome"] == "max_iter_reached"
+        assert doc["iterations_used"] == 5
+
 
 class TestReproduce:
     def test_unknown_parameter_exits_2(self, tmp_path, capsys):
@@ -258,6 +270,19 @@ class TestReproduce:
         a.pop("generated_at")
         b.pop("generated_at")
         assert json.dumps(a, indent=2, sort_keys=True) == json.dumps(b, indent=2, sort_keys=True)
+
+    def test_json_stdout_matches_the_bundles(self, tmp_path, capsys):
+        out_dir = tmp_path / "rep"
+        assert cmd_reproduce(1, None, out_dir, n_histories=1, fmt="json") == 0
+        entries = json.loads(capsys.readouterr().out)
+        assert [e["scenario"] for e in entries] == [sc.name for sc in make_scenarios(1)]
+        for entry in entries:
+            report = json.loads((out_dir / entry["scenario"] / "report.json").read_text())
+            conc = json.loads((out_dir / entry["scenario"] / "concordance.json").read_text())
+            assert (entry["w_hat"], entry["verdict"]) == (report["w_hat"], report["verdict"])
+            for key in ("stated_condition", "stated_condition_holds", "concordant", "discrepancy"):
+                assert entry[key] == conc[key]
+            assert entry["classes"] == {c: conc["classes"].count(c) for c in conc["classes"]}
 
 
 class TestClickWiring:
@@ -314,6 +339,7 @@ _DELAY = '{"schema": 1, "kind": "discrete_delay", "terms": [{"coef_expr": "1", "
         (["analyze", "--t-start", "-inf"], 2),
         (["reproduce", "--app", "2", "--set", "a2=inf"], 2),
         (["reproduce", "--app", "1", "--set", "q=nan"], 2),
+        (["reproduce", "--app", "1", "--set", "q=abc"], 2),
         (["simulate", "--spec", _DELAY.replace("1.0", "NaN")], 2),
         (["simulate", "--spec", _DELAY.replace("1.0", "Infinity")], 2),
         (["simulate", "--spec", '{"schema": 1, "kind": "distributed_delay", "kernel": "app2", '
@@ -322,7 +348,7 @@ _DELAY = '{"schema": 1, "kind": "discrete_delay", "terms": [{"coef_expr": "1", "
     ids=["a1=0", "m=-1", "m=0", "a1=1000", "l=2.5", "transient=1.5", "transient=-0.1", "step-nan", "tower-nan",
          "tower-inf", "tower-inf-json", "tower-tol-nan", "n-histories=0", "seed=-1", "constant-nan",
          "constant-inf", "exponential-nan", "exponential-inf", "analyze-t-end-inf", "analyze-t-start-nan",
-         "analyze-t-start-minus-inf", "set-a2=inf", "set-q=nan", "spec-delay-nan", "spec-delay-inf",
+         "analyze-t-start-minus-inf", "set-a2=inf", "set-q=nan", "set-q=abc", "spec-delay-nan", "spec-delay-inf",
          "spec-a1-nan"],
 )
 def test_bad_input_exits_with_one_line_error(args, code, single_delay_spec, tmp_path):

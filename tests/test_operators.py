@@ -420,11 +420,8 @@ class TestAuditSignBound:
         bad = op.__class__(
             label=op.label,
             evaluate_many=op.evaluate_many,
-            tau=op.tau,
-            sigma=op.sigma,
-            bound_b=lambda t: stated,
             read_points=op.read_points,
-            min_lag=op.min_lag,
+            bound_b=lambda t: stated,
         )
         report = audit_sign_bound(
             bad,
@@ -440,11 +437,8 @@ class TestAuditSignBound:
         frozen = op.__class__(
             label="frozen window",
             evaluate_many=op.evaluate_many,
-            tau=op.tau,
-            sigma=lambda t: 0.0,  # window start never advances
+            read_points=lambda t: np.array([t - 2.0, 0.0]),  # window start never advances past 0
             bound_b=op.bound_b,
-            read_points=op.read_points,
-            min_lag=op.min_lag,
         )
         assert not sigma_growth_check(frozen, 0.0, 50.0)
         with pytest.raises(InvalidParameterError):
@@ -460,11 +454,8 @@ class TestAuditSignBound:
         stripped = op.__class__(
             label=op.label,
             evaluate_many=op.evaluate_many,
-            tau=op.tau,
-            sigma=op.sigma,
-            bound_b=None,
             read_points=op.read_points,
-            min_lag=op.min_lag,
+            bound_b=None,
         )
         with pytest.raises(InvalidParameterError):
             audit_sign_bound(stripped, t_samples=[5.0])

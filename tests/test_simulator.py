@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
@@ -245,7 +246,7 @@ class TestDistributedReadsMatchScalarOracle:
             integrate(op, hist, config)
         with pytest.raises(HistoryDomainError) as oracles:
             scalar_integrate(oracle, hist, config)
-        assert "ahead of the computed trajectory" in str(ours.value)
+        assert "is not behind the computed trajectory" in str(ours.value)
         assert str(ours.value) == str(oracles.value)
 
 
@@ -319,31 +320,38 @@ class TestDiscreteReadsMatchScalarOracle:
         traj = _assert_same_run(op, ScalarDiscreteDelay(terms), hist, SimulationConfig(t_end=3.0, step=0.05))
         assert all(math.copysign(1.0, d) == -1.0 for d in traj.derivative_values)  # -(+0.0)
 
-    @pytest.mark.parametrize("lag", [1.5, 0.01, math.nan], ids=["behind", "reads-ahead", "reads-nan"])
-    def test_operator_with_scalar_evaluate_only(self, lag):
+    @pytest.mark.parametrize(
+        "lag, first_bad", [(1.5, None), (0.01, 0.025 - 0.01), (math.nan, math.nan)],
+        ids=["behind", "reads-ahead", "reads-nan"],
+    )
+    def test_operator_with_scalar_evaluate_only(self, lag, first_bad):
         # An array evaluation looped over the scalar one, one ``history(t)``
-        # call per read, and no min_lag: single steps, and no step rule, so
-        # a lag below one step reads ahead of the frontier; a NaN read
-        # raises ValueError.
+        # call per read, whose read points give lags 1 and 1.5: blocks of 19
+        # steps.  A lag below one step breaks the read rule in every block,
+        # and then in the replayed single step, which raises; so does a NaN
+        # read, in the evaluation at t = 0.
         oracle = ScalarDiscreteDelay([(0.5, 1.0), (lambda t: 0.25 * math.cos(t), lag)])
         op = AmnesiaOperator(label="scalar only", evaluate_many=looped(oracle.evaluate),
-                             tau=lambda t: t - min(1.0, lag), sigma=lambda t: t - 1.5)
+                             read_points=lambda t: np.array([t - 1.0, t - 1.5]))
         hist = random_history(2, -1.6, 0.0)
         config = SimulationConfig(t_end=6.0, step=0.05)
-        if lag > 1.0:
+        if first_bad is None:
             _assert_same_run(op, oracle, hist, config)
             return
-        with pytest.raises(ValueError) as ours:
+        with pytest.raises(HistoryDomainError) as ours:
             integrate(op, hist, config)
-        with pytest.raises(ValueError) as oracles:
+        with pytest.raises(HistoryDomainError) as oracles:
             scalar_integrate(oracle, hist, config)
-        assert type(ours.value) is type(oracles.value)
         assert str(ours.value) == str(oracles.value)
+        assert str(ours.value).startswith(f"delayed read at t={first_bad} is not behind")
 
     def test_single_step_is_one_call(self):
-        # Without min_lag every step is a block of one: its two stage times,
-        # t_k + h/2 and t_k + h, go to the operator in one call.
-        oracle = ScalarDiscreteDelay([(0.5, 1.0), (lambda t: 0.25 * math.cos(t), 1.5)])
+        # A read at the fixed time 0 puts tau(0) at 0, so there is no
+        # positive min_lag and every step is a block of one: its two stage
+        # times, t_k + h/2 and t_k + h, go to the operator in one call.
+        oracle = types.SimpleNamespace(
+            evaluate=lambda t, history: 0.5 * history(0.0) + 0.25 * math.cos(t) * history(t - 1.5)
+        )
         calls = []
 
         def evaluate_many(ts, history):
@@ -351,7 +359,8 @@ class TestDiscreteReadsMatchScalarOracle:
             return looped(oracle.evaluate)(ts, history)
 
         op = AmnesiaOperator(label="counted", evaluate_many=evaluate_many,
-                             tau=lambda t: t - 1.0, sigma=lambda t: t - 1.5)
+                             read_points=lambda t: np.array([0.0, t - 1.5]))
+        assert op.min_lag is None
         h = 0.05
         traj = _assert_same_run(op, oracle, random_history(2, -1.6, 0.0), SimulationConfig(t_end=6.0, step=h))
         n = len(traj.times) - 1

@@ -43,6 +43,10 @@ class TestLambertW0:
         with pytest.raises(DomainError):
             lambert_w0(float("nan"))
 
+    def test_infinity_maps_to_infinity(self):
+        assert lambert_w0(math.inf) == math.inf
+        assert lambert_w0(1.7976931348623157e308) < math.inf
+
     def test_clamped_just_below_branch(self):
         assert lambert_w0(BRANCH_POINT - 5e-16) == -1.0
 
@@ -108,6 +112,7 @@ class TestTowerLimit:
     def test_below_interval_two_cycle(self):
         res = tower_limit(0.04, max_iter=500)
         assert res.outcome is TowerOutcome.MAX_ITER_REACHED
+        assert res.iterations_used == 500
         assert res.cycle is not None
         lo, hi = res.cycle
         assert lo == pytest.approx(0.08960084093476091, abs=1e-12)
