@@ -113,53 +113,15 @@ class _ArrayHistory(HistoryFunction):
         return self._fn(np.minimum(np.maximum(ts, self.domain_start), self.domain_end))
 
 
-#: Veltkamp's splitter for doubles, 2**27 + 1.
-_SPLIT = 134217729.0
+def _row_dots(values: np.ndarray, coefs: np.ndarray) -> np.ndarray:
+    """``np.dot(values[i], coefs[i])`` for every row i, broadcast over the leading axes.
 
-
-def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low halves of each element, of 26 bits or fewer each (Veltkamp)."""
-    c = _SPLIT * a
-    high = c - (c - a)
-    return high, a - high
-
-
-def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rounded sum s and its error e, with s + e = a + b exactly (Knuth)."""
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _fma_dots(coefs: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """``np.dot(coefs[c], values[i, c])`` for every row i and chain c, as a (rows, chains) array.
-
-    ``coefs`` is (chains, terms) and ``values`` (rows, chains, terms).  Each
-    dot is a left-to-right chain of fused multiply-adds from +0.0, the form
-    OpenBLAS's ``ddot`` takes for short vectors on x86-64 with FMA.  numpy
-    has no fma, so each one is emulated exactly (Boldo and Melquiond, IEEE
-    Trans. Computers 57(4), 2008): TwoProduct (a Veltkamp split and Dekker's
-    product) gives the product as p + pl, TwoSum gives acc + p as th + tl,
-    tl + pl is added with rounding to odd, and th plus that sum is rounded
-    to nearest once.  TwoProduct is exact only for products far from
-    underflow, so a row with a term whose factors are nonzero and whose
-    product is below 1e-290 goes to ``np.dot``.
+    A stacked matmul of (1, n) rows by (n, 1) columns calls, for n > 1, the
+    ``dot`` routine that ``np.dot`` calls on two 1-D arrays, so each element
+    has the bits of the per-row ``np.dot``.  The gemv form ``values @ coefs``
+    rounds differently and is not used.
     """
-    p = coefs * values
-    ah, al = _split(coefs)
-    bh, bl = _split(values)
-    pl = al * bl - (((p - ah * bh) - al * bh) - ah * bl)
-    acc = p[..., 0]  # fma(a, b, +0.0) but for a zero's sign, which the next step's sum washes out
-    for m in range(1, p.shape[-1]):
-        th, tl = _two_sum(acc, p[..., m])
-        v, e = _two_sum(tl, pl[..., m])
-        # Round to odd: an inexact sum with an even last bit steps toward the exact one.
-        np.nextafter(v, np.copysign(np.inf, e), out=v, where=(v.view(np.int64) & 1) < (e != 0.0))
-        acc = th + v
-    tiny = ((np.abs(p) < 1e-290) & (coefs != 0.0) & (values != 0.0)).any(axis=(1, 2))
-    for i in np.flatnonzero(tiny).tolist():
-        acc[i] = [np.dot(c, row) for c, row in zip(coefs, values[i])]
-    return acc
+    return np.matmul(values[..., None, :], coefs[..., None])[..., 0, 0]
 
 
 _MODES = 5
@@ -176,26 +138,25 @@ def random_history(
 
     The raw sum at t is ``np.dot(cos_coef, np.cos(phases)) +
     np.dot(sin_coef, np.sin(phases))`` with ``phases = omegas * (t -
-    domain_start)``, each dot an emulated fused multiply-add chain (see
-    ``_fma_dots``); ``many`` reads a whole array of times at once.  The
-    peak is the largest |raw| over 512 grid points.  With ``positive=True``
-    the normalized sum is shifted up by 1.1x the amplitude, so the result is
-    strictly positive with minimum 0.1x.  Identical seeds produce identical
-    histories.
+    domain_start)``.  ``many`` reads a whole array of times at once, and
+    each row goes through the ``dot`` routine that ``np.dot`` calls (see
+    ``_row_dots``), so every read has the bits of that formula on the host's
+    BLAS.  The peak is the largest |raw| over 512 grid points.  With
+    ``positive=True`` the normalized sum is shifted up by 1.1x the
+    amplitude, so the result is strictly positive with minimum 0.1x.
+    Identical seeds produce identical histories.
     """
     if not domain_start < domain_end:
         raise InvalidParameterError(f"empty history domain [{domain_start}, {domain_end}]")
     rng = np.random.default_rng(seed)
     cos_coef = rng.uniform(-1.0, 1.0, _MODES)
     sin_coef = rng.uniform(-1.0, 1.0, _MODES)
-    coefs = np.stack([cos_coef, sin_coef])
     length = domain_end - domain_start
     omegas = np.array([math.pi * (m + 1) / length for m in range(_MODES)])
 
     def raw_many(ts: np.ndarray) -> np.ndarray:
         phases = (ts[:, None] - domain_start) * omegas
-        dots = _fma_dots(coefs, np.stack([np.cos(phases), np.sin(phases)], axis=1))
-        return dots[:, 0] + dots[:, 1]
+        return _row_dots(np.cos(phases), cos_coef) + _row_dots(np.sin(phases), sin_coef)
 
     peak = float(np.abs(raw_many(np.linspace(domain_start, domain_end, 512))).max())
     scale = amplitude / peak if peak > 1e-12 else 0.0

@@ -109,9 +109,8 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
 
     An overflow-flagged run gets a trailing '#' comment line.
     """
-    lines = ["t,x,dx"]
-    for t, v, d in zip(traj.times, traj.values, traj.derivative_values):
-        lines.append(f"{float(t)!r},{float(v)!r},{float(d)!r}")
+    columns = (traj.times, traj.values, traj.derivative_values)
+    lines = ["t,x,dx", *map(",".join, zip(*(map(repr, c.tolist()) for c in columns)))]
     if traj.overflowed:
         lines.append(
             f"# overflow: |x| exceeded {traj.config.overflow_guard:g} "
@@ -301,9 +300,12 @@ def integrate(
             break
         for fmid, fend in zip(stages[0::2], stages[1::2]):
             # RK4 with state-independent stages: k2 = k3 = fmid, Simpson update.
-            incr = (h / 6.0) * (dx[k] + 4.0 * fmid + fend) - comp
-            s = x[k] + incr
-            comp = (s - x[k]) - incr
+            # Python floats round as numpy's do, and an inf - inf gives NaN
+            # without a numpy warning.
+            xk = float(x[k])
+            incr = (h / 6.0) * (float(dx[k]) + 4.0 * fmid + fend) - comp
+            s = xk + incr
+            comp = (s - xk) - incr
             x[k + 1] = s
             dx[k + 1] = fend
             k += 1

@@ -6,7 +6,6 @@ code with the implementations under test.
 """
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -154,19 +153,6 @@ def scalar_random_history(seed, domain_start, domain_end=0.0, modes=5, amplitude
     scale = amplitude / peak if peak > 1e-12 else 0.0
     shift = 1.1 * amplitude if positive else 0.0
     return lambda t: scale * raw(t) + shift
-
-
-def fraction_fma_dot(a, b):
-    """sum(a[i] * b[i]) left to right from +0.0, each step a fused multiply-add.
-
-    Each step is computed exactly in rationals and rounded to the nearest
-    double once (int / int division in Python is correctly rounded).
-    """
-    acc = 0.0
-    for x, y in zip(a, b):
-        exact = Fraction(x) * Fraction(y) + Fraction(acc)
-        acc = exact.numerator / exact.denominator
-    return acc
 
 
 class _ScalarReader:

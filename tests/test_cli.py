@@ -1,4 +1,6 @@
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from ddeosc.cli import (
     write_trajectory_csv,
 )
 from ddeosc import HistoryFunction, SimulationConfig, integrate, make_discrete_delay, random_history
-from ddeosc.simulator import sigma_pad_start
+from ddeosc.simulator import Trajectory, sigma_pad_start
 from ddeosc.specfile import EquationSpec, build_operator, load_spec, save_spec
 
 from _oracles import characteristic_root
@@ -106,6 +108,13 @@ class TestAnalyze:
         assert cmd_analyze(path, 10.0, 110.0) == 3
         assert "error" in capsys.readouterr().err
 
+    def test_window_too_wide_to_measure_exits_2(self, app1_q10_spec, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the span must not overflow inside numpy
+            assert cmd_analyze(app1_q10_spec, -1e308, 1e308) == 2
+        err = capsys.readouterr().err
+        assert err == "error: criterion window [-1e+308, 1e+308] is too wide: its length overflows\n"
+
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_nonfinite_bound_exits_3(self, tmp_path, fmt):
         # inf - inf: every sample of the criterion integral is NaN
@@ -177,6 +186,18 @@ class TestSimulate:
             "# overflow: |x| exceeded 1e+12 (or an operator evaluation overflowed); truncated at t=0.0",
         ]
 
+    def test_infinite_state_exits_3_without_a_warning(self, tmp_path, capsys):
+        # exp(-1e308 * t) is inf on the past, so the first step makes x = -inf
+        spec = EquationSpec(kind="discrete_delay", label="small gain", terms=(("0.1", 4.0),))
+        path = tmp_path / "small.json"
+        save_spec(spec, path)
+        csv = tmp_path / "inf.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cmd_simulate(path, "exponential:-1e308", 2.0, 0.01, csv) == 3
+        assert "overflowed at t=0.01" in capsys.readouterr().err
+        assert csv.read_text().splitlines()[1:3] == ["0.0,1.0,-inf", "0.01,-inf,-inf"]
+
     def test_random_history_preset(self, single_delay_spec, tmp_path, capsys):
         csv = tmp_path / "traj.csv"
         assert cmd_simulate(single_delay_spec, "random:5", 10.0, 0.01, csv, fmt="json") == 0
@@ -200,6 +221,26 @@ class TestTrajectoryCsv:
         assert np.array_equal(back.values, traj.values)
         assert np.array_equal(back.derivative_values, traj.derivative_values)
         assert back.overflowed == traj.overflowed
+
+    def test_bytes_are_the_row_by_row_formula(self, tmp_path):
+        hand_built = Trajectory(
+            times=np.array([0.0, 0.5, 1.0]),
+            values=np.array([-0.0, 5e-324, 1.0000000000000002e300]),
+            derivative_values=np.array([math.nan, -2.5e-310, 0.1]),
+            config=SimulationConfig(t_end=1.0, step=0.5),
+            overflowed=True,
+        )
+        op = build_operator(make_scenarios(2)[0].spec)  # overflows at t = 0: one row, NaN derivative
+        at_t0 = integrate(op, HistoryFunction.constant(30.0, sigma_pad_start(op)), SimulationConfig(t_end=5.0, step=0.01))
+        assert at_t0.overflowed and math.isnan(at_t0.derivative_values[0])
+        for traj in (hand_built, at_t0):
+            rows = [f"{float(t)!r},{float(v)!r},{float(d)!r}"
+                    for t, v, d in zip(traj.times, traj.values, traj.derivative_values)]
+            comment = (f"# overflow: |x| exceeded {traj.config.overflow_guard:g} "
+                       f"(or an operator evaluation overflowed); truncated at t={traj.final_time!r}")
+            path = tmp_path / "t.csv"
+            write_trajectory_csv(traj, path)
+            assert path.read_bytes() == "\n".join(["t,x,dx", *rows, comment, ""]).encode()
 
 
 class TestTower:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -15,11 +16,11 @@ from ddeosc import (
     make_distributed_delay,
     random_history,
 )
-from ddeosc.operators import _ArrayHistory, _fma_dots, sigma_growth_check
+from ddeosc.operators import _ArrayHistory, _row_dots, sigma_growth_check
 from ddeosc.quadrature import PANELS
 from ddeosc.specfile import KERNEL_CATALOG, app3_stated_bound
 
-from _oracles import fraction_fma_dot, scalar_random_history, simpson_nodes_weights
+from _oracles import scalar_random_history, simpson_nodes_weights
 
 
 class TestHistoryFunction:
@@ -107,9 +108,9 @@ class TestArrayHistories:
         assert np.array_equal(h.many([-3.0 - 1e-10, 1.0 + 1e-10]), h.many([-3.0, 1.0]))
 
     @pytest.mark.parametrize("batch", range(4))
-    def test_fma_chain_is_exact(self, batch):
+    def test_row_dots_are_np_dot(self, batch):
         # cosines like the history's, and factors spread over 2^-80 .. 2^80 so
-        # that the low parts straddle many exponents and rounding to odd acts
+        # that the products and partial sums straddle many exponents
         rng = np.random.default_rng(batch)
         rows = 800
         if batch % 2:
@@ -118,10 +119,10 @@ class TestArrayHistories:
         else:
             coefs = rng.uniform(-1.0, 1.0, (2, 5))
             values = np.cos(rng.uniform(0.0, 100.0, (rows, 2, 5)))
-        expected = [[fraction_fma_dot(c, v) for c, v in zip(coefs, row)] for row in values.tolist()]
-        assert np.array_equal(_fma_dots(coefs, values), expected)
+        expected = [[np.dot(c, v) for c, v in zip(coefs, row)] for row in values]
+        assert np.array_equal(_row_dots(values, coefs), expected)
 
-    def test_products_near_underflow_take_np_dot(self):
+    def test_products_near_underflow_are_np_dot(self):
         coefs = np.array([[3e-160, 7e-161, -5e-160], [0.75, -0.5, 0.25]])
         values = np.array(
             [
@@ -132,28 +133,28 @@ class TestArrayHistories:
             ]
         )
         expected = [[np.dot(c, v) for c, v in zip(coefs, row)] for row in values]
-        assert np.array_equal(_fma_dots(coefs, values), expected)
+        assert np.array_equal(_row_dots(values, coefs), expected)
 
-    def test_signed_zeros_as_np_dot(self):
-        # -0.0 products: np.dot of one term is the bare product, -0.0, and a
-        # longer chain starts from +0.0, so that its zero sum is +0.0
-        for coefs, sign in (([[-1.0], [3.0]], True), ([[-1.0, -2.0, -0.5], [3.0, -1.0, 2.0]], False)):
-            coefs = np.array(coefs)
-            values = np.where(coefs > 0.0, -0.0, 0.0)[None]
-            expected = np.array([[np.dot(c, v) for c, v in zip(coefs, values[0])]])
-            dots = _fma_dots(coefs, values)
-            assert dots.tolist() == expected.tolist() == [[0.0, 0.0]]
-            assert np.signbit(dots).tolist() == np.signbit(expected).tolist() == [[sign, sign]]
+    @pytest.mark.parametrize("terms", [2, 3, 5])
+    def test_signed_zeros_as_np_dot(self, terms):
+        # every sign of a nonzero coefficient against +0.0 and -0.0, per term;
+        # one term is left out: matmul does not call dot there, and the
+        # history always has five
+        pairs = np.array(list(itertools.product([(-1.5, 0.0), (-1.5, -0.0), (2.0, 0.0), (2.0, -0.0)], repeat=terms)))
+        coefs, values = pairs[..., 0], pairs[..., 1]
+        expected = np.array([np.dot(c, v) for c, v in zip(coefs, values)])
+        dots = _row_dots(values, coefs)
+        assert dots.tolist() == expected.tolist() == [0.0] * 4**terms
+        assert np.signbit(dots).tolist() == np.signbit(expected).tolist()
 
-    def test_double_rounding_ties_round_to_odd(self):
-        # 1 + 2^-52 plus a product 2^-53 - 2^-113, just below a tie: TwoSum
-        # gives th = 1 + 2^-51 and tl = -2^-53, and tl + pl rounds to -2^-53;
-        # only a sum rounded to odd keeps th + v off the tie and gives 1 + 2^-52
+    def test_double_rounding_tie_as_np_dot(self):
+        # 1 + 2^-52 plus a product of +-(2^-53 - 2^-113), next to a tie: a
+        # fused multiply-add gives 1 + 2^-52 in both chains, and a product
+        # rounded before the add gives 1 + 2^-51 and 1.0
         coefs = np.array([[1.0, 1.0 + 2.0**-30], [1.0, -(1.0 + 2.0**-30)]])
         values = np.array([[[1.0 + 2.0**-52, 2.0**-53 * (1.0 - 2.0**-30)], [1.0 + 2.0**-52, 2.0**-53 * (1.0 - 2.0**-30)]]])
-        expected = [[fraction_fma_dot(c, v) for c, v in zip(coefs, values[0])]]
-        assert expected == [[1.0 + 2.0**-52, 1.0 + 2.0**-52]]
-        assert np.array_equal(_fma_dots(coefs, values), expected)
+        expected = [[np.dot(c, v) for c, v in zip(coefs, values[0])]]
+        assert np.array_equal(_row_dots(values, coefs), expected)
 
     @pytest.mark.parametrize(
         "history",
