@@ -1,9 +1,10 @@
 """Command-line surface: analyze, simulate, tower, reproduce.
 
 Exit codes: 0 success (regardless of verdict), 2 parse, parameter or file
-error, 3 numerical failure (including overflow-flagged simulations).  All
-commands are deterministic for fixed arguments; random histories are always
-seeded and the seed is echoed in the output.
+error (or a run too large to allocate), 3 numerical failure (including
+overflow-flagged simulations).  All commands are deterministic for fixed
+arguments; random histories are always seeded and the seed is echoed in
+the output.
 
 Equation specs are JSON documents (see :mod:`ddeosc.specfile`).  Coefficient
 and bound expressions use the grammar of :mod:`ddeosc.expressions`: numbers,
@@ -78,7 +79,7 @@ def _exit_codes(command):
     def run(*args, **kwargs) -> int:
         try:
             return command(*args, **kwargs)
-        except (*_PARSE_ERRORS, OSError) as exc:
+        except (*_PARSE_ERRORS, OSError, MemoryError) as exc:
             return _fail(2, str(exc))
         except _NUMERIC_ERRORS as exc:
             return _fail(3, str(exc))
@@ -99,6 +100,15 @@ def analyze_spec(
 ):
     """Run the criterion for a spec; returns (report dict, operator, estimate)."""
     op = build_operator(spec)
+    lag = op.min_lag
+    # Inverted, non-finite and too-wide windows are left to the estimate's own checks.
+    if lag is not None and 0.0 < t_end - t_start < math.inf:
+        for t in (t_start, t_end):
+            if t - lag == t:
+                raise InvalidParameterError(
+                    f"criterion window [{t_start}, {t_end}] lies too far from 0 to resolve "
+                    f"the lag {lag}: t - {lag} rounds to t at t = {t}"
+                )
     tau = parse_expression(spec.tau_expr) if spec.tau_expr else op.tau
     estimate = estimate_liminf_w(op.bound_b, tau, t_start, t_end, grid_points, panels)
     verdict = theorem_verdict(estimate)
@@ -313,7 +323,7 @@ def cmd_tower(base: float, max_iter: int = 10_000, tol: float = 1e-10, fmt: str 
             f"limit = {result.limit!r} (residual {result.residual:.3g})"
         )
     elif result.outcome is TowerOutcome.DIVERGED:
-        click.echo(f"outcome: DIVERGED at iteration {result.at_iteration}; no finite tower limit")
+        click.echo(f"outcome: DIVERGED at iteration {result.iterations_used}; no finite tower limit")
     else:
         click.echo(
             f"outcome: no decision after {result.iterations_used} iterations; "

@@ -15,10 +15,9 @@ and the step loop calls it at one site.  It reads the history through one
 numpy gather over an array of times (``history.many(ts)``; a call
 ``history(t)`` gathers one time).  The gather uses exactly rounded
 operations only and keeps the Python power for the one square in the
-Hermite basis, so each read has the bits of the scalar formula.  Reads at
-t <= 0 go to the initial history once per distinct time in a run: each
-gather reads the times it has not seen before with one
-``initial_history.many`` call and looks the others up.
+Hermite basis, so each read has the bits of the scalar formula.  Each
+gather sends its reads at t <= 0 to the initial history in one
+``initial_history.many`` call.
 
 The loop evaluates blocks of steps, the method of steps in its literal
 form: with tau(t) <= t - min_lag, every stage of the next min_lag/step - 1
@@ -193,11 +192,9 @@ def integrate(
     front; with lags that do not shrink, it keeps every read of a single
     step three steps behind the last completed node.  Integration halts
     early, with the trajectory flagged, as soon as |x| exceeds
-    ``config.overflow_guard`` or an operator evaluation overflows.  The
-    initial history must be a pure function of t: its value at a time is
-    computed once and reused for every later read at that time.  Each
-    evaluation reads the times at or before 0 that it is the first to need
-    with one ``initial_history.many`` call.
+    ``config.overflow_guard`` or an operator evaluation overflows.  Each
+    evaluation reads its times at or before 0 with one
+    ``initial_history.many`` call.
     """
     h = config.step
     min_lag = op.min_lag
@@ -222,8 +219,6 @@ def integrate(
     frontier = 0  # index of the last node computed before the current evaluation
     hermite = config.interpolation is Interpolation.CUBIC_HERMITE
 
-    initial_values: dict[float, float] = {}  # the lags recur, so past reads repeat
-
     def interpolate(ts: np.ndarray) -> np.ndarray:
         # The phase square stays a Python power, which numpy's square
         # differs from in the last bit now and then.
@@ -245,9 +240,9 @@ def integrate(
         # An evaluation reads at t > 0 only between nodes computed before
         # it, int(t/h) + 1 <= frontier; the first read in array order that
         # is not (or is NaN) raises.  Reads at t <= 0 go to the initial
-        # history once per distinct time, the new ones in one call; they are
-        # interpolated too (at node 0) and then overwritten, so that every
-        # temporary has the full size of the call.
+        # history in one call; they are interpolated too (at node 0) and
+        # then overwritten, so that every temporary has the full size of
+        # the call.
         newest = ts.max()
         past = ts <= 0.0
         if not (newest <= 0.0 or newest / h < frontier):
@@ -257,11 +252,8 @@ def integrate(
                 f"(frontier {frontier * h}); decrease the step"
             )
         values = interpolate(ts)
-        early = ts[past].tolist()
-        missing = [t for t in dict.fromkeys(early) if t not in initial_values]
-        if missing:
-            initial_values.update(zip(missing, initial_history.many(np.array(missing)).tolist()))
-        values[past] = [initial_values[t] for t in early]
+        if past.any():
+            values[past] = initial_history.many(ts[past])
         return values
 
     reader = _TrajectoryReader(gather, initial_history.domain_start, float(times[-1]))

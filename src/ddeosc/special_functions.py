@@ -141,7 +141,6 @@ class ConvergenceResult:
     iterations_used: int
     residual: float
     limit: Optional[float] = None
-    at_iteration: Optional[int] = None
     last_value: Optional[float] = None
     cycle: Optional[tuple[float, float]] = None
 
@@ -179,7 +178,6 @@ def tower_limit(base: float, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_M
                 outcome=TowerOutcome.DIVERGED,
                 iterations_used=iterations,
                 residual=math.nan,
-                at_iteration=iterations,
             )
         if abs(nxt - t) <= tol:
             return ConvergenceResult(

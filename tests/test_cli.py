@@ -115,6 +115,17 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert err == "error: criterion window [-1e+308, 1e+308] is too wide: its length overflows\n"
 
+    @pytest.mark.parametrize("t_start, t_end, at", [(1e308, 1.7e308, "1e+308"), (-1e307, 1e308, "-1e+307")])
+    def test_window_too_far_from_zero_for_the_lag_exits_2(self, t_start, t_end, at, tmp_path, capsys):
+        path = tmp_path / "delay4.json"
+        save_spec(EquationSpec(kind="discrete_delay", label="delay 4", terms=(("0.1", 4.0),)), path)
+        assert cmd_analyze(path, t_start, t_end) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: criterion window [{t_start}, {t_end}] lies too far from 0 to resolve the lag 4.0: "
+            f"t - 4.0 rounds to t at t = {at}\n"
+        )
+
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_nonfinite_bound_exits_3(self, tmp_path, fmt):
         # inf - inf: every sample of the criterion integral is NaN
@@ -385,12 +396,14 @@ _DELAY = '{"schema": 1, "kind": "discrete_delay", "terms": [{"coef_expr": "1", "
         (["simulate", "--spec", _DELAY.replace("1.0", "Infinity")], 2),
         (["simulate", "--spec", '{"schema": 1, "kind": "distributed_delay", "kernel": "app2", '
                                 '"parameters": {"a1": NaN}}'], 2),
+        (["simulate", "--step", "1e-13"], 2),
+        (["analyze", "--grid-points", "100000000000000"], 2),
     ],
     ids=["a1=0", "m=-1", "m=0", "a1=1000", "l=2.5", "transient=1.5", "transient=-0.1", "step-nan", "tower-nan",
          "tower-inf", "tower-inf-json", "tower-tol-nan", "n-histories=0", "seed=-1", "constant-nan",
          "constant-inf", "exponential-nan", "exponential-inf", "analyze-t-end-inf", "analyze-t-start-nan",
          "analyze-t-start-minus-inf", "set-a2=inf", "set-q=nan", "set-q=abc", "spec-delay-nan", "spec-delay-inf",
-         "spec-a1-nan"],
+         "spec-a1-nan", "step-too-small-to-allocate", "grid-too-large-to-allocate"],
 )
 def test_bad_input_exits_with_one_line_error(args, code, single_delay_spec, tmp_path):
     out = tmp_path / "rep"

@@ -399,16 +399,23 @@ class TestSeededHistoryReads:
         assert np.array_equal(traj.values, values)
         assert np.array_equal(traj.derivative_values, derivative_values)
 
-    def test_each_past_time_is_read_once_in_arrays(self, monkeypatch):
+    def test_each_evaluation_reads_the_past_in_one_call(self, monkeypatch):
         op = KERNEL_CATALOG["app2"].build({})
-        calls, reads = [], []
+        calls, reads, per_evaluation = [], [], []
         many = _ArrayHistory.many
         monkeypatch.setattr(_ArrayHistory, "__call__", lambda self, t: calls.append(t) or float(many(self, [t])[0]))
-        monkeypatch.setattr(_ArrayHistory, "many", lambda self, ts: reads.append(list(ts)) or many(self, ts))
-        integrate(op, random_history(0, sigma_pad_start(op)), SimulationConfig(t_end=2.5, step=0.01))
+        monkeypatch.setattr(_ArrayHistory, "many", lambda self, ts: reads.append(len(ts)) or many(self, ts))
+
+        def evaluate_many(ts, history):
+            before = len(reads)
+            values = op.evaluate_many(ts, history)
+            per_evaluation.append(len(reads) - before)
+            return values
+
+        counted = dataclasses.replace(op, evaluate_many=evaluate_many)
+        integrate(counted, random_history(0, sigma_pad_start(op)), SimulationConfig(t_end=2.5, step=0.01))
         assert calls == [0.0]  # x(0)
-        past = [t for chunk in reads for t in chunk]
-        assert len(past) == len(set(past)) > 4000
+        assert max(per_evaluation) == 1
         assert len(reads) < 100
 
 

@@ -102,7 +102,7 @@ class TestTowerLimit:
         res = tower_limit(1.5)
         assert res.outcome is TowerOutcome.DIVERGED
         assert math.isnan(res.residual)
-        assert res.at_iteration is not None
+        assert res.iterations_used == 6
 
     def test_upper_endpoint_converges_loosely(self):
         res = tower_limit(EULER_UPPER, tol=1e-6, max_iter=10_000)
