@@ -309,10 +309,9 @@ def make_distributed_delay(
     the column).  ``kernel(t, s, xs)`` receives ``xs``, one (times, nodes)
     array of history values per delay map, and returns the (times, nodes)
     integrand, whose Simpson-weighted values are the terms of each time's
-    sum.  A kernel must give each element the bits of the scalar formula:
-    exactly rounded numpy operations are fine, but library calls such as
-    exp, sin and ``**`` go element by element through Python's ``math``
-    module and float power, because numpy's differ in the last bit.
+    sum.  A kernel computes each element from its own time, node and
+    values only, so that a time's value does not depend on the other
+    times of the call.
     """
     s_lo, s_hi = float(s_range[0]), float(s_range[1])
     if not s_lo < s_hi:

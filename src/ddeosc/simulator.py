@@ -13,11 +13,10 @@ written to and read back from CSV without loss.
 An operator is its array evaluation (``op.evaluate_many(ts, history)``),
 and the step loop calls it at one site.  It reads the history through one
 numpy gather over an array of times (``history.many(ts)``; a call
-``history(t)`` gathers one time).  The gather uses exactly rounded
-operations only and keeps the Python power for the one square in the
-Hermite basis, so each read has the bits of the scalar formula.  Each
-gather sends its reads at t <= 0 to the initial history in one
-``initial_history.many`` call.
+``history(t)`` gathers one time).  The gather is the scalar read's
+arithmetic, element by element, so a read does not depend on the other
+times of its call.  Each gather sends its reads at t <= 0 to the initial
+history in one ``initial_history.many`` call.
 
 The loop evaluates blocks of steps, the method of steps in its literal
 form: with tau(t) <= t - min_lag, every stage of the next min_lag/step - 1
@@ -39,7 +38,6 @@ Operators without a positive ``min_lag`` take single steps throughout.
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -202,7 +200,10 @@ def integrate(
         raise StepSizeError(
             f"step {h} exceeds min_lag/4 = {min_lag / 4.0} for operator {op.label!r}"
         )
-    n = int(math.floor(config.t_end / h + 1e-9))
+    steps = config.t_end / h
+    if steps * np.dtype(float).itemsize >= np.iinfo(np.intp).max:
+        raise InvalidParameterError(f"t_end {config.t_end} at step {h} takes {steps:.3g} steps, more than an array can hold")
+    n = int(math.floor(steps + 1e-9))
     if n < 1:
         raise InvalidParameterError(f"t_end {config.t_end} is shorter than one step {h}")
 
@@ -220,13 +221,12 @@ def integrate(
     hermite = config.interpolation is Interpolation.CUBIC_HERMITE
 
     def interpolate(ts: np.ndarray) -> np.ndarray:
-        # The phase square stays a Python power, which numpy's square
-        # differs from in the last bit now and then.
         j = np.maximum((ts / h).astype(np.int64), 0)
         theta = (ts - j * h) / h
+        om = 1.0 - theta
         if not hermite:
-            return x[j] * (1.0 - theta) + x[j + 1] * theta
-        sq = np.fromiter(map(pow, (1.0 - theta).tolist(), repeat(2.0)), float, theta.size)
+            return x[j] * om + x[j + 1] * theta
+        sq = om * om
         tt = theta * theta
         j1 = j + 1
         return (

@@ -21,7 +21,6 @@ the identity.
 import json
 import math
 from dataclasses import dataclass, field, replace
-from itertools import repeat
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -195,25 +194,24 @@ def _validate_app2(p: dict) -> None:
         raise SpecFormatError("field 'parameters': a1 must be nonzero")
 
 
-# The catalog kernels are array forms of scalar formulas with the same bits
-# (see make_distributed_delay): exp, sin and ** run element by element in
-# Python, and Python's max(a, b) is np.where(b > a, b, a).
-
-
-def _elementwise(values, like: np.ndarray) -> np.ndarray:
-    """An array shaped like ``like`` from an iterator over its elements."""
-    return np.fromiter(values, float, like.size).reshape(like.shape)
+def _overflow_raises(ufunc, *args) -> np.ndarray:
+    """``ufunc(*args)``; a finite input that overflows raises OverflowError, as in ``math``, and flags the run."""
+    try:
+        with np.errstate(over="raise"):
+            return ufunc(*args)
+    except FloatingPointError:
+        raise OverflowError("math range error") from None
 
 
 def _build_app2(p: dict, label: str) -> AmnesiaOperator:
     a1, a2, a3 = float(p["a1"]), float(p["a2"]), float(p["a3"])
 
     def kernel(t, s, xs):
-        # exp(max(a1*s, x(t-a2*s)^2)) * x(t-a3*s)
+        # exp(max(a1*s, x(t-a2*s)^2)) * x(t-a3*s), with Python's max(a, b)
+        # as np.where(b > a, b, a)
         v_sq, v_lin = xs
         lin, sq = a1 * s, v_sq * v_sq
-        arg = np.where(sq > lin, sq, lin)
-        return _elementwise(map(math.exp, arg.ravel().tolist()), arg) * v_lin
+        return _overflow_raises(np.exp, np.where(sq > lin, sq, lin)) * v_lin
 
     b_value = math.exp(a1) * (math.exp(a1) - 1.0) / a1
     return make_distributed_delay(
@@ -239,10 +237,7 @@ def _build_app3(p: dict, label: str) -> AmnesiaOperator:
     def kernel(t, s, xs):
         # (a*s**m + b*s*s * sin(x(t-s-5)**3)**l) * x(t-s-1)
         v_arg, v_lin = xs
-        poly = a * _elementwise(map(pow, s.tolist(), repeat(m)), s)
-        cubes = map(pow, v_arg.ravel().tolist(), repeat(3.0))
-        sines = _elementwise(map(pow, map(math.sin, cubes), repeat(float(l))), v_arg)
-        return (poly + b * s * s * sines) * v_lin
+        return (a * s**m + b * s * s * np.sin(_overflow_raises(np.power, v_arg, 3)) ** l) * v_lin
 
     b_value = app3_derived_bound(a, b, m, l)
     return make_distributed_delay(

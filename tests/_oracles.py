@@ -171,9 +171,14 @@ class _ScalarReader:
 def scalar_integrate(op, initial_history, config):
     """RK4 method of steps with one Python Hermite (or linear) read per delayed time.
 
-    The per-read integrator the vectorised one must match bit for bit:
-    returns (values, derivative_values, overflowed), truncated like a
-    Trajectory.  Step-rule and coverage checks are left out.
+    The per-read integrator the vectorised one is checked against: returns
+    (values, derivative_values, overflowed), truncated like a Trajectory.
+    Step-rule and coverage checks are left out.  It squares the Hermite
+    phase with Python's power, and ``scalar_app2`` and ``scalar_app3`` call
+    ``math``, where the package multiplies and calls numpy's exp, sin and
+    power; those differ in the last bit on some inputs, so runs through
+    them are compared within a fraction of the step-halving gap, and other
+    runs bit for bit.
     """
     h = config.step
     n = int(math.floor(config.t_end / h + 1e-9))

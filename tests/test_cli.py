@@ -397,13 +397,14 @@ _DELAY = '{"schema": 1, "kind": "discrete_delay", "terms": [{"coef_expr": "1", "
         (["simulate", "--spec", '{"schema": 1, "kind": "distributed_delay", "kernel": "app2", '
                                 '"parameters": {"a1": NaN}}'], 2),
         (["simulate", "--step", "1e-13"], 2),
+        (["simulate", "--step", "1e-300"], 2),
         (["analyze", "--grid-points", "100000000000000"], 2),
     ],
     ids=["a1=0", "m=-1", "m=0", "a1=1000", "l=2.5", "transient=1.5", "transient=-0.1", "step-nan", "tower-nan",
          "tower-inf", "tower-inf-json", "tower-tol-nan", "n-histories=0", "seed=-1", "constant-nan",
          "constant-inf", "exponential-nan", "exponential-inf", "analyze-t-end-inf", "analyze-t-start-nan",
          "analyze-t-start-minus-inf", "set-a2=inf", "set-q=nan", "set-q=abc", "spec-delay-nan", "spec-delay-inf",
-         "spec-a1-nan", "step-too-small-to-allocate", "grid-too-large-to-allocate"],
+         "spec-a1-nan", "step-too-small-to-allocate", "step-too-small-to-index", "grid-too-large-to-allocate"],
 )
 def test_bad_input_exits_with_one_line_error(args, code, single_delay_spec, tmp_path):
     out = tmp_path / "rep"

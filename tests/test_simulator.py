@@ -28,6 +28,7 @@ from ddeosc import (
     random_history,
     zero_crossings,
 )
+from ddeosc import simulator
 from ddeosc.expressions import parse_expression
 from ddeosc.operators import _ArrayHistory
 from ddeosc.simulator import sigma_pad_start
@@ -107,6 +108,12 @@ class TestIntegrate:
         k = 5  # t = 0.5
         assert traj.derivative_values[k] == pytest.approx(-1.0, abs=1e-12)
 
+    def test_step_count_that_overflows_rejected(self):
+        # t_end / step is inf, which has no integer step count
+        op = _single_delay(1.0, 1.0)
+        with pytest.raises(InvalidParameterError, match="takes inf steps, more than an array can hold"):
+            integrate(op, HistoryFunction.constant(1.0, -1.1), SimulationConfig(t_end=1e308, step=1e-300))
+
     def test_step_rule_enforced(self):
         op = _single_delay(1.0, 1.0)
         with pytest.raises(StepSizeError):
@@ -155,9 +162,39 @@ def _assert_same_run(op, oracle, hist, config):
     return traj
 
 
+#: How close a run whose kernels call numpy's exp, sin and power must come
+#: to the scalar oracle's, which calls Python's: this fraction of the run's
+#: step-halving gap.
+GAP_FRACTION = 1e-2
+
+
+def _assert_close_run(op, oracle, hist, config):
+    """The oracle's flag and length, and each value and derivative within
+    GAP_FRACTION of the step-halving gap of the oracle's.
+
+    The gap is the largest difference between the run and one at half the
+    step over the run's nodes, taken apart for values and derivatives.
+    """
+    traj = integrate(op, hist, config)
+    values, derivative_values, overflowed = scalar_integrate(oracle, hist, config)
+    assert traj.overflowed == overflowed
+    assert len(traj.values) == len(values) and len(traj.derivative_values) == len(derivative_values)
+    half = integrate(op, hist, dataclasses.replace(config, step=config.step / 2.0))
+    for ours, theirs, fine in (
+        (traj.values, values, half.values),
+        (traj.derivative_values, derivative_values, half.derivative_values),
+    ):
+        gap = np.max(np.abs(ours - fine[::2][: len(ours)]))
+        assert np.max(np.abs(ours - theirs)) <= GAP_FRACTION * gap
+    return traj
+
+
 class TestDistributedReadsMatchScalarOracle:
-    """Blocks of array evaluations give the bits of one scalar read and one
-    scalar kernel call per quadrature node, step by step.
+    """Blocks of array evaluations match one scalar read and one scalar
+    kernel call per quadrature node, step by step: bit for bit where the
+    arithmetic is exactly rounded, and within a fraction of the
+    step-halving gap where the catalog kernels call numpy's exp, sin and
+    power.
 
     The horizons pass the largest lag (2 for app2, 6 for app3), so the runs
     read the initial history, the computed trajectory, and both in one stage,
@@ -182,17 +219,40 @@ class TestDistributedReadsMatchScalarOracle:
             for seed in (0, 5)
         ],
     )
-    def test_bit_identical(self, case, interpolation, seed):
+    def test_within_tolerance_of_oracle(self, case, interpolation, seed):
         kernel, parameters, step, t_end, amplitude = self.CASES[case]
         op = KERNEL_CATALOG[kernel].build(parameters)
         oracle = self.ORACLES[kernel](**parameters)
         hist = random_history(seed, sigma_pad_start(op), 0.0, amplitude=amplitude)
         config = SimulationConfig(t_end=t_end, step=step, interpolation=interpolation)
-        traj = _assert_same_run(op, oracle, hist, config)
+        traj = _assert_close_run(op, oracle, hist, config)
         assert not traj.overflowed
 
+    def test_full_app3_horizon_within_tolerance(self):
+        # Reproduce's app3 run with l = 3: its solutions grow to |x| of
+        # about 1000 by t = 40, where sin(x^3) amplifies one-ulp differences
+        # the most
+        op = KERNEL_CATALOG["app3"].build({"l": 3})
+        hist = random_history(0, sigma_pad_start(op), 0.0, amplitude=0.5)
+        traj = _assert_close_run(op, scalar_app3(l=3), hist, SimulationConfig(t_end=40.0, step=0.05))
+        assert not traj.overflowed
+
+    @pytest.mark.parametrize("app, index", [(2, 0), (3, 0), (3, 1)], ids=["app2", "app3-l2", "app3-l3"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bits_do_not_depend_on_block_size(self, app, index, seed, monkeypatch):
+        scenario = make_scenarios(app)[index]
+        op = build_operator(scenario.spec)
+        hist = random_history(seed, sigma_pad_start(op), 0.0, amplitude=scenario.history_amplitude)
+        assert simulator._block_steps(op, scenario.sim.step) == 8
+        blocks = integrate(op, hist, scenario.sim)
+        monkeypatch.setattr(simulator, "_BLOCK_READS", 1)
+        assert simulator._block_steps(op, scenario.sim.step) == 1
+        single = integrate(op, hist, scenario.sim)
+        assert np.array_equal(blocks.values, single.values)
+        assert np.array_equal(blocks.derivative_values, single.derivative_values)
+
     def test_kernel_overflow_flags_the_run(self):
-        # x(t-s)^2 = 900 once the reads pass t = -0.5: math.exp overflows at
+        # x(t-s)^2 = 900 once the reads pass t = -0.5: exp overflows at
         # about t = 0.5, inside a block of several steps
         op = KERNEL_CATALOG["app2"].build({})
         hist = HistoryFunction(lambda t: 30.0 if t > -0.5 else 0.0, sigma_pad_start(op))
@@ -210,6 +270,17 @@ class TestDistributedReadsMatchScalarOracle:
         assert traj.overflowed and overflowed
         assert traj.times.tolist() == [0.0]
         assert traj.values.tolist() == values.tolist() == [30.0]
+        assert math.isnan(traj.derivative_values[0]) and math.isnan(derivative_values[0])
+
+    def test_app3_cube_overflow_at_t0_flags_the_run(self):
+        # (1e103)^3 overflows in the evaluation at t = 0, as Python's power does
+        op = KERNEL_CATALOG["app3"].build({})
+        hist = HistoryFunction.constant(1e103, sigma_pad_start(op))
+        config = SimulationConfig(t_end=2.0, step=0.05)
+        traj = integrate(op, hist, config)
+        values, derivative_values, overflowed = scalar_integrate(scalar_app3(), hist, config)
+        assert traj.overflowed and overflowed
+        assert traj.values.tolist() == values.tolist() == [1e103]
         assert math.isnan(traj.derivative_values[0]) and math.isnan(derivative_values[0])
 
     def test_zero_terms_sum_to_positive_zero(self):
@@ -370,7 +441,11 @@ class TestDiscreteReadsMatchScalarOracle:
 
 class TestSeededHistoryReads:
     """Runs from array-read seeded histories have the bits of runs from the
-    per-read ``np.dot`` history, through the scalar integrator."""
+    per-read ``np.dot`` history.  App1 and app3 compare with the scalar
+    integrator and operators.  App2 runs the package integrator and operator
+    on both sides, so that only the history differs: the scalar integrator
+    squares the Hermite phase with Python's power, which differs from the
+    package's product in the last bit at some of app2's reads."""
 
     CASES = {
         "app1": (lambda: build_operator(make_scenarios(1, {"q": 10.0})[0].spec), 0.05, 20.0),
@@ -383,7 +458,7 @@ class TestSeededHistoryReads:
         if case == "app1":
             spec = make_scenarios(1, {"q": 10.0})[0].spec
             return ScalarDiscreteDelay([(parse_expression(coef), delay) for coef, delay in spec.terms])
-        return scalar_app2() if case == "app2" else scalar_app3(l=2)
+        return scalar_app3(l=2)
 
     @pytest.mark.parametrize("interpolation", list(Interpolation), ids=lambda i: i.value)
     @pytest.mark.parametrize("case, seed", [("app1", 0), ("app1", 140891), ("app2", 3), ("app3", 7)])
@@ -392,9 +467,12 @@ class TestSeededHistoryReads:
         op = build()
         config = SimulationConfig(t_end=t_end, step=step, interpolation=interpolation)
         traj = integrate(op, random_history(seed, sigma_pad_start(op)), config)
-        values, derivative_values, overflowed = scalar_integrate(
-            self._oracle(case), scalar_random_history(seed, sigma_pad_start(op)), config
-        )
+        dot_history = scalar_random_history(seed, sigma_pad_start(op))
+        if case == "app2":
+            run = integrate(op, HistoryFunction(dot_history, sigma_pad_start(op)), config)
+            values, derivative_values, overflowed = run.values, run.derivative_values, run.overflowed
+        else:
+            values, derivative_values, overflowed = scalar_integrate(self._oracle(case), dot_history, config)
         assert not traj.overflowed and not overflowed
         assert np.array_equal(traj.values, values)
         assert np.array_equal(traj.derivative_values, derivative_values)
