@@ -67,8 +67,19 @@ _PARSE_ERRORS = (SpecFormatError, ExpressionError, InvalidParameterError)
 _NUMERIC_ERRORS = (DomainError, HistoryDomainError, CrossValidationError, ArithmeticError, ValueError)
 
 
+def _echo(message: str = "", err: bool = False) -> None:
+    """``click.echo`` to the current ``sys.stdout`` or ``sys.stderr``, named explicitly.
+
+    Given no file, click keeps a wrapper for each stream it has written to
+    in a weak-keyed map whose value holds the stream itself, so a stream
+    swapped in for ``sys.stdout`` by an in-process caller that captures the
+    output would stay alive, with its contents, for the life of the process.
+    """
+    click.echo(message, file=sys.stderr if err else sys.stdout)
+
+
 def _fail(code: int, message: str) -> int:
-    click.echo(f"error: {message}", err=True)
+    _echo(f"error: {message}", err=True)
     return code
 
 
@@ -147,37 +158,37 @@ def analyze_spec(
 
 def _print_analysis(report: dict, fmt: str) -> None:
     if fmt == "json":
-        click.echo(strict_json(report))
+        _echo(strict_json(report))
         return
     if fmt == "csv":
-        click.echo("window_start,infimum")
+        _echo("window_start,infimum")
         for t, v in report["window_infima"]:
-            click.echo(f"{t!r},{v!r}")
+            _echo(f"{t!r},{v!r}")
         return
     spec = report["spec"]
     p = report["parameters"]
-    click.echo(f"equation       : {spec.get('label') or spec['kind']}")
-    click.echo(
+    _echo(f"equation       : {spec.get('label') or spec['kind']}")
+    _echo(
         f"criterion      : {p['grid_points']} samples on [{p['t_start']:g}, {p['t_end']:g}], "
         f"{p['panels']} Simpson panels per integral"
     )
-    click.echo(f"w_hat          : {report['w_hat']!r}  (tail infimum; trend {report['trend']})")
-    click.echo(f"threshold 1/e  : {report['threshold']!r}")
-    click.echo(f"margin         : {report['margin']!r}")
+    _echo(f"w_hat          : {report['w_hat']!r}  (tail infimum; trend {report['trend']})")
+    _echo(f"threshold 1/e  : {report['threshold']!r}")
+    _echo(f"margin         : {report['margin']!r}")
     verdict = report["verdict"]
     if verdict == "guaranteed":
-        click.echo("verdict        : GUARANTEED -- every nontrivial solution oscillates or decays monotonically to zero")
+        _echo("verdict        : GUARANTEED -- every nontrivial solution oscillates or decays monotonically to zero")
     else:
-        click.echo("verdict        : INCONCLUSIVE -- the criterion is silent at or below 1/e")
+        _echo("verdict        : INCONCLUSIVE -- the criterion is silent at or below 1/e")
     tet = report["tetration"]
     if tet is not None:
         if tet["decision"] == "diverges_hence_guaranteed":
-            click.echo(
+            _echo(
                 f"tower check    : a = e^w = {tet['a']:.6g} > e^(1/e); the tower diverges "
                 f"({tet['tower_outcome']} after {tet['tower_iterations']} iterations) -- no finite ratio bound can exist"
             )
         else:
-            click.echo(
+            _echo(
                 f"tower check    : a = e^w = {tet['a']:.6g} <= e^(1/e); the tower converges to "
                 f"{tet['limit_if_convergent']!r} -- no contradiction at this rate"
             )
@@ -246,7 +257,7 @@ def cmd_simulate(
         write_trajectory_csv(traj, csv_path)
 
     if traj.overflowed:
-        click.echo(
+        _echo(
             f"simulation of {op.label!r} with history {hist_desc} overflowed at "
             f"t={traj.final_time!r}; partial trajectory written", err=True
         )
@@ -266,18 +277,18 @@ def cmd_simulate(
         "tail_monotone": cls.tail_monotone,
     }
     if fmt == "json":
-        click.echo(strict_json(summary))
+        _echo(strict_json(summary))
     else:
-        click.echo(
+        _echo(
             f"simulated {op.label!r}: {len(traj.times) - 1} steps of {step:g} "
             f"({interp.value}), history {hist_desc}"
         )
-        click.echo(
+        _echo(
             f"class: {cls.classification.value}; sign changes in tail: {cls.sign_changes}; "
             f"crossings total: {len(cls.zero_crossings)}; final value: {cls.final_value!r}"
         )
         if csv_path is not None:
-            click.echo(f"csv: {csv_path}")
+            _echo(f"csv: {csv_path}")
     return 0
 
 
@@ -305,37 +316,37 @@ def cmd_tower(base: float, max_iter: int = 10_000, tol: float = 1e-10, fmt: str 
             "inside_euler_interval": inside,
             "lambert_limit": lambert_value,
         }
-        click.echo(strict_json(doc))
+        _echo(strict_json(doc))
         return 0
 
-    click.echo(f"infinite power tower, base = {base!r}")
-    click.echo("  n        iterate")
+    _echo(f"infinite power tower, base = {base!r}")
+    _echo("  n        iterate")
     shown = min(12, result.iterations_used)
     # One iterate past the display cap, so that an overflow marker there shows.
     for n, t in enumerate(islice(tower_iterates(base), shown + 1), 1):
         if n > 1 and t == math.inf:
-            click.echo("  ...      (overflow range)")
+            _echo("  ...      (overflow range)")
         elif n <= shown:
-            click.echo(f"  {n:<8d} {t!r}")
+            _echo(f"  {n:<8d} {t!r}")
     if result.outcome is TowerOutcome.CONVERGED:
-        click.echo(
+        _echo(
             f"outcome: converged after {result.iterations_used} iterations; "
             f"limit = {result.limit!r} (residual {result.residual:.3g})"
         )
     elif result.outcome is TowerOutcome.DIVERGED:
-        click.echo(f"outcome: DIVERGED at iteration {result.iterations_used}; no finite tower limit")
+        _echo(f"outcome: DIVERGED at iteration {result.iterations_used}; no finite tower limit")
     else:
-        click.echo(
+        _echo(
             f"outcome: no decision after {result.iterations_used} iterations; "
             f"last value {result.last_value!r}"
             + (f"; two-cycle detected between {result.cycle[0]!r} and {result.cycle[1]!r}" if result.cycle else "")
         )
     where = "inside" if inside else "outside"
-    click.echo(f"Euler interval [{EULER_LOWER!r}, {EULER_UPPER!r}]: base is {where}")
+    _echo(f"Euler interval [{EULER_LOWER!r}, {EULER_UPPER!r}]: base is {where}")
     if lambert_value is not None:
-        click.echo(f"closed form W(-ln base)/(-ln base) = {lambert_value!r}")
+        _echo(f"closed form W(-ln base)/(-ln base) = {lambert_value!r}")
         if result.outcome is TowerOutcome.CONVERGED:
-            click.echo(f"agreement |iterative - closed form| = {abs(result.limit - lambert_value):.3g}")
+            _echo(f"agreement |iterative - closed form| = {abs(result.limit - lambert_value):.3g}")
     return 0
 
 
@@ -401,7 +412,7 @@ def cmd_reproduce(
         summaries.append((sc, report, conc))
 
     if fmt == "json":
-        click.echo(
+        _echo(
             strict_json(
                 [
                     {
@@ -421,24 +432,24 @@ def cmd_reproduce(
         return 0
 
     for sc, rep, conc in summaries:
-        click.echo(f"=== {sc.name} ===")
-        click.echo(f"equation          : {sc.spec.label}")
+        _echo(f"=== {sc.name} ===")
+        _echo(f"equation          : {sc.spec.label}")
         met = "met" if sc.stated_condition_holds else "NOT met"
-        click.echo(f"stated condition  : {sc.stated_condition} -> {met}")
-        click.echo(
+        _echo(f"stated condition  : {sc.stated_condition} -> {met}")
+        _echo(
             f"computed criterion: w_hat = {rep['w_hat']!r} vs 1/e = {THRESHOLD:.6g} "
             f"-> {rep['verdict'].upper()}"
         )
         if sc.discrepancy:
-            click.echo(f"!! discrepancy    : {sc.discrepancy}")
+            _echo(f"!! discrepancy    : {sc.discrepancy}")
         hist = _class_histogram(conc.classes)
         hist_text = ", ".join(f"{k}: {v}" for k, v in sorted(hist.items())) or "none classified"
-        click.echo(
+        _echo(
             f"concordance       : {len(conc.classes)}/{n_histories} runs classified "
             f"(seed {seed}); classes {{{hist_text}}}; "
             f"overflowed {conc.overflowed_runs}; concordant: {'yes' if conc.concordant else 'NO'}"
         )
-        click.echo(f"bundle            : {out / sc.name}")
+        _echo(f"bundle            : {out / sc.name}")
     return 0
 
 

@@ -12,6 +12,14 @@ forces a finite ratio bound zeta >= e^(zeta * w), whose iterates are the
 tower of a = e^w, and that tower has a finite limit only for a <= e^(1/e),
 i.e. w <= 1/e.  :func:`tetration_proof_trace` replays this mechanism and
 cross-validates the three equivalent tests against each other.
+
+:func:`estimate_liminf_w` samples the integral on a grid of times in one
+pass over row blocks of at most ``_BLOCK_ELEMENTS`` Simpson nodes: per
+block, one ``tau`` call on its times and one ``b`` call on the (times,
+panels + 1) array of their nodes, summed row by row with
+:func:`~ddeosc.quadrature.simpson_rows`.  Each sample has the bits of the
+one-time rule, and errors surface at the time, and in the order, that a
+loop over the times would meet them.
 """
 
 import math
@@ -23,7 +31,8 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import CrossValidationError, DomainError, InvalidParameterError
-from .quadrature import PANELS, composite_simpson
+from .expressions import clean_prefix
+from .quadrature import PANELS, simpson_rows
 from .special_functions import (
     EULER_UPPER,
     INV_E,
@@ -38,6 +47,11 @@ from .special_functions import (
 THRESHOLD = INV_E
 
 DEFAULT_GRID_POINTS = 512
+
+#: Simpson nodes per call of the rate function.  At the default 64 panels
+#: a block holds 63 sample times and the 512-point grid takes nine blocks;
+#: a larger grid or panel count costs more blocks, not more memory.
+_BLOCK_ELEMENTS = 1 << 12
 
 _TREND_SLOPE_TOL = 1e-6  # per unit time
 _TREND_WINDOWS = 15
@@ -110,21 +124,55 @@ class TetrationTrace:
 
 
 def integral_over_amnesia(
-    b: Callable[[float], float],
-    tau: Callable[[float], float],
+    b: Callable,
+    tau: Callable,
     t: float,
     panels: int = PANELS,
 ) -> float:
-    """Composite-Simpson value of the integral of b over [tau(t), t]."""
-    lo = tau(t)
-    if not lo < t:
-        raise InvalidParameterError(f"tau(t) must lie strictly below t; tau({t}) = {lo}")
-    return composite_simpson(b, lo, t, panels)
+    """Composite-Simpson value of the integral of b over [tau(t), t].
+
+    The one-time case of :func:`estimate_liminf_w`'s integrals: ``tau``
+    maps an array of times, and ``b`` an array of nodes, to their values.
+    """
+    return float(_integrals(b, tau, np.array([float(t)]), panels)[0])
+
+
+def _integrals(b: Callable, tau: Callable, ts: np.ndarray, panels: int) -> np.ndarray:
+    """The integral of b over [tau(t), t] for every t in ``ts``, in row blocks.
+
+    Each block of times takes one ``tau`` call and one ``b`` call on its
+    Simpson nodes, at most :data:`_BLOCK_ELEMENTS` of them.  Errors surface
+    as in a loop over the times that reads tau(t), checks tau(t) < t and
+    integrates, one time after another: a time fails only after every
+    earlier one has been integrated.
+    """
+    rows = max(1, _BLOCK_ELEMENTS // max(panels + 1, 1))
+    blocks = []
+    for start in range(0, len(ts), rows):
+        block = ts[start : start + rows]
+        stop = len(block)
+        with np.errstate(all="ignore"):
+            try:
+                lows = np.broadcast_to(tau(block), block.shape)
+            except Exception:
+                stop = clean_prefix([tau], block)
+                lows = np.broadcast_to(tau(block[:stop]), (stop,)) if stop else block[:0]
+        below = lows < block[:stop]
+        if not below.all():
+            stop = int(np.argmin(below))
+        if stop:
+            blocks.append(simpson_rows(b, lows[:stop], block[:stop], panels))
+        if stop < len(block):
+            t = float(block[stop])
+            with np.errstate(all="ignore"):
+                lo = float(np.broadcast_to(tau(block[stop : stop + 1]), (1,))[0])  # raises tau's own error, if any
+            raise InvalidParameterError(f"tau(t) must lie strictly below t; tau({t}) = {lo}")
+    return np.concatenate(blocks)
 
 
 def estimate_liminf_w(
-    b: Callable[[float], float],
-    tau: Callable[[float], float],
+    b: Callable,
+    tau: Callable,
     t_start: float,
     t_end: float,
     grid_points: int = DEFAULT_GRID_POINTS,
@@ -138,6 +186,10 @@ def estimate_liminf_w(
     residual test for oscillation) warns when the tail has not settled.
     A non-finite sample (an overflowing or undefined bound) raises
     :class:`DomainError` rather than turning into a NaN or infinite w_hat.
+
+    ``tau`` and ``b`` are array functions, called once per row block of
+    sample times (see the module docstring); either may return a plain
+    number.
     """
     if not t_start < t_end:
         raise InvalidParameterError(f"need t_start < t_end, got [{t_start}, {t_end}]")
@@ -149,7 +201,7 @@ def estimate_liminf_w(
         raise InvalidParameterError(f"grid_points must be >= 10, got {grid_points}")
 
     ts = np.linspace(t_start, t_end, grid_points)
-    vals = np.array([integral_over_amnesia(b, tau, float(t), panels) for t in ts])
+    vals = _integrals(b, tau, ts, panels)
     bad = np.flatnonzero(~np.isfinite(vals))
     if bad.size:
         k = int(bad[0])

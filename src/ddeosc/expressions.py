@@ -5,11 +5,25 @@ the functions exp, log, sin and cos (one argument each) and min and max
 (two or more), and the constants e and pi.  Anything else, a call with the
 wrong number of arguments included, is rejected with an
 :class:`ExpressionError` naming the offending construct.
+
+A parsed expression evaluates a float t with Python float arithmetic, or a
+whole numpy array of times in one call, with the same bits element by
+element.  The array form computes ``+ - * /`` and unary minus in numpy,
+which rounds them exactly as Python does; ``exp log sin cos`` and ``**``
+map ``math``'s functions and Python's ``pow`` over the elements, as
+numpy's own differ from libm in the last bit; ``min`` and ``max`` select
+with ``np.where`` in Python's order (the first of tied or NaN arguments
+stays).  An element where a Python operation would raise (a division by
+zero, an overflow or domain error in ``math`` or ``pow``, a complex power)
+or whose value is not finite is recomputed by the scalar form, in the
+array's order, so it has the scalar bits or raises the scalar error.
 """
 
 import ast
 import math
 from typing import Callable
+
+import numpy as np
 
 from .errors import DomainError, ExpressionError
 
@@ -22,6 +36,8 @@ _FUNCTIONS = {
     "max": max,
 }
 _CONSTANTS = {"e": math.e, "pi": math.pi}
+# The array form's exactly rounded operators; ``/`` and ``**`` need more care.
+_UFUNCS = {ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply}
 
 _ALLOWED_NODES = (
     ast.Expression,
@@ -41,10 +57,12 @@ _ALLOWED_NODES = (
 )
 
 
-def parse_expression(source: str) -> Callable[[float], float]:
-    """Compile ``source`` into a float-valued function of t.
+def parse_expression(source: str) -> Callable:
+    """Compile ``source`` into a function of t: a float, or a numpy array of times.
 
-    The returned callable carries the original text in its ``source``
+    An array of times gives a float array of its shape, each element with
+    the bits (or the error) of the float call at that time.  The returned
+    callable carries the original text in its ``source``
     attribute so specs can round-trip exactly.  It raises
     :class:`~ddeosc.errors.DomainError` where the expression has no real
     value, such as ``(t-10)**0.5`` at t < 10.
@@ -99,7 +117,7 @@ def parse_expression(source: str) -> Callable[[float], float]:
     env.update(_FUNCTIONS)
     env.update(_CONSTANTS)
 
-    def fn(t: float) -> float:
+    def scalar(t: float) -> float:
         try:
             return float(eval(code, env, {"t": t}))
         except TypeError as exc:  # a complex value, e.g. a negative base to a fractional power
@@ -107,5 +125,137 @@ def parse_expression(source: str) -> Callable[[float], float]:
                 f"expression {source!r} does not evaluate to a real number at t={t!r}: {exc}"
             ) from None
 
+    array_form = _array_form(tree.body)
+
+    def fn(t):
+        if not isinstance(t, np.ndarray):
+            return scalar(t)
+        ts = t.astype(float, copy=False)
+        out = np.empty(ts.shape)
+        with np.errstate(all="ignore"):
+            values, failed = array_form(ts)
+            out[...] = values
+            redo = ~np.isfinite(out)
+        if failed is not None:
+            redo |= failed
+        if redo.any():
+            for i in np.flatnonzero(redo).tolist():
+                out.flat[i] = scalar(float(ts.flat[i]))
+        return out
+
     fn.source = source  # type: ignore[attr-defined]
     return fn
+
+
+def clean_prefix(fns, ts: np.ndarray) -> int:
+    """The length of the longest prefix of the 1-D array ``ts`` on which every function of ``fns`` returns.
+
+    For functions that act element by element, element ``clean_prefix`` is
+    the first at which a loop over the elements, calling each function in
+    turn, meets an error.  Bisection over prefixes: one call per halving.
+    """
+    good, bad = 0, len(ts)
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        try:
+            for f in fns:
+                f(ts[:mid])
+            good = mid
+        except Exception:
+            bad = mid
+    return good
+
+
+def _either(a, b):
+    """The union of two failure masks, None standing for no failure."""
+    return b if a is None else a if b is None else a | b
+
+
+def _mapped(f, *args):
+    """``f`` over the broadcast elements of ``args``, and the mask of those where it raises or gives a complex."""
+    arrays = np.broadcast_arrays(*args)
+    shape = arrays[0].shape
+    columns = [a.ravel().tolist() for a in arrays]
+    try:
+        return np.fromiter(map(f, *columns), float, len(columns[0])).reshape(shape), None
+    except (ArithmeticError, ValueError, TypeError):
+        pass
+    out = np.empty(len(columns[0]))
+    failed = np.zeros(len(columns[0]), dtype=bool)
+    for i, xs in enumerate(zip(*columns)):
+        try:
+            v = f(*xs)
+        except (ArithmeticError, ValueError):
+            v = None
+        if isinstance(v, float):
+            out[i] = v
+        else:
+            out[i], failed[i] = math.nan, True
+    return out.reshape(shape), failed.reshape(shape)
+
+
+def _array_form(node: ast.AST):
+    """The checked expression ``node`` as a function ``ts -> (values, failed)``.
+
+    ``values`` broadcasts to the shape of ``ts`` (a plain number stays a
+    number) and ``failed`` marks the elements where a Python operation
+    raises, or is None when none does.
+    """
+    if isinstance(node, ast.Constant):
+        value = node.value
+        return lambda ts: (value, None)
+    if isinstance(node, ast.Name):
+        if node.id == "t":
+            return lambda ts: (ts, None)
+        value = _CONSTANTS[node.id]
+        return lambda ts: (value, None)
+    if isinstance(node, ast.UnaryOp):
+        operand = _array_form(node.operand)
+        if isinstance(node.op, ast.UAdd):
+            return operand
+
+        def negative(ts):
+            v, failed = operand(ts)
+            return np.negative(v), failed
+
+        return negative
+    if isinstance(node, ast.BinOp):
+        left, right = _array_form(node.left), _array_form(node.right)
+        op = type(node.op)
+
+        def binary(ts):
+            (a, fa), (b, fb) = left(ts), right(ts)
+            failed = _either(fa, fb)
+            if op is ast.Pow:
+                v, fp = _mapped(pow, a, b)
+                return v, _either(failed, fp)
+            if op is ast.Div:
+                zero = np.asarray(b) == 0.0
+                return np.divide(a, b), _either(failed, zero if zero.any() else None)
+            return _UFUNCS[op](a, b), failed
+
+        return binary
+    # A call: the parse checks leave no other node here.
+    name = node.func.id
+    args = [_array_form(arg) for arg in node.args]
+    if name in ("min", "max"):
+        better = np.less if name == "min" else np.greater
+
+        def extreme(ts):
+            current, failed = args[0](ts)
+            for arg in args[1:]:
+                v, fv = arg(ts)
+                current = np.where(better(v, current), v, current)
+                failed = _either(failed, fv)
+            return current, failed
+
+        return extreme
+    f = _FUNCTIONS[name]
+
+    def call(ts):
+        v, failed = args[0](ts)
+        mapped, fm = _mapped(f, v)
+        return mapped, _either(failed, fm)
+
+    return call
+

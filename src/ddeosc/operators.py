@@ -26,6 +26,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import HistoryDomainError, InvalidParameterError
+from .expressions import clean_prefix
 from .quadrature import simpson_rule
 
 TimeFunction = Callable[[float], float]
@@ -175,8 +176,11 @@ class AmnesiaOperator:
     one-time case.  ``read_points(t)``, the array of the exact times it
     reads at t, is the one description of where it reads: ``tau(t)`` (<= t)
     is the newest, ``sigma(t)`` the oldest, and ``min_lag`` is -tau(0) when
-    that is positive, else None.  The integrator takes ``min_lag`` as the
-    smallest lag of the run, which holds when the lags do not shrink.
+    that is positive, else None.  Given a column of times (shape (times,
+    1)), ``read_points`` returns their reads with one leading row per time,
+    and ``tau`` and ``sigma`` of an array of times reduce that one call.
+    The integrator takes ``min_lag`` as the smallest lag of the run, which
+    holds when the lags do not shrink.
     ``bound_b`` is the rate function of the sign-respecting bound described
     in the module docstring, or None when no bound is known.
     """
@@ -190,16 +194,24 @@ class AmnesiaOperator:
         """(Tx)(t); requires [sigma(t), t] inside the history domain."""
         return float(self.evaluate_many(np.array([t], dtype=float), history)[0])
 
-    def tau(self, t: float) -> float:
-        """The newest time read at t."""
+    def tau(self, t):
+        """The newest time read at t, or at each time of an array of times."""
+        if isinstance(t, np.ndarray):
+            return self._reads_by_time(t).max(axis=1).reshape(t.shape)
         # argmax and argmin cost less than max and min on arrays this small.
         points = self.read_points(t)
         return float(points[points.argmax()])
 
-    def sigma(self, t: float) -> float:
-        """The oldest time read at t."""
+    def sigma(self, t):
+        """The oldest time read at t, or at each time of an array of times."""
+        if isinstance(t, np.ndarray):
+            return self._reads_by_time(t).min(axis=1).reshape(t.shape)
         points = self.read_points(t)
         return float(points[points.argmin()])
+
+    def _reads_by_time(self, ts: np.ndarray) -> np.ndarray:
+        """A (times, reads) array: the read points of each time, from one ``read_points`` call on the column."""
+        return self.read_points(ts.astype(float, copy=False).reshape(-1, 1)).reshape(ts.size, -1)
 
     @property
     def min_lag(self) -> Optional[float]:
@@ -237,7 +249,11 @@ def _delay_operator(
             values = history.many(times.ravel()).reshape(times.shape)
             return _row_sums(combine(t, values))
 
-    return AmnesiaOperator(label, evaluate_many, lambda t: reads(t).ravel(), bound_b)
+    def read_points(t) -> np.ndarray:
+        points = reads(t)
+        return points.reshape(len(t), -1) if isinstance(t, np.ndarray) else points.ravel()
+
+    return AmnesiaOperator(label, evaluate_many, read_points, bound_b)
 
 
 def _as_time_function(value) -> TimeFunction:
@@ -254,15 +270,18 @@ def make_discrete_delay(
 ) -> AmnesiaOperator:
     """Build (Tx)(t) = sum_i p_i(t) * x(t - d_i) from (coefficient, delay) pairs.
 
-    Coefficients may be numbers or callables of t; every delay must be
-    positive.  When all coefficients are nonnegative the rate bound
-    b(t) = sum_i p_i(t) is derived automatically (negative parts are clipped
-    pointwise); pass ``bound_b`` to override, which is necessary for
+    Coefficients may be numbers or array functions of t (such as parsed
+    expressions) that map an array of times to an array of values, or to a
+    plain number; every delay must be positive.  When all coefficients are
+    nonnegative the rate bound b(t) = sum_i p_i(t) is derived automatically
+    (negative parts are clipped pointwise, as Python's ``max(p, 0.0)``
+    does); pass ``bound_b`` to override, which is necessary for
     sign-changing coefficients if the criterion machinery will be used.
 
-    The reads at t are t - d_i, term by term.  The evaluation calls the
-    scalar coefficients once per time (numpy's exp and sin differ from
-    ``math`` in the last bit) and multiplies them with the history values.
+    The reads at t are t - d_i, term by term.  An evaluation calls each
+    coefficient once, on the array of its times, and multiplies the values
+    with the history values; the derived bound likewise takes a float or an
+    array of times in one call.
     """
     if not terms:
         raise InvalidParameterError("at least one (coefficient, delay) term is required")
@@ -276,11 +295,30 @@ def make_discrete_delay(
         delays.append(d)
     lags = np.array(delays)
 
-    def combine(t: np.ndarray, values: np.ndarray) -> np.ndarray:
-        return np.array([[c(time) for c in coefs] for time in t[:, 0].tolist()], dtype=float) * values
+    def coefficients(t: np.ndarray) -> np.ndarray:
+        # Entry [..., i] is p_i at each time of t, one call per term.
+        out = np.empty(t.shape + (len(coefs),))
+        try:
+            for i, c in enumerate(coefs):
+                out[..., i] = c(t)
+        except Exception:
+            # Raise the error a loop over the times, and at each time over
+            # the terms, meets first.
+            flat = t.ravel()
+            k = clean_prefix(coefs, flat)
+            for c in coefs:
+                c(flat[k : k + 1])
+            raise
+        return out
 
-    def default_bound(t: float) -> float:
-        return sum(max(c(t), 0.0) for c in coefs)
+    def combine(t: np.ndarray, values: np.ndarray) -> np.ndarray:
+        return coefficients(t[:, 0]) * values
+
+    def default_bound(t):
+        # sum(max(p_i, 0.0) for each term), summed as ``sum`` does
+        p = coefficients(np.asarray(t, dtype=float))
+        total = _row_sums(np.where(p < 0.0, 0.0, p).reshape(-1, len(coefs))).reshape(np.shape(t))
+        return total if isinstance(t, np.ndarray) else float(total)
 
     return _delay_operator(label, lambda t: t - lags, combine, bound_b if bound_b is not None else default_bound)
 
@@ -350,7 +388,7 @@ def sigma_growth_check(op: AmnesiaOperator, t_start: float, t_end: float) -> boo
     if not t_start < t_end:
         raise InvalidParameterError(f"need t_start < t_end, got [{t_start}, {t_end}]")
     ts = np.linspace(t_start, t_end, 64)
-    ss = np.array([op.sigma(float(t)) for t in ts])
+    ss = op.sigma(ts)
     if ss[-1] <= ss[0]:
         return False
     slope = float(np.polyfit(ts[32:], ss[32:], 1)[0])

@@ -2,6 +2,8 @@
 
 from typing import Callable
 
+import numpy as np
+
 from .errors import InvalidParameterError
 
 #: Simpson panels per integral, for the criterion and the distributed-delay operators.
@@ -24,19 +26,49 @@ def simpson_rule(a: float, b: float, panels: int = PANELS) -> tuple[float, list[
     return h, nodes, factors
 
 
-def composite_simpson(f: Callable[[float], float], a: float, b: float, panels: int = PANELS) -> float:
+def simpson_rows(f: Callable, a, b, panels: int = PANELS) -> np.ndarray:
+    """Integrate ``f`` over ``[a[k], b[k]]`` for every k, with ``panels`` Simpson panels each.
+
+    ``f`` is called once, on a (rows, panels + 1) array whose columns are
+    ``a``, ``b`` and the interior nodes ``a + i*h``, and returns an array of
+    that shape or a plain number.  Row by row, that is the order in which a
+    loop over the rule evaluates ``f``, so an integrand that raises at
+    several nodes raises its first error in that order.  Each row sums
+    ``f(a) + f(b)`` (``f`` taken at ``b`` itself, not at the last node),
+    then each interior term left to right, then multiplies by ``h / 3``.
+    A row with ``a == b`` is 0.0 without evaluating ``f``.  Numpy's
+    floating-point warnings are off inside, as Python float arithmetic
+    prints none.
+    """
+    factors = simpson_rule(0.0, 1.0, panels)[2]  # checks panels too
+    a = np.asarray(a, dtype=float).reshape(-1, 1)
+    b = np.asarray(b, dtype=float).reshape(-1, 1)
+    out_of_order = np.flatnonzero(a > b)
+    if out_of_order.size:
+        k = int(out_of_order[0])
+        raise InvalidParameterError(f"integration bounds out of order: [{float(a[k, 0])}, {float(b[k, 0])}]")
+    totals = np.zeros(len(a))
+    live = (a != b)[:, 0]
+    if not live.any():
+        return totals
+    a, b = a[live], b[live]
+    with np.errstate(all="ignore"):
+        h = (b - a) / panels
+        nodes = np.empty((len(a), panels + 1))
+        nodes[:, :1], nodes[:, 1:2] = a, b
+        nodes[:, 2:] = a + np.arange(1, panels) * h
+        values = np.broadcast_to(f(nodes), nodes.shape)
+        terms = values[:, 1:] * np.array(factors[:-1])
+        terms[:, 0] = values[:, 0] + values[:, 1]
+        totals[live] = np.add.accumulate(terms, axis=1)[:, -1] * h[:, 0] / 3.0
+    return totals
+
+
+def composite_simpson(f: Callable, a: float, b: float, panels: int = PANELS) -> float:
     """Integrate ``f`` over ``[a, b]`` with ``panels`` Simpson panels.
 
     Fourth-order accurate for smooth integrands and exact for polynomials of
-    degree up to three.  The sum is ``f(a) + f(b)`` (``f`` taken at ``b``
-    itself, not at the last node), then each interior term left to right.
+    degree up to three.  The one-row case of :func:`simpson_rows`: ``f``
+    maps an array of nodes to their values.
     """
-    h, nodes, factors = simpson_rule(a, b, panels)
-    if a > b:
-        raise InvalidParameterError(f"integration bounds out of order: [{a}, {b}]")
-    if a == b:
-        return 0.0
-    total = f(a) + f(b)
-    for s, factor in zip(nodes[1:-1], factors[1:-1]):
-        total += f(s) * factor
-    return total * h / 3.0
+    return float(simpson_rows(f, [a], [b], panels)[0])

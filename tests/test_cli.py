@@ -1,6 +1,10 @@
+import contextlib
+import gc
+import io
 import json
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -483,3 +487,18 @@ def test_reproduce_names_a_huge_integer_l_in_g_form(tmp_path):
     assert result.exit_code == 0
     assert [p.name for p in out.iterdir()] == ["app3_a=3_b=0.1_m=1_l=1e+300"]
     assert [sc.name for sc in make_scenarios(3)] == ["app3_a=3_b=0.1_m=1_l=2", "app3_a=3_b=0.1_m=1_l=3"]
+
+
+def test_captured_output_streams_are_not_kept():
+    # An in-process caller that captures each command's output in a fresh
+    # stream must not keep those streams alive.
+    refs = []
+    for _ in range(3):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exited:
+            main.main(args=["tower", "--base", "1.2"], prog_name="ddeosc", standalone_mode=False)
+        assert exited.value.code == 0 and out.getvalue()
+        refs.append(weakref.ref(out))
+        del out, exited
+    gc.collect()
+    assert [r() for r in refs] == [None, None, None]

@@ -16,6 +16,7 @@ from ddeosc import (
     make_distributed_delay,
     random_history,
 )
+from ddeosc.expressions import parse_expression
 from ddeosc.operators import _ArrayHistory, _row_dots, sigma_growth_check
 from ddeosc.quadrature import PANELS
 from ddeosc.specfile import KERNEL_CATALOG, app3_stated_bound
@@ -237,6 +238,70 @@ class TestDiscreteDelay:
         assert op.bound_b(0.0) == 1.0
 
 
+class TestArrayCoefficientsAndReads:
+    """Coefficients, the derived bound, tau and sigma each take a whole
+    array of times in one call, with the bits of the float calls."""
+
+    TERMS = [("0.3*sin(t)", 1.0), ("-0.0", 2.0), ("0.2", 3.0), ("min(t, 0.5) * exp(-t/40)", 4.5)]
+
+    def test_coefficients_are_called_once_per_evaluation(self):
+        seen = []
+        coef = parse_expression("1 + 0.5*cos(t)")
+        op = make_discrete_delay([(lambda t: seen.append(np.shape(t)) or coef(t), 1.0), (0.25, 2.0)])
+        hist = HistoryFunction.constant(2.0, -2.0, 10.0)
+        ts = np.linspace(0.0, 8.0, 17)
+        values = op.evaluate_many(ts, hist)
+        assert seen == [(17,)]
+        assert values.tolist() == [(coef(t) * 2.0 + 0.25 * 2.0) for t in ts.tolist()]
+
+    def test_default_bound_is_the_sum_of_positive_parts(self):
+        coefs = [parse_expression(c) for c, _ in self.TERMS]
+        op = make_discrete_delay([(c, d) for c, (_, d) in zip(coefs, self.TERMS)])
+        ts = np.concatenate([np.linspace(-5.0, 40.0, 91), [0.0, -0.0]])
+        expected = [sum(max(c(t), 0.0) for c in coefs) for t in ts.tolist()]
+        assert op.bound_b(ts).tobytes() == np.array(expected).tobytes()
+        assert [op.bound_b(t) for t in ts.tolist()] == expected
+        assert type(op.bound_b(3.0)) is float
+
+    def test_coefficient_errors_surface_in_time_then_term_order(self):
+        # the second term fails at the first time, the first term only at the second
+        op = make_discrete_delay([(parse_expression("1/(t-5.5)"), 1.0), (parse_expression("(t-5.25)**-1.0"), 2.0)],
+                                 bound_b=lambda t: 1.0)
+        hist = HistoryFunction.constant(1.0, 0.0, 6.0)
+        with pytest.raises(ZeroDivisionError, match="cannot be raised to a negative power"):
+            op.evaluate_many(np.array([5.25, 5.5]), hist)
+        with pytest.raises(ZeroDivisionError, match="float division by zero"):
+            op.evaluate_many(np.array([5.5, 5.25]), hist)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: make_discrete_delay([(1.0, 2.0), (0.5, 3.5), (0.1, 0.25)]),
+            lambda: KERNEL_CATALOG["app2"].build({"a2": 0.3, "a3": 0.7}),
+            lambda: KERNEL_CATALOG["app3"].build({}),
+        ],
+        ids=["discrete", "app2", "app3"],
+    )
+    def test_tau_and_sigma_of_an_array_are_the_float_reads(self, build):
+        op = build()
+        ts = np.linspace(-3.0, 50.0, 64)
+        assert op.tau(ts).tolist() == [op.tau(t) for t in ts.tolist()]
+        assert op.sigma(ts).tolist() == [op.sigma(t) for t in ts.tolist()]
+        assert op.tau(ts.reshape(8, 8)).shape == (8, 8)
+
+    def test_sigma_growth_check_reads_once(self):
+        op = make_discrete_delay([(1.0, 2.0)])
+        calls = []
+        counted = op.__class__(
+            label="counted",
+            evaluate_many=op.evaluate_many,
+            read_points=lambda t: calls.append(np.shape(t)) or op.read_points(t),
+            bound_b=op.bound_b,
+        )
+        assert sigma_growth_check(counted, 0.0, 50.0)
+        assert calls == [(64, 1)]
+
+
 class TestDistributedDelay:
     def test_app2_zero_history_annihilates(self):
         op = KERNEL_CATALOG["app2"].build({})
@@ -281,7 +346,7 @@ class TestDistributedDelay:
         # smooth small history keeps max(a1*s, x^2) = a1*s, so the integrand e^s * x(t-s) is smooth
         hist = HistoryFunction(lambda s: 0.5 * math.sin(1.3 * s), -30.0, 30.0)
         value = KERNEL_CATALOG["app2"].build({}).evaluate(10.0, hist)
-        reference = composite_simpson(lambda s: math.exp(s) * hist(10.0 - s), 1.0, 2.0, 512)
+        reference = composite_simpson(lambda s: np.exp(s) * hist.many((10.0 - s).ravel()).reshape(s.shape), 1.0, 2.0, 512)
         # Simpson's error bound (b - a) * h**4 * max|f''''| / 180 is about 9e-9 at h = 1/64
         assert 0.0 < abs(value - reference) < 1e-8
 
@@ -438,7 +503,7 @@ class TestAuditSignBound:
         frozen = op.__class__(
             label="frozen window",
             evaluate_many=op.evaluate_many,
-            read_points=lambda t: np.array([t - 2.0, 0.0]),  # window start never advances past 0
+            read_points=lambda t: np.hstack([t - 2.0, np.zeros_like(t)]),  # window start never advances past 0
             bound_b=op.bound_b,
         )
         assert not sigma_growth_check(frozen, 0.0, 50.0)
