@@ -123,7 +123,8 @@ def analyze_spec(
     tau = parse_expression(spec.tau_expr) if spec.tau_expr else op.tau
     estimate = estimate_liminf_w(op.bound_b, tau, t_start, t_end, grid_points, panels)
     verdict = theorem_verdict(estimate)
-    trace = tetration_proof_trace(estimate.w_hat) if estimate.w_hat > 0.0 else None
+    # Above ln(DBL_MAX) the tower base e^w is not a float: no tower to trace.
+    trace = tetration_proof_trace(estimate.w_hat) if 0.0 < estimate.w_hat <= math.log(sys.float_info.max) else None
 
     report = {
         "schema": 1,

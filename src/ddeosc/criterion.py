@@ -18,8 +18,9 @@ pass over row blocks of at most ``_BLOCK_ELEMENTS`` Simpson nodes: per
 block, one ``tau`` call on its times and one ``b`` call on the (times,
 panels + 1) array of their nodes, summed row by row with
 :func:`~ddeosc.quadrature.simpson_rows`.  Each sample has the bits of the
-one-time rule, and errors surface at the time, and in the order, that a
-loop over the times would meet them.
+one-time rule.  A block that raises is replayed one time at a time, so
+an error surfaces at the time, and in the order, that a loop over the
+times would meet it.
 """
 
 import math
@@ -31,7 +32,6 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import CrossValidationError, DomainError, InvalidParameterError
-from .expressions import clean_prefix
 from .quadrature import PANELS, simpson_rows
 from .special_functions import (
     EULER_UPPER,
@@ -141,33 +141,29 @@ def _integrals(b: Callable, tau: Callable, ts: np.ndarray, panels: int) -> np.nd
     """The integral of b over [tau(t), t] for every t in ``ts``, in row blocks.
 
     Each block of times takes one ``tau`` call and one ``b`` call on its
-    Simpson nodes, at most :data:`_BLOCK_ELEMENTS` of them.  Errors surface
-    as in a loop over the times that reads tau(t), checks tau(t) < t and
-    integrates, one time after another: a time fails only after every
-    earlier one has been integrated.
+    Simpson nodes, at most :data:`_BLOCK_ELEMENTS` of them.  A block that
+    raises is replayed one time at a time, which is the loop that reads
+    tau(t), checks tau(t) < t and integrates, one time after another.
     """
     rows = max(1, _BLOCK_ELEMENTS // max(panels + 1, 1))
     blocks = []
     for start in range(0, len(ts), rows):
         block = ts[start : start + rows]
-        stop = len(block)
-        with np.errstate(all="ignore"):
-            try:
-                lows = np.broadcast_to(tau(block), block.shape)
-            except Exception:
-                stop = clean_prefix([tau], block)
-                lows = np.broadcast_to(tau(block[:stop]), (stop,)) if stop else block[:0]
-        below = lows < block[:stop]
-        if not below.all():
-            stop = int(np.argmin(below))
-        if stop:
-            blocks.append(simpson_rows(b, lows[:stop], block[:stop], panels))
-        if stop < len(block):
-            t = float(block[stop])
-            with np.errstate(all="ignore"):
-                lo = float(np.broadcast_to(tau(block[stop : stop + 1]), (1,))[0])  # raises tau's own error, if any
-            raise InvalidParameterError(f"tau(t) must lie strictly below t; tau({t}) = {lo}")
+        try:
+            blocks.append(_block_integrals(b, tau, block, panels))
+        except Exception:
+            blocks.extend(_block_integrals(b, tau, block[k : k + 1], panels) for k in range(len(block)))
     return np.concatenate(blocks)
+
+
+def _block_integrals(b: Callable, tau: Callable, ts: np.ndarray, panels: int) -> np.ndarray:
+    with np.errstate(all="ignore"):
+        lows = np.broadcast_to(tau(ts), ts.shape)
+    late = np.flatnonzero(~(lows < ts))
+    if late.size:
+        k = int(late[0])
+        raise InvalidParameterError(f"tau(t) must lie strictly below t; tau({float(ts[k])}) = {float(lows[k])}")
+    return simpson_rows(b, lows, ts, panels)
 
 
 def estimate_liminf_w(
@@ -237,9 +233,10 @@ def estimate_liminf_w(
     late_t = ts[late_mask]
     late_v = vals[late_mask]
     late_fit = np.polyval(np.polyfit(late_t, late_v, 1), late_t)
-    ripple_rms = float(np.sqrt(np.mean((late_v - late_fit) ** 2)))
+    # Relative to the samples' size, so large samples do not overflow the squares.
+    ripple_rms = float(np.sqrt(np.mean(((late_v - late_fit) / max(1.0, abs(w_hat))) ** 2)))
 
-    if ripple_rms > 1e-6 * max(1.0, abs(w_hat)):
+    if ripple_rms > 1e-6:
         trend = Trend.OSCILLATING
     elif slope > _TREND_SLOPE_TOL:
         trend = Trend.INCREASING

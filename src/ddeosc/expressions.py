@@ -13,10 +13,10 @@ which rounds them exactly as Python does; ``exp log sin cos`` and ``**``
 map ``math``'s functions and Python's ``pow`` over the elements, as
 numpy's own differ from libm in the last bit; ``min`` and ``max`` select
 with ``np.where`` in Python's order (the first of tied or NaN arguments
-stays).  An element where a Python operation would raise (a division by
-zero, an overflow or domain error in ``math`` or ``pow``, a complex power)
-or whose value is not finite is recomputed by the scalar form, in the
-array's order, so it has the scalar bits or raises the scalar error.
+stays).  One rule covers failure: an array call returns the array pass
+when that pass raises nothing and every value is finite; otherwise it
+replays the float form on every element, in the array's order, so it
+has the float bits or raises the error a loop over the times meets first.
 """
 
 import ast
@@ -132,107 +132,66 @@ def parse_expression(source: str) -> Callable:
             return scalar(t)
         ts = t.astype(float, copy=False)
         out = np.empty(ts.shape)
-        with np.errstate(all="ignore"):
-            values, failed = array_form(ts)
-            out[...] = values
-            redo = ~np.isfinite(out)
-        if failed is not None:
-            redo |= failed
-        if redo.any():
-            for i in np.flatnonzero(redo).tolist():
-                out.flat[i] = scalar(float(ts.flat[i]))
-        return out
+        try:
+            with np.errstate(all="ignore"):
+                out[...] = array_form(ts)
+            if np.isfinite(out).all():
+                return out
+        except _Replay:
+            pass
+        return np.array([scalar(x) for x in ts.ravel().tolist()], dtype=float).reshape(ts.shape)
 
     fn.source = source  # type: ignore[attr-defined]
     return fn
 
 
-def clean_prefix(fns, ts: np.ndarray) -> int:
-    """The length of the longest prefix of the 1-D array ``ts`` on which every function of ``fns`` returns.
-
-    For functions that act element by element, element ``clean_prefix`` is
-    the first at which a loop over the elements, calling each function in
-    turn, meets an error.  Bisection over prefixes: one call per halving.
-    """
-    good, bad = 0, len(ts)
-    while bad - good > 1:
-        mid = (good + bad) // 2
-        try:
-            for f in fns:
-                f(ts[:mid])
-            good = mid
-        except Exception:
-            bad = mid
-    return good
-
-
-def _either(a, b):
-    """The union of two failure masks, None standing for no failure."""
-    return b if a is None else a if b is None else a | b
+class _Replay(Exception):
+    """The array pass met an element where a Python operation raises."""
 
 
 def _mapped(f, *args):
-    """``f`` over the broadcast elements of ``args``, and the mask of those where it raises or gives a complex."""
+    """``f`` over the broadcast elements of ``args``; raises :class:`_Replay` where it raises or gives a complex."""
     arrays = np.broadcast_arrays(*args)
-    shape = arrays[0].shape
     columns = [a.ravel().tolist() for a in arrays]
     try:
-        return np.fromiter(map(f, *columns), float, len(columns[0])).reshape(shape), None
+        return np.fromiter(map(f, *columns), float, len(columns[0])).reshape(arrays[0].shape)
     except (ArithmeticError, ValueError, TypeError):
-        pass
-    out = np.empty(len(columns[0]))
-    failed = np.zeros(len(columns[0]), dtype=bool)
-    for i, xs in enumerate(zip(*columns)):
-        try:
-            v = f(*xs)
-        except (ArithmeticError, ValueError):
-            v = None
-        if isinstance(v, float):
-            out[i] = v
-        else:
-            out[i], failed[i] = math.nan, True
-    return out.reshape(shape), failed.reshape(shape)
+        raise _Replay from None
 
 
 def _array_form(node: ast.AST):
-    """The checked expression ``node`` as a function ``ts -> (values, failed)``.
+    """The checked expression ``node`` as a function of an array of times.
 
-    ``values`` broadcasts to the shape of ``ts`` (a plain number stays a
-    number) and ``failed`` marks the elements where a Python operation
-    raises, or is None when none does.
+    The value broadcasts to the shape of the times (a plain number stays a
+    number).  It raises :class:`_Replay` where a Python operation would
+    raise.
     """
     if isinstance(node, ast.Constant):
         value = node.value
-        return lambda ts: (value, None)
+        return lambda ts: value
     if isinstance(node, ast.Name):
         if node.id == "t":
-            return lambda ts: (ts, None)
+            return lambda ts: ts
         value = _CONSTANTS[node.id]
-        return lambda ts: (value, None)
+        return lambda ts: value
     if isinstance(node, ast.UnaryOp):
         operand = _array_form(node.operand)
         if isinstance(node.op, ast.UAdd):
             return operand
-
-        def negative(ts):
-            v, failed = operand(ts)
-            return np.negative(v), failed
-
-        return negative
+        return lambda ts: np.negative(operand(ts))
     if isinstance(node, ast.BinOp):
         left, right = _array_form(node.left), _array_form(node.right)
         op = type(node.op)
 
         def binary(ts):
-            (a, fa), (b, fb) = left(ts), right(ts)
-            failed = _either(fa, fb)
+            a, b = left(ts), right(ts)
             if op is ast.Pow:
-                v, fp = _mapped(pow, a, b)
-                return v, _either(failed, fp)
+                return _mapped(pow, a, b)
             if op is ast.Div:
-                zero = np.asarray(b) == 0.0
-                return np.divide(a, b), _either(failed, zero if zero.any() else None)
-            return _UFUNCS[op](a, b), failed
+                if (np.asarray(b) == 0.0).any():
+                    raise _Replay
+                return np.divide(a, b)
+            return _UFUNCS[op](a, b)
 
         return binary
     # A call: the parse checks leave no other node here.
@@ -242,20 +201,12 @@ def _array_form(node: ast.AST):
         better = np.less if name == "min" else np.greater
 
         def extreme(ts):
-            current, failed = args[0](ts)
+            current = args[0](ts)
             for arg in args[1:]:
-                v, fv = arg(ts)
+                v = arg(ts)
                 current = np.where(better(v, current), v, current)
-                failed = _either(failed, fv)
-            return current, failed
+            return current
 
         return extreme
     f = _FUNCTIONS[name]
-
-    def call(ts):
-        v, failed = args[0](ts)
-        mapped, fm = _mapped(f, v)
-        return mapped, _either(failed, fm)
-
-    return call
-
+    return lambda ts: _mapped(f, args[0](ts))

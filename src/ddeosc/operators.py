@@ -26,7 +26,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import HistoryDomainError, InvalidParameterError
-from .expressions import clean_prefix
 from .quadrature import simpson_rule
 
 TimeFunction = Callable[[float], float]
@@ -73,8 +72,9 @@ class HistoryFunction:
         return float(self._fn(min(max(t, self.domain_start), self.domain_end)))
 
     def many(self, ts) -> np.ndarray:
-        """Evaluate at every time in ``ts``, in order, as one float array."""
-        return np.array([self(t) for t in np.asarray(ts, dtype=float).tolist()])
+        """Evaluate at every time in ``ts``, in order, as one float array of its shape."""
+        ts = np.asarray(ts, dtype=float)
+        return np.array([self(t) for t in ts.ravel().tolist()], dtype=float).reshape(ts.shape)
 
     @classmethod
     def constant(cls, value: float, domain_start: float, domain_end: float = 0.0) -> "HistoryFunction":
@@ -296,19 +296,14 @@ def make_discrete_delay(
     lags = np.array(delays)
 
     def coefficients(t: np.ndarray) -> np.ndarray:
-        # Entry [..., i] is p_i at each time of t, one call per term.
+        # Entry [..., i] is p_i at each time of t, one call per term; if a
+        # call raises, the float loop over the times, then the terms, replays.
         out = np.empty(t.shape + (len(coefs),))
         try:
             for i, c in enumerate(coefs):
                 out[..., i] = c(t)
         except Exception:
-            # Raise the error a loop over the times, and at each time over
-            # the terms, meets first.
-            flat = t.ravel()
-            k = clean_prefix(coefs, flat)
-            for c in coefs:
-                c(flat[k : k + 1])
-            raise
+            out[...] = np.reshape([[c(x) for c in coefs] for x in t.ravel().tolist()], out.shape)
         return out
 
     def combine(t: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -151,6 +151,50 @@ class TestAnalyze:
         assert len(result.stderr.splitlines()) == 1
         assert not out.exists()
 
+    def test_rate_beyond_the_float_range_of_e_to_the_w_has_no_tower(self, tmp_path):
+        # e^709 is a float, e^710 is not (the cutoff is ln of the largest float)
+        reports = {}
+        for rate in ("709", "710"):
+            path = tmp_path / f"rate{rate}.json"
+            save_spec(EquationSpec(kind="discrete_delay", label="large rate", terms=((rate, 1.0),)), path)
+            result = CliRunner().invoke(main, ["analyze", "--spec", str(path), "--format", "json"])
+            assert (result.exit_code, result.stderr) == (0, "")
+            reports[rate] = json.loads(result.stdout)
+        assert reports["709"]["tetration"]["decision"] == "diverges_hence_guaranteed"
+        assert reports["710"]["verdict"] == "guaranteed"
+        assert reports["710"]["tetration"] is None
+
+    def test_huge_rate_ripple_does_not_overflow(self, tmp_path):
+        path = tmp_path / "huge.json"
+        save_spec(EquationSpec(kind="discrete_delay", label="huge", terms=(("1e200*(1 + 1e-10*sin(t))", 1.0),)), path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # squaring residuals near 1e200 overflowed inside numpy
+            result = CliRunner().invoke(main, ["analyze", "--spec", str(path), "--format", "json"])
+        assert (result.exit_code, result.stderr) == (0, "")
+        report = json.loads(result.stdout)
+        assert report["verdict"] == "guaranteed"
+        assert report["trend"] != "oscillating"
+
+    def test_derived_bound_fails_at_the_first_criterion_node_in_row_major_order(self, tmp_path):
+        # With a sample at every integer and delay 1, row t holds the nodes
+        # t - 1 + i/64.  The coefficient fails on (100.9, 100.95) and on
+        # (102.01, 102.02): first at node 58 of row 101, 100.90625, while a
+        # loop over the columns would meet node 1 of row 103, 102.015625.
+        coef = "0.5 + ((t-100.9)*(t-100.95)*(t-102.01)*(t-102.02))**0.5"
+        path = tmp_path / "holes.json"
+        save_spec(EquationSpec(kind="discrete_delay", label="holes", terms=((coef, 1.0),)), path)
+        result = CliRunner().invoke(main, ["analyze", "--spec", str(path), "--t-start", "0", "--t-end", "511"])
+        assert result.exit_code == 3
+        assert result.stderr.startswith(f"error: expression {coef!r} does not evaluate to a real number at t=100.90625: ")
+        assert len(result.stderr.splitlines()) == 1
+
+    def test_tau_failing_at_a_late_sample_exits_3(self, tmp_path):
+        path = tmp_path / "late_tau.json"
+        save_spec(EquationSpec(kind="discrete_delay", label="late tau", terms=(("0.5", 1.0),),
+                               tau_expr="t - 1 - 0*log(500 - t)"), path)
+        result = CliRunner().invoke(main, ["analyze", "--spec", str(path), "--t-start", "0", "--t-end", "511"])
+        assert (result.exit_code, result.stderr) == (3, "error: math domain error\n")
+
 
 class TestSimulate:
     def test_constant_history_oscillatory(self, single_delay_spec, tmp_path, capsys):
@@ -326,6 +370,13 @@ class TestReproduce:
         a.pop("generated_at")
         b.pop("generated_at")
         assert json.dumps(a, indent=2, sort_keys=True) == json.dumps(b, indent=2, sort_keys=True)
+
+    def test_rate_beyond_the_float_range_of_e_to_the_w_has_no_tower(self, tmp_path, capsys):
+        # q = 1e-300 makes w = 6/q = 6e300: guaranteed, but e^w is not a float
+        assert cmd_reproduce(1, {"q": 1e-300}, tmp_path, seed=0, n_histories=1) == 0
+        report = json.loads((tmp_path / "app1_q=1e-300" / "report.json").read_text())
+        assert report["verdict"] == "guaranteed"
+        assert report["tetration"] is None
 
     def test_json_stdout_matches_the_bundles(self, tmp_path, capsys):
         out_dir = tmp_path / "rep"

@@ -52,6 +52,22 @@ class TestHistoryFunction:
         with pytest.raises(InvalidParameterError):
             HistoryFunction.constant(1.0, 1.0, 0.0)
 
+    def test_scalar_many_takes_a_node_array_with_one_call_per_element(self):
+        class Counted(HistoryFunction):
+            __slots__ = ("reads",)
+
+            def __call__(self, t):
+                self.reads += 1
+                return super().__call__(t)
+
+        h = Counted(lambda t: math.sin(3.0 * t), -10.0, 0.0)
+        h.reads = 0
+        nodes = np.linspace(-10.0, 0.0, 513).reshape(1, 513)  # one criterion row
+        values = h.many(nodes)
+        assert values.shape == (1, 513) and values.dtype == np.float64
+        assert values[0].tolist() == [math.sin(3.0 * t) for t in nodes[0].tolist()]
+        assert h.reads == 513
+
 
 class TestRandomHistory:
     def test_deterministic(self):
@@ -272,6 +288,28 @@ class TestArrayCoefficientsAndReads:
             op.evaluate_many(np.array([5.25, 5.5]), hist)
         with pytest.raises(ZeroDivisionError, match="float division by zero"):
             op.evaluate_many(np.array([5.5, 5.25]), hist)
+
+    def test_derived_bound_of_a_node_array_raises_in_row_major_then_term_order(self):
+        # (rows, nodes), the criterion's shape: row-major order meets 5.5
+        # (row 0) before 5.25 (row 1), which a column-major loop meets first
+        nodes = np.array([[1.0, 5.5], [5.25, 2.0]])
+        quarter, half, pole = (parse_expression(c) for c in ("(t-5.25)**-1.0", "1/(t-5.5)", "(t-5.5)**-1.0"))
+        with pytest.raises(ZeroDivisionError, match="float division by zero"):
+            make_discrete_delay([(quarter, 1.0), (half, 2.0)]).bound_b(nodes)
+        with pytest.raises(ZeroDivisionError, match="cannot be raised to a negative power"):
+            make_discrete_delay([(quarter, 1.0), (half, 2.0)]).bound_b(nodes.T)
+        # at t = 5.5 both terms fail: the first term's error wins
+        with pytest.raises(ZeroDivisionError, match="float division by zero"):
+            make_discrete_delay([(half, 1.0), (pole, 2.0)]).bound_b(nodes)
+        with pytest.raises(ZeroDivisionError, match="cannot be raised to a negative power"):
+            make_discrete_delay([(pole, 1.0), (half, 2.0)]).bound_b(nodes)
+
+    def test_derived_bound_of_a_node_array_is_the_float_sums(self):
+        coefs = [parse_expression(c) for c, _ in self.TERMS]
+        op = make_discrete_delay([(c, d) for c, (_, d) in zip(coefs, self.TERMS)])
+        nodes = np.linspace(-5.0, 40.0, 3 * 65).reshape(3, 65)
+        expected = [[sum(max(c(t), 0.0) for c in coefs) for t in row] for row in nodes.tolist()]
+        assert op.bound_b(nodes).tobytes() == np.array(expected).tobytes()
 
     @pytest.mark.parametrize(
         "build",
