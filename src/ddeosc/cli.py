@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import Optional
 
 import click
+import numpy as np
 
 from . import __version__
 from .criterion import DEFAULT_GRID_POINTS, PANELS, THRESHOLD, estimate_liminf_w, tetration_proof_trace, theorem_verdict
@@ -122,6 +123,8 @@ def analyze_spec(
                 )
     tau = parse_expression(spec.tau_expr) if spec.tau_expr else op.tau
     estimate = estimate_liminf_w(op.bound_b, tau, t_start, t_end, grid_points, panels)
+    # After the estimate, so that a spec it cannot evaluate keeps the estimate's error.
+    _check_criterion_inputs(spec, op, tau, estimate.sample_times)
     verdict = theorem_verdict(estimate)
     # Above ln(DBL_MAX) the tower base e^w is not a float: no tower to trace.
     trace = tetration_proof_trace(estimate.w_hat) if 0.0 < estimate.w_hat <= math.log(sys.float_info.max) else None
@@ -155,6 +158,51 @@ def analyze_spec(
         },
     }
     return report, op, estimate
+
+
+# A bound may exceed the coefficient sum by this relative slack.  The two are
+# different expressions, rounded separately, so a bound equal to the sum in
+# exact arithmetic can exceed the float sum in the last bits: app1's "1/10.0"
+# exceeds 1/(10.0*(t+6)) + (t+5)/(10.0*(t+6)) at 215 of its 512 sample times,
+# by up to 2.8e-16 of it.  The slack is two units in the last place.
+_BOUND_SLACK = 4e-16
+
+
+def _check_criterion_inputs(spec: EquationSpec, op, tau, ts: np.ndarray) -> None:
+    """Reject, at the criterion's sample times ``ts``, a spec whose verdict the theorem does not cover.
+
+    For a discrete spec, Tx = sum_i p_i(t) x(t - d_i) >= b(t) inf x holds for
+    every positive history exactly when every p_i(t) >= 0 and b(t) <= sum_i
+    p_i(t): a negative coefficient lets a large read drive Tx below zero, so
+    no bound, derived or given, makes it admissible.  A ``tau_expr`` is sound
+    where it is no older than the operator's newest read, op.tau(t).  Between
+    the sample times nothing is checked.
+    """
+
+    def require(ok, values, what, against=None):
+        bad = np.flatnonzero(~ok)
+        if bad.size:
+            k = int(bad[0])
+            versus = "" if against is None else f" against {float(against[k])!r}"
+            raise InvalidParameterError(
+                f"{what}, but is {float(values[k])!r}{versus} at t={float(ts[k])!r}; criterion not applicable"
+            )
+
+    with np.errstate(all="ignore"):
+        if spec.kind == "discrete_delay":
+            total = 0.0
+            for i, (coef, _) in enumerate(spec.terms):
+                p = parse_expression(coef)(ts)
+                require(p >= 0.0, p, f"terms[{i}].coef_expr {coef!r} must be >= 0")
+                total = total + p
+            if spec.bound_expr:
+                b = op.bound_b(ts)
+                require(b <= total * (1.0 + _BOUND_SLACK), b,
+                        f"bound_expr {spec.bound_expr!r} must not exceed the sum of the coefficients", total)
+        if spec.tau_expr:
+            lows, newest = np.broadcast_to(tau(ts), ts.shape), op.tau(ts)
+            require(lows >= newest, lows, f"tau_expr {spec.tau_expr!r} must be no older than the operator's newest read",
+                    newest)
 
 
 def _print_analysis(report: dict, fmt: str) -> None:

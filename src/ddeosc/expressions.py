@@ -6,66 +6,49 @@ the functions exp, log, sin and cos (one argument each) and min and max
 wrong number of arguments included, is rejected with an
 :class:`ExpressionError` naming the offending construct.
 
-A parsed expression evaluates a float t with Python float arithmetic, or a
-whole numpy array of times in one call, with the same bits element by
-element.  The array form computes ``+ - * /`` and unary minus in numpy,
-which rounds them exactly as Python does; ``exp log sin cos`` and ``**``
-map ``math``'s functions and Python's ``pow`` over the elements, as
-numpy's own differ from libm in the last bit; ``min`` and ``max`` select
-with ``np.where`` in Python's order (the first of tied or NaN arguments
-stays).  One rule covers failure: an array call returns the array pass
-when that pass raises nothing and every value is finite; otherwise it
-replays the float form on every element, in the array's order, so it
-has the float bits or raises the error a loop over the times meets first.
+One walker checks and builds: it visits each node before its operands,
+and the operands left to right, and either rejects the node's construct
+(so the first fault in that order is the one named) or builds the node's
+evaluator from an arithmetic table, which maps each operator and function
+to an operation.  Numbers become floats.  The float table holds Python's
+operators, ``math``'s functions, ``pow``, ``min`` and ``max``, so a float
+t gets the bits and errors of Python evaluating the text.  The array
+table evaluates a whole numpy array of times in one call with the same
+bits element by element: ``+ - * /`` and unary minus run in numpy, which
+rounds them exactly as Python does; ``exp log sin cos`` and ``**`` map
+``math``'s functions and Python's ``pow`` over the elements, as numpy's
+own differ from libm in the last bit; ``min`` and ``max`` select with
+``np.where`` in Python's order (the first of tied or NaN arguments stays).
+One rule covers failure: an array call returns the array pass when that
+pass raises nothing and every value is finite; otherwise it replays the
+float call on every element, in the array's order, so it has the float
+bits or raises the error a loop over the times meets first.
 """
 
 import ast
 import math
+import operator
 from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, ExpressionError
 
-_FUNCTIONS = {
-    "exp": math.exp,
-    "log": math.log,
-    "sin": math.sin,
-    "cos": math.cos,
-    "min": min,
-    "max": max,
-}
 _CONSTANTS = {"e": math.e, "pi": math.pi}
-# The array form's exactly rounded operators; ``/`` and ``**`` need more care.
-_UFUNCS = {ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply}
-
-_ALLOWED_NODES = (
-    ast.Expression,
-    ast.BinOp,
-    ast.UnaryOp,
-    ast.Call,
-    ast.Name,
-    ast.Constant,
-    ast.Load,
-    ast.Add,
-    ast.Sub,
-    ast.Mult,
-    ast.Div,
-    ast.Pow,
-    ast.USub,
-    ast.UAdd,
-)
+_VARIADIC = ("min", "max")
+_FUNCTIONS = ("exp", "log", "sin", "cos") + _VARIADIC
 
 
 def parse_expression(source: str) -> Callable:
-    """Compile ``source`` into a function of t: a float, or a numpy array of times.
+    """Parse ``source`` into a function of t: a float, or a numpy array of times.
 
     An array of times gives a float array of its shape, each element with
     the bits (or the error) of the float call at that time.  The returned
     callable carries the original text in its ``source``
     attribute so specs can round-trip exactly.  It raises
     :class:`~ddeosc.errors.DomainError` where the expression has no real
-    value, such as ``(t-10)**0.5`` at t < 10.
+    value, such as ``(t-10)**0.5`` at t < 10, and an ``OverflowError``
+    naming the expression and t where a value overflows.
     """
     if not isinstance(source, str) or not source.strip():
         raise ExpressionError(f"expression must be a nonempty string, got {source!r}")
@@ -73,59 +56,18 @@ def parse_expression(source: str) -> Callable:
         tree = ast.parse(source, mode="eval")
     except SyntaxError as exc:
         raise ExpressionError(f"cannot parse expression {source!r}: {exc.msg}") from exc
-
-    call_names = set()
-    for node in ast.walk(tree):
-        if not isinstance(node, _ALLOWED_NODES):
-            raise ExpressionError(
-                f"construct {type(node).__name__!r} not allowed in expression {source!r}"
-            )
-        if isinstance(node, ast.Call):
-            if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCTIONS:
-                raise ExpressionError(f"unknown function call in expression {source!r}")
-            if node.keywords:
-                raise ExpressionError(f"keyword arguments not allowed in expression {source!r}")
-            variadic = node.func.id in ("min", "max")
-            if len(node.args) < 2 if variadic else len(node.args) != 1:
-                expected = "at least two arguments" if variadic else "exactly one argument"
-                raise ExpressionError(
-                    f"{node.func.id}() takes {expected}, got {len(node.args)}, in expression {source!r}"
-                )
-            call_names.add(id(node.func))
-        elif isinstance(node, ast.Constant):
-            if not isinstance(node.value, (int, float)) or isinstance(node.value, bool):
-                raise ExpressionError(f"non-numeric literal {node.value!r} in expression {source!r}")
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            if node.id in _FUNCTIONS:
-                if id(node) not in call_names:
-                    raise ExpressionError(
-                        f"function name {node.id!r} used as a value in expression {source!r}"
-                    )
-            elif node.id != "t" and node.id not in _CONSTANTS:
-                raise ExpressionError(f"unknown name {node.id!r} in expression {source!r}")
-
-    # Integer literals become floats so powers go through float arithmetic
-    # (an int 9**9**9 would otherwise build an astronomically large bigint).
-    class _Floats(ast.NodeTransformer):
-        def visit_Constant(self, node):
-            return ast.copy_location(ast.Constant(float(node.value)), node)
-
-    tree = ast.fix_missing_locations(_Floats().visit(tree))
-    code = compile(tree, "<expression>", "eval")
-    env = {"__builtins__": {}}
-    env.update(_FUNCTIONS)
-    env.update(_CONSTANTS)
+    build = _walk(tree.body, source)
+    evaluate, array_pass = build(_FLOAT), build(_ARRAY)
 
     def scalar(t: float) -> float:
         try:
-            return float(eval(code, env, {"t": t}))
+            return float(evaluate(t))
         except TypeError as exc:  # a complex value, e.g. a negative base to a fractional power
             raise DomainError(
                 f"expression {source!r} does not evaluate to a real number at t={t!r}: {exc}"
             ) from None
-
-    array_form = _array_form(tree.body)
+        except OverflowError as exc:  # pow's errno pair (34, text) or math's text
+            raise OverflowError(f"expression {source!r} overflows at t={t!r}: {exc.args[-1]}") from None
 
     def fn(t):
         if not isinstance(t, np.ndarray):
@@ -134,7 +76,7 @@ def parse_expression(source: str) -> Callable:
         out = np.empty(ts.shape)
         try:
             with np.errstate(all="ignore"):
-                out[...] = array_form(ts)
+                out[...] = array_pass(ts)
             if np.isfinite(out).all():
                 return out
         except _Replay:
@@ -145,68 +87,125 @@ def parse_expression(source: str) -> Callable:
     return fn
 
 
+def _walk(node: ast.AST, source: str) -> Callable:
+    """Check ``node``; return its builder, which maps an arithmetic table to the node's evaluator.
+
+    An evaluator takes the time argument x (a float, or an array of times)
+    to the node's value; its operands are evaluated left to right before
+    the node's own operation.
+    """
+    if isinstance(node, ast.Constant):
+        if not isinstance(node.value, (int, float)) or isinstance(node.value, bool):
+            raise ExpressionError(f"non-numeric literal {node.value!r} in expression {source!r}")
+        return _literal(node.value)
+    if isinstance(node, ast.Name):
+        if node.id == "t":
+            return lambda table: lambda x: x
+        if node.id in _CONSTANTS:
+            return _literal(_CONSTANTS[node.id])
+        if node.id in _FUNCTIONS:
+            raise ExpressionError(f"function name {node.id!r} used as a value in expression {source!r}")
+        raise ExpressionError(f"unknown name {node.id!r} in expression {source!r}")
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _FLOAT:
+        return _operation(type(node.op), [_walk(node.operand, source)])
+    if isinstance(node, ast.BinOp) and type(node.op) in _FLOAT:
+        return _operation(type(node.op), [_walk(node.left, source), _walk(node.right, source)])
+    if isinstance(node, ast.Call):
+        if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCTIONS:
+            raise ExpressionError(f"unknown function call in expression {source!r}")
+        if node.keywords:
+            raise ExpressionError(f"keyword arguments not allowed in expression {source!r}")
+        name = node.func.id
+        if len(node.args) < 2 if name in _VARIADIC else len(node.args) != 1:
+            expected = "at least two arguments" if name in _VARIADIC else "exactly one argument"
+            raise ExpressionError(f"{name}() takes {expected}, got {len(node.args)}, in expression {source!r}")
+        return _operation(name, [_walk(arg, source) for arg in node.args])
+    construct = node.op if isinstance(node, (ast.UnaryOp, ast.BinOp)) else node
+    raise ExpressionError(f"construct {type(construct).__name__!r} not allowed in expression {source!r}")
+
+
+def _literal(value) -> Callable:
+    """The builder of a number as a float.
+
+    An int 9**9**9 would build an astronomically large bigint.  The float
+    is made at the build, after the walk, so an integer too large for a
+    float raises its ``OverflowError`` only where nothing else is wrong.
+    """
+
+    def build(table):
+        v = float(value)
+        return lambda x: v
+
+    return build
+
+
+def _operation(key, operands: list) -> Callable:
+    """The builder of ``table[key]`` applied to the values of ``operands``' builders."""
+
+    def build(table):
+        f = table[key]
+        evaluators = [operand(table) for operand in operands]
+        # One or two operands get closures of their own: a float call, once
+        # per element in a replay, runs about three times faster through them.
+        if len(evaluators) == 1:
+            (a,) = evaluators
+            return lambda x: f(a(x))
+        if len(evaluators) == 2:
+            a, b = evaluators
+            return lambda x: f(a(x), b(x))
+        return lambda x: f(*[e(x) for e in evaluators])
+
+    return build
+
+
+# The operations Python runs for the expression's text, so the same bits and errors.
+_FLOAT = {
+    ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: operator.truediv,
+    ast.Pow: pow, ast.USub: operator.neg, ast.UAdd: operator.pos,
+    "exp": math.exp, "log": math.log, "sin": math.sin, "cos": math.cos, "min": min, "max": max,
+}
+
+
 class _Replay(Exception):
     """The array pass met an element where a Python operation raises."""
 
 
-def _mapped(f, *args):
-    """``f`` over the broadcast elements of ``args``; raises :class:`_Replay` where it raises or gives a complex."""
-    arrays = np.broadcast_arrays(*args)
-    columns = [a.ravel().tolist() for a in arrays]
-    try:
-        return np.fromiter(map(f, *columns), float, len(columns[0])).reshape(arrays[0].shape)
-    except (ArithmeticError, ValueError, TypeError):
-        raise _Replay from None
+def _mapped(f: Callable) -> Callable:
+    """``f`` over the broadcast elements of its arguments; raises :class:`_Replay` where it raises or gives a complex."""
+
+    def apply(*args):
+        arrays = np.broadcast_arrays(*args)
+        columns = [a.ravel().tolist() for a in arrays]
+        try:
+            return np.fromiter(map(f, *columns), float, len(columns[0])).reshape(arrays[0].shape)
+        except (ArithmeticError, ValueError, TypeError):
+            raise _Replay from None
+
+    return apply
 
 
-def _array_form(node: ast.AST):
-    """The checked expression ``node`` as a function of an array of times.
+def _divide(a, b):
+    """``/`` in numpy; a zero divisor, where Python raises, signals :class:`_Replay`."""
+    if (np.asarray(b) == 0.0).any():
+        raise _Replay
+    return np.divide(a, b)
 
-    The value broadcasts to the shape of the times (a plain number stays a
-    number).  It raises :class:`_Replay` where a Python operation would
-    raise.
-    """
-    if isinstance(node, ast.Constant):
-        value = node.value
-        return lambda ts: value
-    if isinstance(node, ast.Name):
-        if node.id == "t":
-            return lambda ts: ts
-        value = _CONSTANTS[node.id]
-        return lambda ts: value
-    if isinstance(node, ast.UnaryOp):
-        operand = _array_form(node.operand)
-        if isinstance(node.op, ast.UAdd):
-            return operand
-        return lambda ts: np.negative(operand(ts))
-    if isinstance(node, ast.BinOp):
-        left, right = _array_form(node.left), _array_form(node.right)
-        op = type(node.op)
 
-        def binary(ts):
-            a, b = left(ts), right(ts)
-            if op is ast.Pow:
-                return _mapped(pow, a, b)
-            if op is ast.Div:
-                if (np.asarray(b) == 0.0).any():
-                    raise _Replay
-                return np.divide(a, b)
-            return _UFUNCS[op](a, b)
+def _selected(better: Callable) -> Callable:
+    """``min`` or ``max`` in Python's order: a later argument replaces the current one only where it is better."""
 
-        return binary
-    # A call: the parse checks leave no other node here.
-    name = node.func.id
-    args = [_array_form(arg) for arg in node.args]
-    if name in ("min", "max"):
-        better = np.less if name == "min" else np.greater
+    def select(current, *rest):
+        for v in rest:
+            current = np.where(better(v, current), v, current)
+        return current
 
-        def extreme(ts):
-            current = args[0](ts)
-            for arg in args[1:]:
-                v = arg(ts)
-                current = np.where(better(v, current), v, current)
-            return current
+    return select
 
-        return extreme
-    f = _FUNCTIONS[name]
-    return lambda ts: _mapped(f, args[0](ts))
+
+# Values broadcast to the shape of the times; a plain number stays a number.
+_ARRAY = {
+    ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply, ast.Div: _divide,
+    ast.Pow: _mapped(pow), ast.USub: np.negative, ast.UAdd: lambda a: a,
+    "exp": _mapped(math.exp), "log": _mapped(math.log), "sin": _mapped(math.sin), "cos": _mapped(math.cos),
+    "min": _selected(np.less), "max": _selected(np.greater),
+}

@@ -272,11 +272,12 @@ def make_discrete_delay(
 
     Coefficients may be numbers or array functions of t (such as parsed
     expressions) that map an array of times to an array of values, or to a
-    plain number; every delay must be positive.  When all coefficients are
-    nonnegative the rate bound b(t) = sum_i p_i(t) is derived automatically
-    (negative parts are clipped pointwise, as Python's ``max(p, 0.0)``
-    does); pass ``bound_b`` to override, which is necessary for
-    sign-changing coefficients if the criterion machinery will be used.
+    plain number; every delay must be positive.  The rate bound b(t) =
+    sum_i max(p_i(t), 0.0) is derived automatically, or ``bound_b``
+    overrides it.  The criterion covers the operator only where every
+    p_i(t) >= 0 and b(t) <= sum_i p_i(t): with a negative coefficient a
+    large read drives Tx below zero, so no bound makes a sign-changing
+    coefficient admissible.
 
     The reads at t are t - d_i, term by term.  An evaluation calls each
     coefficient once, on the array of its times, and multiplies the values

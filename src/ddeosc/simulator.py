@@ -423,6 +423,8 @@ class ConcordanceReport:
     ``discordant_runs`` counts completed runs whose class contradicts a
     GUARANTEED verdict: Inconclusive with a one-signed tail bounded away
     from zero.  Overflowed runs cannot be classified and are only counted.
+    ``concordant`` holds when at least one run was classified and none is
+    discordant: an ensemble with no classified run confirms nothing.
     """
 
     verdict: Verdict
@@ -501,7 +503,7 @@ def concordance_experiment(
         seeds=seeds,
         overflowed_runs=overflowed,
         discordant_runs=discordant,
-        concordant=discordant == 0,
+        concordant=bool(classes) and discordant == 0,
         audit=audit,
         trajectories=tuple(kept),
     )

@@ -89,9 +89,9 @@ class TestAnalyze:
         assert len(lines) == 34
         assert [[float(v) for v in line.split(",")] for line in lines[1:]] == infima
 
-    @pytest.mark.parametrize("tau_expr, w_hat", [(None, 0.5), ("t - 2", 1.0)])
+    @pytest.mark.parametrize("tau_expr, w_hat", [(None, 1.0), ("t - 1", 0.5)])
     def test_tau_expr_sets_the_criterion_delay(self, tau_expr, w_hat, tmp_path):
-        spec = EquationSpec(kind="discrete_delay", label="tau", terms=(("0.5", 1.0),), tau_expr=tau_expr)
+        spec = EquationSpec(kind="discrete_delay", label="tau", terms=(("0.5", 2.0),), tau_expr=tau_expr)
         path = tmp_path / "tau.json"
         save_spec(spec, path)
         assert load_spec(path) == spec
@@ -194,6 +194,48 @@ class TestAnalyze:
                                tau_expr="t - 1 - 0*log(500 - t)"), path)
         result = CliRunner().invoke(main, ["analyze", "--spec", str(path), "--t-start", "0", "--t-end", "511"])
         assert (result.exit_code, result.stderr) == (3, "error: math domain error\n")
+
+    @pytest.mark.parametrize(
+        "doc, stderr",
+        [
+            # the derived bound clips the negative coefficient; some solutions grow without oscillating
+            (
+                {"terms": [{"coef_expr": "1.0", "delay": 3.0}, {"coef_expr": "-0.95", "delay": 1.0}]},
+                "terms[1].coef_expr '-0.95' must be >= 0, but is -0.95 at t=10.0",
+            ),
+            (
+                {"terms": [{"coef_expr": "0.1", "delay": 1.0}], "bound_expr": "1.0"},
+                "bound_expr '1.0' must not exceed the sum of the coefficients, but is 1.0 against 0.1 at t=10.0",
+            ),
+            (
+                {"terms": [{"coef_expr": "0.1", "delay": 1.0}], "tau_expr": "t - 10"},
+                "tau_expr 't - 10' must be no older than the operator's newest read, but is 0.0 against 9.0 at t=10.0",
+            ),
+        ],
+    )
+    def test_a_spec_outside_the_theorem_exits_2(self, doc, stderr, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"schema": 1, "kind": "discrete_delay", **doc}))
+        result = CliRunner().invoke(main, ["analyze", "--spec", str(path)])
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr == f"error: {stderr}; criterion not applicable\n"
+
+    @pytest.mark.parametrize("bound, code", [("0.8", 0), ("0.8000000000000003", 0), ("0.8000000000000004", 2)])
+    def test_a_bound_may_exceed_the_coefficient_sum_by_rounding_only(self, bound, code, tmp_path):
+        # 0.7 + 0.1 is 0.7999999999999999; the slack allows 4e-16 of it above
+        path = tmp_path / "spec.json"
+        save_spec(EquationSpec(kind="discrete_delay", label="sum", terms=(("0.7", 1.0), ("0.1", 2.0)), bound_expr=bound), path)
+        result = CliRunner().invoke(main, ["analyze", "--spec", str(path)])
+        assert result.exit_code == code
+
+    def test_overflowing_coefficient_names_the_expression(self, tmp_path):
+        path = tmp_path / "overflow.json"
+        save_spec(EquationSpec(kind="discrete_delay", label="overflow", terms=(("9**9**9", 1.0),)), path)
+        result = CliRunner().invoke(main, ["analyze", "--spec", str(path), "--t-start", "0", "--t-end", "511"])
+        assert (result.exit_code, result.stderr) == (
+            3,
+            "error: expression '9**9**9' overflows at t=-1.0: Numerical result out of range\n",
+        )
 
 
 class TestSimulate:
@@ -377,6 +419,13 @@ class TestReproduce:
         report = json.loads((tmp_path / "app1_q=1e-300" / "report.json").read_text())
         assert report["verdict"] == "guaranteed"
         assert report["tetration"] is None
+
+    def test_a_scenario_with_no_classified_run_is_not_concordant(self, tmp_path, capsys):
+        # every run overflows, so the ensemble confirms nothing
+        assert cmd_reproduce(1, {"q": 1e-300}, tmp_path, seed=0, n_histories=2) == 0
+        conc = json.loads((tmp_path / "app1_q=1e-300" / "concordance.json").read_text())
+        assert (conc["classes"], conc["overflowed_runs"], conc["concordant"]) == ([], 2, False)
+        assert "overflowed 2; concordant: NO" in capsys.readouterr().out
 
     def test_json_stdout_matches_the_bundles(self, tmp_path, capsys):
         out_dir = tmp_path / "rep"

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -49,15 +50,103 @@ def test_rejects_non_arithmetic_constructs():
         "min(t, key=abs)",
         "exp + t",
         "True",
+        "t % 2",
+        "t // 2",
+        "~t",
+        "not t",
+        "(t := 1)",
+        "min(*t)",
+        "1j",
+        "None",
+        "(t)(1)",
+        "e.x",
     ):
         with pytest.raises(ExpressionError):
             parse_expression(bad)
+
+
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        ("x + 1", "unknown name 'x' in expression 'x + 1'"),
+        ("tan(t)", "unknown function call in expression 'tan(t)'"),
+        ("(t)(1)", "unknown function call in expression '(t)(1)'"),
+        ("exp + t", "function name 'exp' used as a value in expression 'exp + t'"),
+        ("min(t, 1, key=2)", "keyword arguments not allowed in expression 'min(t, 1, key=2)'"),
+        ("exp(t, t)", "exp() takes exactly one argument, got 2, in expression 'exp(t, t)'"),
+        ("log()", "log() takes exactly one argument, got 0, in expression 'log()'"),
+        ("min(t)", "min() takes at least two arguments, got 1, in expression 'min(t)'"),
+        ("max()", "max() takes at least two arguments, got 0, in expression 'max()'"),
+        ("min(*t)", "min() takes at least two arguments, got 1, in expression 'min(*t)'"),
+        ("'text'", "non-numeric literal 'text' in expression \"'text'\""),
+        ("True", "non-numeric literal True in expression 'True'"),
+        ("None", "non-numeric literal None in expression 'None'"),
+        ("1j", "non-numeric literal 1j in expression '1j'"),
+        ("t % 2", "construct 'Mod' not allowed in expression 't % 2'"),
+        ("not t", "construct 'Not' not allowed in expression 'not t'"),
+        ("t > 1", "construct 'Compare' not allowed in expression 't > 1'"),
+        ("e.x", "construct 'Attribute' not allowed in expression 'e.x'"),
+        ("min(*t, 1)", "construct 'Starred' not allowed in expression 'min(*t, 1)'"),
+    ],
+)
+def test_single_fault_messages(source, message):
+    with pytest.raises(ExpressionError) as caught:
+        parse_expression(source)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "source, first",
+    [
+        ("x + tan(t)", "unknown name 'x'"),  # a node's left operand before its right
+        ("tan(x)", "unknown function call"),  # a call before its arguments
+        ("(t % 2) + exp", "construct 'Mod'"),
+        ("exp(min(t)) + 'a'", "min() takes at least two arguments"),
+        ("-(y) * None", "unknown name 'y'"),
+    ],
+)
+def test_several_faults_name_the_first_in_pre_order(source, first):
+    with pytest.raises(ExpressionError, match=f"^{re.escape(first)}"):
+        parse_expression(source)
+
+
+@pytest.mark.parametrize(
+    "source, error",
+    [
+        ("log(t - 1000) + 1/(t - 50)", ValueError),
+        ("1/(t - 50) + log(t - 1000)", ZeroDivisionError),
+        ("min(1/(t - 50), log(t - 1000))", ZeroDivisionError),
+        ("exp((t - 60)**0.5) + 1/(t - 50)", DomainError),
+    ],
+)
+def test_the_float_call_raises_the_error_of_its_first_failing_operand(source, error):
+    with pytest.raises(error):
+        parse_expression(source)(50.0)
+    with pytest.raises(error):
+        parse_expression(source)(np.array([2000.0, 50.0]))
+
+
+def test_an_integer_too_large_for_a_float_overflows_only_without_other_faults():
+    huge = "1" + "0" * 400
+    with pytest.raises(OverflowError, match="int too large to convert to float"):
+        parse_expression(huge)
+    with pytest.raises(ExpressionError, match="unknown name 'x'"):
+        parse_expression(f"{huge} + x")
 
 
 def test_integer_powers_stay_in_float_range():
     f = parse_expression("9**9**9")
     with pytest.raises(OverflowError):
         f(0.0)
+
+
+def test_overflow_names_the_expression_and_t():
+    with pytest.raises(OverflowError) as caught:
+        parse_expression("9**9**9")(0.0)
+    assert str(caught.value) == "expression '9**9**9' overflows at t=0.0: Numerical result out of range"
+    with pytest.raises(OverflowError) as caught:
+        parse_expression("exp(t)")(np.array([1.0, 1000.0, 2000.0]))  # the array call replays the float calls
+    assert str(caught.value) == "expression 'exp(t)' overflows at t=1000.0: math range error"
 
 
 def test_rejects_empty():
