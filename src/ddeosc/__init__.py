@@ -23,7 +23,6 @@ from .criterion import (
     Verdict,
     VerdictOutcome,
     estimate_liminf_w,
-    integral_over_amnesia,
     tetration_proof_trace,
     theorem_verdict,
     zeta_fixed_point,
@@ -115,7 +114,6 @@ __all__ = [
     "concordance_experiment",
     "estimate_liminf_w",
     "euler_interval_contains",
-    "integral_over_amnesia",
     "integrate",
     "lambert_w0",
     "make_discrete_delay",

@@ -16,11 +16,11 @@ cross-validates the three equivalent tests against each other.
 :func:`estimate_liminf_w` samples the integral on a grid of times in one
 pass over row blocks of at most ``_BLOCK_ELEMENTS`` Simpson nodes: per
 block, one ``tau`` call on its times and one ``b`` call on the (times,
-panels + 1) array of their nodes, summed row by row with
-:func:`~ddeosc.quadrature.simpson_rows`.  Each sample has the bits of the
-one-time rule.  A block that raises is replayed one time at a time, so
-an error surfaces at the time, and in the order, that a loop over the
-times would meet it.
+panels + 1) array of their nodes, summed row by row by
+:func:`~ddeosc.quadrature.composite_simpson`.  Each sample has the bits
+of the one-time rule.  A block that raises is replayed one time at a
+time, so an error surfaces at the time, and in the order, that a loop
+over the times would meet it.
 """
 
 import math
@@ -32,7 +32,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import CrossValidationError, DomainError, InvalidParameterError
-from .quadrature import PANELS, simpson_rows
+from .quadrature import PANELS, composite_simpson
 from .special_functions import (
     EULER_UPPER,
     INV_E,
@@ -53,7 +53,7 @@ DEFAULT_GRID_POINTS = 512
 #: a larger grid or panel count costs more blocks, not more memory.
 _BLOCK_ELEMENTS = 1 << 12
 
-_TREND_SLOPE_TOL = 1e-6  # per unit time
+_TREND_SLOPE_TOL = 1e-6  # per unit time, times max(1, |w_hat|)
 _TREND_WINDOWS = 15
 
 
@@ -123,20 +123,6 @@ class TetrationTrace:
     tower_result: ConvergenceResult
 
 
-def integral_over_amnesia(
-    b: Callable,
-    tau: Callable,
-    t: float,
-    panels: int = PANELS,
-) -> float:
-    """Composite-Simpson value of the integral of b over [tau(t), t].
-
-    The one-time case of :func:`estimate_liminf_w`'s integrals: ``tau``
-    maps an array of times, and ``b`` an array of nodes, to their values.
-    """
-    return float(_integrals(b, tau, np.array([float(t)]), panels)[0])
-
-
 def _integrals(b: Callable, tau: Callable, ts: np.ndarray, panels: int) -> np.ndarray:
     """The integral of b over [tau(t), t] for every t in ``ts``, in row blocks.
 
@@ -163,7 +149,7 @@ def _block_integrals(b: Callable, tau: Callable, ts: np.ndarray, panels: int) ->
     if late.size:
         k = int(late[0])
         raise InvalidParameterError(f"tau(t) must lie strictly below t; tau({float(ts[k])}) = {float(lows[k])}")
-    return simpson_rows(b, lows, ts, panels)
+    return composite_simpson(b, lows, ts, panels)
 
 
 def estimate_liminf_w(
@@ -233,14 +219,16 @@ def estimate_liminf_w(
     late_t = ts[late_mask]
     late_v = vals[late_mask]
     late_fit = np.polyval(np.polyfit(late_t, late_v, 1), late_t)
-    # Relative to the samples' size, so large samples do not overflow the squares.
-    ripple_rms = float(np.sqrt(np.mean(((late_v - late_fit) / max(1.0, abs(w_hat))) ** 2)))
+    # Both tests are relative to the samples' size, so large samples neither
+    # overflow the squares nor read rounding noise as drift.
+    scale = max(1.0, abs(w_hat))
+    ripple_rms = float(np.sqrt(np.mean(((late_v - late_fit) / scale) ** 2)))
 
     if ripple_rms > 1e-6:
         trend = Trend.OSCILLATING
-    elif slope > _TREND_SLOPE_TOL:
+    elif slope > _TREND_SLOPE_TOL * scale:
         trend = Trend.INCREASING
-    elif slope < -_TREND_SLOPE_TOL:
+    elif slope < -_TREND_SLOPE_TOL * scale:
         trend = Trend.DECREASING
     else:
         trend = Trend.STABLE

@@ -60,6 +60,7 @@ def parse_expression(source: str) -> Callable:
     evaluate, array_pass = build(_FLOAT), build(_ARRAY)
 
     def scalar(t: float) -> float:
+        t = float(t)  # a numpy scalar would follow numpy's arithmetic, not Python's
         try:
             return float(evaluate(t))
         except TypeError as exc:  # a complex value, e.g. a negative base to a fractional power

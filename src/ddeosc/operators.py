@@ -178,7 +178,8 @@ class AmnesiaOperator:
     is the newest, ``sigma(t)`` the oldest, and ``min_lag`` is -tau(0) when
     that is positive, else None.  Given a column of times (shape (times,
     1)), ``read_points`` returns their reads with one leading row per time,
-    and ``tau`` and ``sigma`` of an array of times reduce that one call.
+    and ``tau`` and ``sigma`` reduce that one call; a float is a column of
+    one time.
     The integrator takes ``min_lag`` as the smallest lag of the run, which
     holds when the lags do not shrink.
     ``bound_b`` is the rate function of the sign-respecting bound described
@@ -196,22 +197,18 @@ class AmnesiaOperator:
 
     def tau(self, t):
         """The newest time read at t, or at each time of an array of times."""
-        if isinstance(t, np.ndarray):
-            return self._reads_by_time(t).max(axis=1).reshape(t.shape)
-        # argmax and argmin cost less than max and min on arrays this small.
-        points = self.read_points(t)
-        return float(points[points.argmax()])
+        return self._reduce_reads(t, np.max)
 
     def sigma(self, t):
         """The oldest time read at t, or at each time of an array of times."""
-        if isinstance(t, np.ndarray):
-            return self._reads_by_time(t).min(axis=1).reshape(t.shape)
-        points = self.read_points(t)
-        return float(points[points.argmin()])
+        return self._reduce_reads(t, np.min)
 
-    def _reads_by_time(self, ts: np.ndarray) -> np.ndarray:
-        """A (times, reads) array: the read points of each time, from one ``read_points`` call on the column."""
-        return self.read_points(ts.astype(float, copy=False).reshape(-1, 1)).reshape(ts.size, -1)
+    def _reduce_reads(self, t, reduce: Callable):
+        """``reduce`` over each time's reads, from one ``read_points`` call on the column of times."""
+        ts = np.asarray(t, dtype=float)
+        reads = self.read_points(ts.reshape(-1, 1)).reshape(ts.size, -1)
+        out = reduce(reads, axis=1).reshape(ts.shape)
+        return out if isinstance(t, np.ndarray) else float(out)
 
     @property
     def min_lag(self) -> Optional[float]:

@@ -428,7 +428,6 @@ class ConcordanceReport:
     """
 
     verdict: Verdict
-    estimate: LiminfEstimate
     classes: tuple[SolutionClass, ...]
     seeds: tuple[int, ...]
     overflowed_runs: int
@@ -498,7 +497,6 @@ def concordance_experiment(
 
     return ConcordanceReport(
         verdict=verdict,
-        estimate=estimate,
         classes=tuple(classes),
         seeds=seeds,
         overflowed_runs=overflowed,

@@ -15,7 +15,6 @@ from ddeosc import (
     Trend,
     VerdictOutcome,
     estimate_liminf_w,
-    integral_over_amnesia,
     tetration_proof_trace,
     theorem_verdict,
     tower_limit,
@@ -28,24 +27,6 @@ from ddeosc.quadrature import PANELS
 from ddeosc.specfile import KERNEL_CATALOG
 
 from _oracles import bisect_root, dense_infimum, looped_simpson
-
-
-class TestIntegralOverAmnesia:
-    def test_constant_rate_exact(self):
-        assert integral_over_amnesia(lambda s: 0.7, lambda t: t - 3.0, 12.0) == pytest.approx(2.1, abs=1e-13)
-
-    def test_scenario1_constant_bound(self):
-        q = 10.0
-        assert integral_over_amnesia(lambda s: 1.0 / q, lambda t: t - 6.0, 50.0) == pytest.approx(0.6, abs=1e-13)
-
-    def test_linear_rate_exact(self):
-        assert integral_over_amnesia(lambda s: s, lambda t: t - 1.0, 1.0) == pytest.approx(0.5, abs=1e-14)
-
-    def test_rejects_degenerate_window(self):
-        with pytest.raises(InvalidParameterError):
-            integral_over_amnesia(lambda s: 1.0, lambda t: t, 5.0)
-        with pytest.raises(InvalidParameterError):
-            integral_over_amnesia(lambda s: 1.0, lambda t: t + 1.0, 5.0)
 
 
 class TestEstimateLiminf:
@@ -96,6 +77,11 @@ class TestEstimateLiminf:
         for t_start, t_end in ((0.0, math.inf), (-math.inf, 10.0), (math.nan, 10.0)):
             with pytest.raises(InvalidParameterError):
                 estimate_liminf_w(lambda s: 1.0, lambda t: t - 1.0, t_start, t_end)
+
+    @pytest.mark.parametrize("tau", [lambda t: t, lambda t: t + 1.0], ids=["tau-is-t", "tau-ahead-of-t"])
+    def test_rejects_tau_not_below_t(self, tau):
+        with pytest.raises(InvalidParameterError, match=r"^tau\(t\) must lie strictly below t; tau\(5\.0\) = "):
+            estimate_liminf_w(lambda s: 1.0, tau, 5.0, 40.0)
 
 
 def _rate_expr(kind, scale, r=0.0, omega=1.0, phi=0.0, k=0.0):

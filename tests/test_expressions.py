@@ -164,8 +164,9 @@ def test_syntax_error_reported():
 def test_complex_value_raises_domain_error():
     f = parse_expression("(t-10)**0.5")
     assert f(14.0) == 2.0
-    with pytest.raises(DomainError, match=r"^expression '\(t-10\)\*\*0\.5' does not evaluate to a real number at t=5\.0: "):
-        f(5.0)
+    for t in (5.0, np.float64(5.0)):  # a numpy scalar takes Python's arithmetic too
+        with pytest.raises(DomainError, match=r"^expression '\(t-10\)\*\*0\.5' does not evaluate to a real number at t=5\.0: "):
+            f(t)
     with pytest.raises(DomainError, match=r"^expression 'min\(\(t-10\)\*\*0\.5, 1\)' does not evaluate"):
         parse_expression("min((t-10)**0.5, 1)")(5.0)
 

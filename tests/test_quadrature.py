@@ -59,9 +59,11 @@ def test_same_bits_as_one_loop():
         lambda c: parse_expression(f"{c!r} * t ** 3 - t + 0.1"),
     ]
     checked = 0
+    intervals = []
     for _ in range(100):
         a = float(rng.uniform(-20.0, 20.0))
         b = a + float(rng.exponential(5.0))
+        intervals.append((a, b))
         c = float(rng.uniform(-2.0, 2.0))
         for shape in shapes:
             f = shape(c)
@@ -69,3 +71,10 @@ def test_same_bits_as_one_loop():
                 assert composite_simpson(f, a, b, panels) == looped_simpson(f, a, b, panels)
                 checked += 1
     assert checked == 2_400
+    # One row call over all of the loop's intervals has the bits of the float calls.
+    lows, highs = np.array(intervals).T
+    for shape in shapes:
+        f = shape(0.75)
+        for panels in (2, 4, 6, 10, 16, 34, PANELS, 128):
+            rows = composite_simpson(f, lows, highs, panels)
+            assert rows.tolist() == [composite_simpson(f, a, b, panels) for a, b in intervals]

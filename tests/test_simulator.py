@@ -430,7 +430,7 @@ class TestDiscreteReadsMatchScalarOracle:
             return looped(oracle.evaluate)(ts, history)
 
         op = AmnesiaOperator(label="counted", evaluate_many=evaluate_many,
-                             read_points=lambda t: np.array([0.0, t - 1.5]))
+                             read_points=lambda t: np.hstack([np.zeros_like(t), t - 1.5]))
         assert op.min_lag is None
         h = 0.05
         traj = _assert_same_run(op, oracle, random_history(2, -1.6, 0.0), SimulationConfig(t_end=6.0, step=h))
