@@ -164,17 +164,25 @@ class TestAnalyze:
         assert reports["710"]["verdict"] == "guaranteed"
         assert reports["710"]["tetration"] is None
 
-    @pytest.mark.parametrize("scale", ["1e12", "1e200"])
-    def test_huge_rate_ripple_does_not_overflow(self, tmp_path, scale):
+    @staticmethod
+    def _analyze_huge_rate(tmp_path, scale):
         path = tmp_path / "huge.json"
         save_spec(EquationSpec(kind="discrete_delay", label="huge", terms=((f"{scale}*(1 + 1e-10*sin(t))", 1.0),)), path)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # squaring residuals near 1e200 overflowed inside numpy
             result = CliRunner().invoke(main, ["analyze", "--spec", str(path), "--format", "json"])
         assert (result.exit_code, result.stderr) == (0, "")
-        report = json.loads(result.stdout)
+        return json.loads(result.stdout)
+
+    def test_huge_rate_ripple_does_not_overflow(self, tmp_path):
+        report = self._analyze_huge_rate(tmp_path, "1e200")
         assert report["verdict"] == "guaranteed"
         assert report["trend"] == "stable"  # the slope tolerance scales with the samples, as the ripple test does
+
+    def test_rate_near_1e12_reads_a_stable_trend(self, tmp_path):
+        report = self._analyze_huge_rate(tmp_path, "1e12")
+        assert report["verdict"] == "guaranteed"
+        assert report["trend"] == "stable"
 
     def test_derived_bound_fails_at_the_first_criterion_node_in_row_major_order(self, tmp_path):
         # With a sample at every integer and delay 1, row t holds the nodes

@@ -23,10 +23,33 @@ from ddeosc import (
 
 from ddeosc import criterion
 from ddeosc.expressions import parse_expression
-from ddeosc.quadrature import PANELS
+from ddeosc.quadrature import PANELS, composite_simpson
 from ddeosc.specfile import KERNEL_CATALOG
 
 from _oracles import bisect_root, dense_infimum, looped_simpson
+
+
+class TestIntegralOverAmnesia:
+    """The integral of b over [tau(t), t], summed as the criterion sums it."""
+
+    @staticmethod
+    def _integral(b, tau, t):
+        return composite_simpson(b, tau(t), t, PANELS)
+
+    def test_constant_rate_exact(self):
+        assert self._integral(lambda s: 0.7, lambda t: t - 3.0, 12.0) == pytest.approx(2.1, abs=1e-13)
+
+    def test_scenario1_constant_bound(self):
+        q = 10.0
+        assert self._integral(lambda s: 1.0 / q, lambda t: t - 6.0, 50.0) == pytest.approx(0.6, abs=1e-13)
+
+    def test_linear_rate_exact(self):
+        assert self._integral(lambda s: s, lambda t: t - 1.0, 1.0) == pytest.approx(0.5, abs=1e-14)
+
+    def test_rejects_degenerate_window(self):
+        for tau in (lambda t: t, lambda t: t + 1.0):
+            with pytest.raises(InvalidParameterError, match=r"^tau\(t\) must lie strictly below t; tau\(5\.0\) = "):
+                estimate_liminf_w(lambda s: 1.0, tau, 5.0, 40.0)
 
 
 class TestEstimateLiminf:
@@ -77,11 +100,6 @@ class TestEstimateLiminf:
         for t_start, t_end in ((0.0, math.inf), (-math.inf, 10.0), (math.nan, 10.0)):
             with pytest.raises(InvalidParameterError):
                 estimate_liminf_w(lambda s: 1.0, lambda t: t - 1.0, t_start, t_end)
-
-    @pytest.mark.parametrize("tau", [lambda t: t, lambda t: t + 1.0], ids=["tau-is-t", "tau-ahead-of-t"])
-    def test_rejects_tau_not_below_t(self, tau):
-        with pytest.raises(InvalidParameterError, match=r"^tau\(t\) must lie strictly below t; tau\(5\.0\) = "):
-            estimate_liminf_w(lambda s: 1.0, tau, 5.0, 40.0)
 
 
 def _rate_expr(kind, scale, r=0.0, omega=1.0, phi=0.0, k=0.0):
