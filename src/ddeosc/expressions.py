@@ -47,8 +47,10 @@ def parse_expression(source: str) -> Callable:
     callable carries the original text in its ``source``
     attribute so specs can round-trip exactly.  It raises
     :class:`~ddeosc.errors.DomainError` where the expression has no real
-    value, such as ``(t-10)**0.5`` at t < 10, and an ``OverflowError``
-    naming the expression and t where a value overflows.
+    value, such as ``(t-10)**0.5`` at t < 10, an ``OverflowError`` naming
+    the expression and t where a value overflows, and a ``ValueError`` or
+    ``ZeroDivisionError`` naming them where an operation is undefined, such
+    as ``log(t - 1000)`` at t <= 1000 or ``1/(t - 50)`` at t = 50.
     """
     if not isinstance(source, str) or not source.strip():
         raise ExpressionError(f"expression must be a nonempty string, got {source!r}")
@@ -69,6 +71,8 @@ def parse_expression(source: str) -> Callable:
             ) from None
         except OverflowError as exc:  # pow's errno pair (34, text) or math's text
             raise OverflowError(f"expression {source!r} overflows at t={t!r}: {exc.args[-1]}") from None
+        except (ValueError, ZeroDivisionError) as exc:  # log of a nonpositive number, a zero divisor
+            raise type(exc)(f"expression {source!r} is undefined at t={t!r}: {exc}") from None
 
     def fn(t):
         if not isinstance(t, np.ndarray):

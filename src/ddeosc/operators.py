@@ -3,9 +3,12 @@
 An operator here is causal with *amnesia*: its value at time t depends on
 the solution only through a window [sigma(t), tau(t)] strictly in the past
 of t.  Two histories that agree on that window produce the same value.
-The operator's read map ``read_points(t)``, the exact times it reads at
-t, is the one description of that window: tau(t) is its newest read,
-sigma(t) its oldest, and the lag the integrator relies on is -tau(0).
+An operator is its read points and its combine: ``read_points(t)`` gives,
+for a column of times, the exact times it reads at each, and is the one
+description of that window (tau(t) is the newest read, sigma(t) the
+oldest, and the lag the integrator relies on is -tau(0)); ``combine``
+turns the history values at those reads into the terms of each time's
+sum.
 Each operator carries a nonnegative rate function ``bound_b`` that is
 supposed to satisfy, for histories of a single strict sign on [sigma(t), t],
 
@@ -29,7 +32,7 @@ from .errors import HistoryDomainError, InvalidParameterError
 from .quadrature import simpson_rule
 
 TimeFunction = Callable[[float], float]
-DelayMap = Callable[[float, float], float]
+DelayMap = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 class HistoryFunction:
@@ -170,26 +173,50 @@ def random_history(
 class AmnesiaOperator:
     """A causal response (Tx)(t) reading x only on [sigma(t), tau(t)].
 
-    The operator is its array evaluation: ``evaluate_many(ts, history)``
-    returns the values at an array of times in one pass, each with the bits
-    it has when evaluated alone, and ``evaluate(t, history)`` is its
-    one-time case.  ``read_points(t)``, the array of the exact times it
-    reads at t, is the one description of where it reads: ``tau(t)`` (<= t)
-    is the newest, ``sigma(t)`` the oldest, and ``min_lag`` is -tau(0) when
-    that is positive, else None.  Given a column of times (shape (times,
-    1)), ``read_points`` returns their reads with one leading row per time,
-    and ``tau`` and ``sigma`` reduce that one call; a float is a column of
-    one time.
-    The integrator takes ``min_lag`` as the smallest lag of the run, which
-    holds when the lags do not shrink.
-    ``bound_b`` is the rate function of the sign-respecting bound described
-    in the module docstring, or None when no bound is known.
+    The operator is its read points and its combine.  ``read_points(t)``
+    takes a column of times (shape (times, 1)) and returns a (times, reads)
+    array, row i holding the exact times the operator reads at t_i; it is
+    the one description of where it reads.  ``combine(t, values)`` takes
+    that column and the history values at those reads, in the same shape,
+    and returns a (times, terms) array.  A time's value is its row of terms
+    summed left to right from +0.0, and depends on that row alone, so that
+    stacked rows, such as one time under several histories, give each row
+    the bits it has alone.
+
+    ``evaluate_many(ts, history)`` evaluates an array of times in one pass,
+    and ``evaluate(t, history)`` is its one-time case.  ``tau(t)`` (<= t)
+    is the newest read at t, ``sigma(t)`` the oldest, and ``min_lag`` is
+    -tau(0) when that is positive, else None.  The integrator takes
+    ``min_lag`` as the smallest lag of the run, which holds when the lags
+    do not shrink.  ``bound_b`` is the rate function of the sign-respecting
+    bound described in the module docstring, or None when no bound is known.
     """
 
     label: str
-    evaluate_many: Callable[[np.ndarray, HistoryFunction], np.ndarray]
-    read_points: Callable[[float], np.ndarray]
+    read_points: Callable[[np.ndarray], np.ndarray]
+    combine: Callable[[np.ndarray, np.ndarray], np.ndarray]
     bound_b: Optional[TimeFunction] = None
+
+    def _reads(self, t: np.ndarray) -> np.ndarray:
+        """``read_points`` of the column ``t``, checked to have one row per time."""
+        reads = self.read_points(t)
+        if reads.ndim != 2 or len(reads) != len(t):
+            raise InvalidParameterError(
+                f"read_points of a column of {len(t)} times must have shape ({len(t)}, reads), got {reads.shape}"
+            )
+        return reads
+
+    def evaluate_many(self, ts, history: HistoryFunction) -> np.ndarray:
+        """(Tx)(t) at every time of ``ts``, with one ``history.many`` call for all reads in row order.
+
+        Numpy's floating-point warnings are off inside, as Python float
+        arithmetic prints none.
+        """
+        t = np.reshape(np.asarray(ts, dtype=float), (-1, 1))
+        with np.errstate(all="ignore"):
+            times = self._reads(t)
+            values = history.many(times.ravel()).reshape(times.shape)
+            return _row_sums(self.combine(t, values))
 
     def evaluate(self, t: float, history: HistoryFunction) -> float:
         """(Tx)(t); requires [sigma(t), t] inside the history domain."""
@@ -206,8 +233,7 @@ class AmnesiaOperator:
     def _reduce_reads(self, t, reduce: Callable):
         """``reduce`` over each time's reads, from one ``read_points`` call on the column of times."""
         ts = np.asarray(t, dtype=float)
-        reads = self.read_points(ts.reshape(-1, 1)).reshape(ts.size, -1)
-        out = reduce(reads, axis=1).reshape(ts.shape)
+        out = reduce(self._reads(ts.reshape(-1, 1)), axis=1).reshape(ts.shape)
         return out if isinstance(t, np.ndarray) else float(out)
 
     @property
@@ -219,38 +245,6 @@ class AmnesiaOperator:
 def _row_sums(terms: np.ndarray) -> np.ndarray:
     """Each row of a (times, terms) array summed left to right from +0.0, as ``sum`` does."""
     return np.add.accumulate(np.hstack([np.zeros((len(terms), 1)), terms]), axis=1)[:, -1]
-
-
-def _delay_operator(
-    label: str,
-    reads: Callable,
-    combine: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    bound_b: Optional[TimeFunction],
-) -> AmnesiaOperator:
-    """The operator that reads the history at ``reads(t)`` and sums ``combine``'s terms.
-
-    ``reads(t)`` gives the read times for a column t of times (shape
-    (times, 1)), an array with one leading row per time, or for one float t.
-    ``combine(t, values)`` turns the history values, shaped like the reads,
-    into a (times, terms) array.  ``evaluate_many`` makes one
-    ``history.many`` call for all reads in row order and sums each time's
-    terms left to right from +0.0, giving the bits of the scalar sum.
-    Numpy's floating-point warnings are off inside, as Python float
-    arithmetic prints none.
-    """
-
-    def evaluate_many(ts, history: HistoryFunction) -> np.ndarray:
-        t = np.reshape(np.asarray(ts, dtype=float), (-1, 1))
-        with np.errstate(all="ignore"):
-            times = reads(t)
-            values = history.many(times.ravel()).reshape(times.shape)
-            return _row_sums(combine(t, values))
-
-    def read_points(t) -> np.ndarray:
-        points = reads(t)
-        return points.reshape(len(t), -1) if isinstance(t, np.ndarray) else points.ravel()
-
-    return AmnesiaOperator(label, evaluate_many, read_points, bound_b)
 
 
 def _as_time_function(value) -> TimeFunction:
@@ -313,7 +307,7 @@ def make_discrete_delay(
         total = _row_sums(np.where(p < 0.0, 0.0, p).reshape(-1, len(coefs))).reshape(np.shape(t))
         return total if isinstance(t, np.ndarray) else float(total)
 
-    return _delay_operator(label, lambda t: t - lags, combine, bound_b if bound_b is not None else default_bound)
+    return AmnesiaOperator(label, lambda t: t - lags, combine, bound_b if bound_b is not None else default_bound)
 
 
 def make_distributed_delay(
@@ -327,22 +321,23 @@ def make_distributed_delay(
     """Build (Tx)(t) as the integral over s in [s_lo, s_hi] of a delayed kernel.
 
     The integral is the composite Simpson rule of :mod:`ddeosc.quadrature`
-    with its ``PANELS`` panels.  The reads at t are d(t, s) for every delay
-    map d and quadrature node s, node by node and, within a node, in
-    delay-map order.  A rate bound cannot be inferred from an arbitrary
-    kernel, so ``bound_b`` is required; use :func:`audit_sign_bound` to
-    sanity-check it.
+    with its ``PANELS`` panels.  A rate bound cannot be inferred from an
+    arbitrary kernel, so ``bound_b`` is required; use
+    :func:`audit_sign_bound` to sanity-check it.
 
-    Everything works on arrays.  For a set of times, ``t`` is a column of
-    those times (shape (times, 1)) and ``s`` the array of quadrature nodes.
-    Each delay map is called once, as ``d(t, s)``, and gives a
-    (times, nodes) array of read times (a map that ignores ``s`` may return
-    the column).  ``kernel(t, s, xs)`` receives ``xs``, one (times, nodes)
-    array of history values per delay map, and returns the (times, nodes)
-    integrand, whose Simpson-weighted values are the terms of each time's
-    sum.  A kernel computes each element from its own time, node and
-    values only, so that a time's value does not depend on the other
-    times of the call.
+    Everything works on arrays; no delay map or kernel sees a float.  For a
+    set of times, ``t`` is a column of those times (shape (times, 1)) and
+    ``s`` the array of quadrature nodes.  Each delay map is called once, as
+    ``d(t, s)``, and gives a (times, nodes) array of read times (a map that
+    ignores ``s`` may return the column).  The read points are the
+    (times, nodes * maps) array of d(t, s) for every node s and delay map
+    d, node by node and, within a node, in delay-map order.  The combine
+    reshapes the history values back to (times, nodes, maps), and
+    ``kernel(t, s, xs)`` receives ``xs``, one (times, nodes) array of
+    values per delay map, and returns the (times, nodes) integrand, whose
+    Simpson-weighted values are the terms of each time's sum.  A kernel
+    computes each element from its own time, node and values only, so that
+    a time's value does not depend on the other times of the call.
     """
     s_lo, s_hi = float(s_range[0]), float(s_range[1])
     if not s_lo < s_hi:
@@ -356,18 +351,18 @@ def make_distributed_delay(
     weights = np.array([h / 3.0 * factor for factor in factors])
     maps = list(delay_maps)
 
-    def reads(t) -> np.ndarray:
-        # Entry [i, j, m] is d_m(t_i, s_j), for a column t of times or one
-        # float t (one row; np.shape of a float costs a caught exception).
-        times = np.empty((len(t) if isinstance(t, np.ndarray) else 1, nodes.size, len(maps)))
+    def reads(t: np.ndarray) -> np.ndarray:
+        # Entry [i, j * len(maps) + m] is d_m(t_i, s_j).
+        times = np.empty((len(t), nodes.size, len(maps)))
         for m, d in enumerate(maps):
             times[:, :, m] = d(t, nodes)
-        return times
+        return times.reshape(len(t), -1)
 
     def combine(t: np.ndarray, values: np.ndarray) -> np.ndarray:
+        values = values.reshape(len(t), nodes.size, len(maps))
         return weights * kernel(t, nodes, [values[:, :, m] for m in range(len(maps))])
 
-    return _delay_operator(label, reads, combine, bound_b)
+    return AmnesiaOperator(label, reads, combine, bound_b)
 
 
 def sigma_growth_check(op: AmnesiaOperator, t_start: float, t_end: float) -> bool:
@@ -424,19 +419,20 @@ def audit_sign_bound(
     trials: int = 10,
     seed: int = 0,
     amplitude: float = 1.0,
-    history_factory: Optional[Callable[[float, int, int], HistoryFunction]] = None,
+    history_factory: Optional[Callable[[float, int], HistoryFunction]] = None,
 ) -> AuditReport:
     """Check the sign-respecting bound of ``op`` on sampled (t, history) pairs.
 
-    For each t in ``t_samples`` and each trial, one strictly positive and one
-    strictly negative history are generated on [sigma(t), t] (seeded Fourier
-    sums by default; pass ``history_factory(t, trial, sign)`` to override) and
-    the bound inequality is evaluated with inf/sup taken over a dense window
-    grid that includes the operator's own read points.  A check fails when its
-    slack drops below ``-1e-6 * max(1, |b(t) * inf/sup|)``; the tolerance
-    absorbs the quadrature error of integral-backed operators.  Each history
-    is sampled over the window with one ``many`` call; the default negative
-    history is the positive one negated, and so are its window samples.
+    For each t in ``t_samples`` and each trial, one strictly positive
+    history is generated on [sigma(t), t] (a seeded Fourier sum by default;
+    pass ``history_factory(t, trial)`` to override), and its negation is the
+    strictly negative one.  The history is read twice with ``many``: at the
+    operator's read points, and over a dense window grid that includes
+    them, where inf x is taken (sup of the negation is -inf x).  One
+    ``combine`` call on the rows [read, -read] evaluates both signs.  A
+    check fails when its slack drops below ``-1e-6 * max(1, |b(t) *
+    inf/sup|)``; the tolerance absorbs the quadrature error of
+    integral-backed operators.
     """
     if trials < 1:
         raise InvalidParameterError(f"trials must be >= 1, got {trials}")
@@ -449,46 +445,27 @@ def audit_sign_bound(
 
     for t in t_samples:
         t = float(t)
-        lo = op.sigma(t)
+        points = op._reads(np.array([[t]]))
+        lo = float(np.min(points))
         if not lo < t:
             raise InvalidParameterError(f"sigma(t) must be below t; sigma({t}) = {lo}")
-        points = op.read_points(t)
         window = np.unique(np.concatenate([np.linspace(lo, t, 257), points[(lo <= points) & (points <= t)]]))
         b_t = op.bound_b(t)
         for trial in range(trials):
-            for sign in (+1, -1):
-                if history_factory is not None:
-                    hist = history_factory(t, trial, sign)
-                elif sign > 0:
-                    hist = base = random_history(
-                        seed * 1_000_003 + trial, lo - 1e-6, t, amplitude=amplitude, positive=True
-                    )
-                else:
-                    hist = _ArrayHistory(lambda s, f=base._fn: -f(s), lo - 1e-6, t)
-                value = op.evaluate(t, hist)
-                if history_factory is None and sign < 0:
-                    samples = [-v for v in samples]  # the positive trial's, negated exactly
-                else:
-                    samples = hist.many(window).tolist()
-                if sign > 0:
-                    bound_term = b_t * min(samples)
-                    slack = value - bound_term
-                else:
-                    bound_term = b_t * max(samples)
-                    slack = bound_term - value
+            if history_factory is not None:
+                hist = history_factory(t, trial)
+            else:
+                hist = random_history(seed * 1_000_003 + trial, lo - 1e-6, t, amplitude=amplitude, positive=True)
+            with np.errstate(all="ignore"):
+                read = hist.many(points.ravel()).reshape(points.shape)
+                values = _row_sums(op.combine(np.array([[t], [t]]), np.vstack([read, -read]))).tolist()
+            bound = b_t * min(hist.many(window).tolist())
+            for sign, value, bound_term, slack in ((+1, values[0], bound, values[0] - bound),
+                                                   (-1, values[1], -bound, -bound - values[1])):
                 checked += 1
                 worst = min(worst, slack)
                 if slack < -1e-6 * max(1.0, abs(bound_term)):
-                    violations.append(
-                        AuditViolation(
-                            t=t,
-                            trial=trial,
-                            sign=sign,
-                            operator_value=value,
-                            bound_term=bound_term,
-                            margin=slack,
-                        )
-                    )
+                    violations.append(AuditViolation(t, trial, sign, value, bound_term, slack))
 
     return AuditReport(
         checked=checked,

@@ -10,10 +10,10 @@ derivative samples by default, which preserves the fourth-order accuracy;
 linear interpolation is available for cross-checks.  Trajectories are
 written to and read back from CSV without loss.
 
-An operator is its array evaluation (``op.evaluate_many(ts, history)``),
-and the step loop calls it at one site.  It reads the history through one
-numpy gather over an array of times (``history.many(ts)``; a call
-``history(t)`` gathers one time).  The gather is the scalar read's
+The step loop evaluates the operator at one site, on an array of times
+(``op.evaluate_many(ts, history)``).  Each evaluation reads the history
+through one numpy gather over an array of times (``history.many(ts)``; a
+call ``history(t)`` gathers one time).  The gather is the scalar read's
 arithmetic, element by element, so a read does not depend on the other
 times of its call.  Each gather sends its reads at t <= 0 to the initial
 history in one ``initial_history.many`` call.
@@ -174,7 +174,7 @@ def _block_steps(op: AmnesiaOperator, h: float) -> int:
     if min_lag is None:
         return 1
     by_lag = int(min_lag / h) - 1
-    by_budget = _BLOCK_READS // (2 * len(op.read_points(0.0)))
+    by_budget = _BLOCK_READS // (2 * op.read_points(np.zeros((1, 1))).size)
     return max(1, min(by_lag, by_budget))
 
 

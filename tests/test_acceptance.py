@@ -235,7 +235,7 @@ def test_criterion_8_sign_bound_audit(capsys):
         flipped,
         t_samples=[5.0],
         trials=1,
-        history_factory=lambda t, k, sign: HistoryFunction.constant(float(sign), t - 2.0, t),
+        history_factory=lambda t, k: HistoryFunction.constant(1.0, t - 2.0, t),
     )
     assert len(bad.violations) >= 1
     _ok(

@@ -202,7 +202,9 @@ class TestAnalyze:
         save_spec(EquationSpec(kind="discrete_delay", label="late tau", terms=(("0.5", 1.0),),
                                tau_expr="t - 1 - 0*log(500 - t)"), path)
         result = CliRunner().invoke(main, ["analyze", "--spec", str(path), "--t-start", "0", "--t-end", "511"])
-        assert (result.exit_code, result.stderr) == (3, "error: math domain error\n")
+        assert (result.exit_code, result.stderr) == (
+            3, "error: expression 't - 1 - 0*log(500 - t)' is undefined at t=500.0: math domain error\n"
+        )
 
     @pytest.mark.parametrize(
         "doc, stderr",

@@ -149,6 +149,22 @@ def test_overflow_names_the_expression_and_t():
     assert str(caught.value) == "expression 'exp(t)' overflows at t=1000.0: math range error"
 
 
+@pytest.mark.parametrize(
+    "source, t, error, text",
+    [
+        ("log(t - 1000)", 5.0, ValueError, "math domain error"),
+        ("1/(t - 50)", 50.0, ZeroDivisionError, "float division by zero"),
+    ],
+)
+def test_undefined_operations_name_the_expression_and_t(source, t, error, text):
+    message = f"expression {source!r} is undefined at t={t!r}: {text}"
+    for arg in (t, np.array([2000.0, t, 1.0])):  # the array call replays the float calls
+        with pytest.raises(error) as caught:
+            parse_expression(source)(arg)
+        assert type(caught.value) is error
+        assert str(caught.value) == message
+
+
 def test_rejects_empty():
     with pytest.raises(ExpressionError):
         parse_expression("")

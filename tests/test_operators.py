@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddeosc import (
+    AmnesiaOperator,
     HistoryDomainError,
     HistoryFunction,
     InvalidParameterError,
@@ -17,7 +19,7 @@ from ddeosc import (
     random_history,
 )
 from ddeosc.expressions import parse_expression
-from ddeosc.operators import _ArrayHistory, _row_dots, sigma_growth_check
+from ddeosc.operators import AuditViolation, _ArrayHistory, _row_dots, _row_sums, sigma_growth_check
 from ddeosc.quadrature import PANELS
 from ddeosc.specfile import KERNEL_CATALOG, app3_stated_bound
 
@@ -209,10 +211,13 @@ class TestArrayHistories:
         many = _ArrayHistory.many
         monkeypatch.setattr(_ArrayHistory, "__call__", lambda self, t: calls.append(t) or float(many(self, [t])[0]))
         monkeypatch.setattr(_ArrayHistory, "many", lambda self, ts: reads.append(len(ts)) or many(self, ts))
-        report = audit_sign_bound(op, [10.0, 12.0, 14.0], trials=3)
+        combines = []
+        counted = dataclasses.replace(op, combine=lambda t, values: combines.append(len(t)) or op.combine(t, values))
+        report = audit_sign_bound(counted, [10.0, 12.0, 14.0], trials=3)
         assert report.checked == 18
         assert calls == []
-        assert len(reads) == 3 * 3 * 3  # per time and trial: the window and two evaluations
+        assert len(reads) == 3 * 3 * 2  # per time and trial: the read points and the window
+        assert combines == [2] * (3 * 3)  # per time and trial: both signs in one call
 
 
 class TestDiscreteDelay:
@@ -330,14 +335,58 @@ class TestArrayCoefficientsAndReads:
     def test_sigma_growth_check_reads_once(self):
         op = make_discrete_delay([(1.0, 2.0)])
         calls = []
-        counted = op.__class__(
-            label="counted",
-            evaluate_many=op.evaluate_many,
-            read_points=lambda t: calls.append(np.shape(t)) or op.read_points(t),
-            bound_b=op.bound_b,
+        counted = dataclasses.replace(
+            op, label="counted", read_points=lambda t: calls.append(np.shape(t)) or op.read_points(t)
         )
         assert sigma_growth_check(counted, 0.0, 50.0)
         assert calls == [(64, 1)]
+
+
+class TestReadPointsAndCombine:
+    """An operator is its read points and its combine: stacked rows of read
+    values at one time give each row's evaluation, and read points must have
+    one row per time."""
+
+    def test_read_points_without_a_row_per_time_are_rejected(self):
+        # the reads stacked first give (reads, times, 1) for a column of times
+        op = AmnesiaOperator(
+            "stacked",
+            read_points=lambda t: np.array([t - 1.0, t - 1.5]),
+            combine=lambda t, values: values,
+            bound_b=lambda t: 1.0,
+        )
+        with pytest.raises(InvalidParameterError) as caught:
+            op.tau(np.array([5.0, 6.0]))
+        assert str(caught.value) == "read_points of a column of 2 times must have shape (2, reads), got (2, 2, 1)"
+        shape = r"must have shape \(1, reads\), got \(2, 1, 1\)"
+        with pytest.raises(InvalidParameterError, match=shape):
+            op.sigma(5.0)
+        with pytest.raises(InvalidParameterError, match=shape):
+            op.evaluate(5.0, HistoryFunction.constant(1.0, 0.0, 6.0))
+        with pytest.raises(InvalidParameterError, match=shape):
+            audit_sign_bound(op, [5.0])
+
+    @pytest.mark.parametrize(
+        "build, t",
+        [
+            (lambda: make_discrete_delay([(parse_expression("1 + 0.5*cos(t)"), 1.0), (0.25, 2.5)]), 7.3),
+            (lambda: KERNEL_CATALOG["app3"].build({"l": 3}), 11.0),
+        ],
+        ids=["discrete", "app3-l3"],
+    )
+    def test_stacked_rows_at_one_time_are_each_rows_evaluation(self, build, t):
+        op = build()
+        points = op.read_points(np.array([[t]]))
+        assert np.unique(points).size == points.size  # no two reads share a time
+        rng = np.random.default_rng(18)
+        rows = rng.uniform(-2.0, 2.0, (6, points.size)) * 2.0 ** rng.integers(-30, 30, (6, points.size))
+        rows[1] = -rows[0]  # the audit's pair of signs
+        values = _row_sums(op.combine(np.full((len(rows), 1), t), rows))
+        expected = []
+        for row in rows:
+            at = dict(zip(points[0].tolist(), row.tolist()))
+            expected.append(op.evaluate(t, HistoryFunction(lambda s: at[s], float(points.min()), t)))
+        assert values.tobytes() == np.array(expected).tobytes()
 
 
 class TestDistributedDelay:
@@ -413,7 +462,9 @@ class TestDistributedDelay:
         assert op.tau(5.0) == 4.0
         assert op.sigma(5.0) == 2.0
         nodes = simpson_nodes_weights(0.0, 1.0, PANELS)[0]
-        assert sorted(op.read_points(5.0)) == sorted([4.0] * len(nodes) + [5.0 - 2.0 * s - 1.0 for s in nodes])
+        reads = op.read_points(np.array([[5.0]]))
+        assert reads.shape == (1, 2 * len(nodes))
+        assert sorted(reads[0].tolist()) == sorted([4.0] * len(nodes) + [5.0 - 2.0 * s - 1.0 for s in nodes])
         # integral of s * 4 * (4 - 2s) over [0, 1] = 8 - 8/3, exact for Simpson
         assert op.evaluate(5.0, h) == pytest.approx(16.0 / 3.0, abs=1e-12)
 
@@ -485,7 +536,7 @@ class TestAuditSignBound:
             op,
             t_samples=[5.0],
             trials=1,
-            history_factory=lambda t, k, sign: HistoryFunction.constant(float(sign), t - 2.0, t),
+            history_factory=lambda t, k: HistoryFunction.constant(1.0, t - 2.0, t),
         )
         assert len(report.violations) >= 1
         first = report.violations[0]
@@ -498,21 +549,31 @@ class TestAuditSignBound:
 
     @pytest.mark.parametrize("kernel, amplitude", [("app2", 0.1), ("app3", 1.0)])
     def test_negative_trial_matches_evaluated_negated_history(self, kernel, amplitude):
-        # The default audit reuses each positive trial's window samples for
-        # the negated history; reading that history instead gives the same
-        # report.
+        # The audit evaluates both signs in one combine call; evaluating the
+        # positive history and its negation one at a time, and reading each
+        # over the window, gives the same report bit for bit.
         op = KERNEL_CATALOG[kernel].build({})
         if kernel == "app3":  # a bound too large, so that violations are compared too
-            op = op.__class__(**{**vars(op), "bound_b": lambda t: 40.0})
-
-        def factory(t, trial, sign):
+            op = dataclasses.replace(op, bound_b=lambda t: 40.0)
+        checks = []
+        for t in [9.0, 14.5]:
             lo = op.sigma(t)
-            base = random_history(4 * 1_000_003 + trial, lo - 1e-6, t, amplitude=amplitude, positive=True)
-            return base if sign > 0 else HistoryFunction(lambda s: -base(s), lo - 1e-6, t)
-
-        kwargs = dict(t_samples=[9.0, 14.5], trials=2, seed=4, amplitude=amplitude)
-        report = audit_sign_bound(op, **kwargs)
-        assert report == audit_sign_bound(op, history_factory=factory, **kwargs)
+            points = op.read_points(np.array([[t]]))[0]
+            window = np.unique(np.concatenate([np.linspace(lo, t, 257), points]))
+            for trial in range(2):
+                base = random_history(4 * 1_000_003 + trial, lo - 1e-6, t, amplitude=amplitude, positive=True)
+                negated = HistoryFunction(lambda s: -base(s), lo - 1e-6, t)
+                for sign, hist, pick in ((+1, base, min), (-1, negated, max)):
+                    value = op.evaluate(t, hist)
+                    bound_term = op.bound_b(t) * pick(hist.many(window).tolist())
+                    slack = value - bound_term if sign > 0 else bound_term - value
+                    checks.append((t, trial, sign, value, bound_term, slack))
+        report = audit_sign_bound(op, [9.0, 14.5], trials=2, seed=4, amplitude=amplitude)
+        assert report.checked == len(checks) == 8
+        assert report.worst_margin == min(check[-1] for check in checks)
+        assert report.violations == tuple(
+            AuditViolation(*check) for check in checks if check[-1] < -1e-6 * max(1.0, abs(check[-2]))
+        )
         assert report.passed == (kernel == "app2")
 
     def test_app3_stated_bound_fails_audit(self):
@@ -521,28 +582,22 @@ class TestAuditSignBound:
         entry = KERNEL_CATALOG["app3"]
         op = entry.build({"a": 3.0, "b": 0.1, "m": 1.0, "l": 2})
         stated = app3_stated_bound(3.0, 0.1, 1.0, 2)
-        bad = op.__class__(
-            label=op.label,
-            evaluate_many=op.evaluate_many,
-            read_points=op.read_points,
-            bound_b=lambda t: stated,
-        )
+        bad = dataclasses.replace(op, bound_b=lambda t: stated)
         report = audit_sign_bound(
             bad,
             t_samples=[20.0],
             trials=1,
-            history_factory=lambda t, k, sign: HistoryFunction.constant(float(sign), t - 7.0, t),
+            history_factory=lambda t, k: HistoryFunction.constant(1.0, t - 7.0, t),
         )
         assert not report.passed
 
     def test_sigma_growth_check(self):
         op = make_discrete_delay([(1.0, 2.0)])
         assert sigma_growth_check(op, 0.0, 50.0)
-        frozen = op.__class__(
+        frozen = dataclasses.replace(
+            op,
             label="frozen window",
-            evaluate_many=op.evaluate_many,
             read_points=lambda t: np.hstack([t - 2.0, np.zeros_like(t)]),  # window start never advances past 0
-            bound_b=op.bound_b,
         )
         assert not sigma_growth_check(frozen, 0.0, 50.0)
         with pytest.raises(InvalidParameterError):
@@ -555,11 +610,6 @@ class TestAuditSignBound:
             [lambda t, s: t - s - 1.0],
             bound_b=lambda t: 1.0,
         )
-        stripped = op.__class__(
-            label=op.label,
-            evaluate_many=op.evaluate_many,
-            read_points=op.read_points,
-            bound_b=None,
-        )
+        stripped = dataclasses.replace(op, bound_b=None)
         with pytest.raises(InvalidParameterError):
             audit_sign_bound(stripped, t_samples=[5.0])

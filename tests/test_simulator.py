@@ -38,7 +38,6 @@ from _oracles import (
     ScalarDiscreteDelay,
     ScalarDistributedDelay,
     characteristic_root,
-    looped,
     scalar_app2,
     scalar_app3,
     scalar_integrate,
@@ -351,7 +350,7 @@ class TestDiscreteReadsMatchScalarOracle:
         op = build_operator(make_scenarios(1, {"q": 10.0})[0].spec)
         calls = []
         counted = dataclasses.replace(
-            op, evaluate_many=lambda ts, history: calls.append(ts.tolist()) or op.evaluate_many(ts, history)
+            op, combine=lambda t, values: calls.append(t[:, 0].tolist()) or op.combine(t, values)
         )
         integrate(counted, random_history(0, sigma_pad_start(op), 0.0), SimulationConfig(t_end=20.0, step=0.05))
         assert [ts for ts in calls if len(ts) <= 2] == [[0.0]]  # every stage after t = 0 came from a block
@@ -392,18 +391,28 @@ class TestDiscreteReadsMatchScalarOracle:
         assert all(math.copysign(1.0, d) == -1.0 for d in traj.derivative_values)  # -(+0.0)
 
     @pytest.mark.parametrize(
-        "lag, first_bad", [(1.5, None), (0.01, 0.025 - 0.01), (math.nan, math.nan)],
+        "lag, first_bad", [(1.5, None), (0.01, 1.025 - 0.01), (math.nan, math.nan)],
         ids=["behind", "reads-ahead", "reads-nan"],
     )
     def test_operator_with_scalar_evaluate_only(self, lag, first_bad):
-        # An array evaluation looped over the scalar one, one ``history(t)``
-        # call per read, whose read points give lags 1 and 1.5: blocks of 19
-        # steps.  A lag below one step breaks the read rule in every block,
-        # and then in the replayed single step, which raises; so does a NaN
-        # read, in the evaluation at t = 0.
-        oracle = ScalarDiscreteDelay([(0.5, 1.0), (parse_expression("0.25 * cos(t)"), lag)])
-        op = AmnesiaOperator(label="scalar only", evaluate_many=looped(oracle.evaluate),
-                             read_points=lambda t: np.array([t - 1.0, t - 1.5]))
+        # A hand-built operator against a scalar oracle that makes one
+        # ``history(t)`` call per read.  Its read points give lags 1 and 1.5
+        # up to t = 1, so blocks of 19 steps, and from then on lags 1 and
+        # ``lag``.  A lag below one step breaks the read rule in the first
+        # block past t = 1, and then in the replayed single step, which
+        # raises; so does a NaN read.
+        coef = parse_expression("0.25 * cos(t)")
+        oracle = types.SimpleNamespace(
+            evaluate=lambda t, history: sum(
+                [0.5 * history(t - 1.0), coef(t) * history(t - (lag if t > 1.0 else 1.5))]
+            )
+        )
+        op = AmnesiaOperator(
+            label="hand-built",
+            read_points=lambda t: np.hstack([t - 1.0, t - np.where(t > 1.0, lag, 1.5)]),
+            combine=lambda t, values: np.hstack([np.full_like(t, 0.5), coef(t)]) * values,
+        )
+        assert op.min_lag == 1.0
         hist = random_history(2, -1.6, 0.0)
         config = SimulationConfig(t_end=6.0, step=0.05)
         if first_bad is None:
@@ -420,17 +429,18 @@ class TestDiscreteReadsMatchScalarOracle:
         # A read at the fixed time 0 puts tau(0) at 0, so there is no
         # positive min_lag and every step is a block of one: its two stage
         # times, t_k + h/2 and t_k + h, go to the operator in one call.
+        coef = parse_expression("0.25 * cos(t)")
         oracle = types.SimpleNamespace(
-            evaluate=lambda t, history: 0.5 * history(0.0) + 0.25 * math.cos(t) * history(t - 1.5)
+            evaluate=lambda t, history: sum([0.5 * history(0.0), coef(t) * history(t - 1.5)])
         )
         calls = []
 
-        def evaluate_many(ts, history):
-            calls.append(ts.tolist())
-            return looped(oracle.evaluate)(ts, history)
+        def combine(t, values):
+            calls.append(t[:, 0].tolist())
+            return np.hstack([np.full_like(t, 0.5), coef(t)]) * values
 
-        op = AmnesiaOperator(label="counted", evaluate_many=evaluate_many,
-                             read_points=lambda t: np.hstack([np.zeros_like(t), t - 1.5]))
+        op = AmnesiaOperator(label="counted", read_points=lambda t: np.hstack([np.zeros_like(t), t - 1.5]),
+                             combine=combine)
         assert op.min_lag is None
         h = 0.05
         traj = _assert_same_run(op, oracle, random_history(2, -1.6, 0.0), SimulationConfig(t_end=6.0, step=h))
@@ -484,13 +494,12 @@ class TestSeededHistoryReads:
         monkeypatch.setattr(_ArrayHistory, "__call__", lambda self, t: calls.append(t) or float(many(self, [t])[0]))
         monkeypatch.setattr(_ArrayHistory, "many", lambda self, ts: reads.append(len(ts)) or many(self, ts))
 
-        def evaluate_many(ts, history):
-            before = len(reads)
-            values = op.evaluate_many(ts, history)
-            per_evaluation.append(len(reads) - before)
-            return values
+        def combine(t, values):
+            # an evaluation reads the history, then combines: count the reads since the last combine
+            per_evaluation.append(len(reads) - sum(per_evaluation))
+            return op.combine(t, values)
 
-        counted = dataclasses.replace(op, evaluate_many=evaluate_many)
+        counted = dataclasses.replace(op, combine=combine)
         integrate(counted, random_history(0, sigma_pad_start(op)), SimulationConfig(t_end=2.5, step=0.01))
         assert calls == [0.0]  # x(0)
         assert max(per_evaluation) == 1
