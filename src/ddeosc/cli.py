@@ -403,10 +403,6 @@ def cmd_tower(base: float, max_iter: int = 10_000, tol: float = 1e-10, fmt: str 
 # reproduce: the built-in benchmark scenarios of :data:`ddeosc.specfile.SCENARIO_CATALOG`
 
 
-def _class_histogram(classes) -> dict:
-    return dict(Counter(cls.classification.value for cls in classes))
-
-
 @_exit_codes
 def cmd_reproduce(
     app_id: int,
@@ -418,7 +414,7 @@ def cmd_reproduce(
 ) -> int:
     scenarios = make_scenarios(app_id, overrides)
     out = Path(out_dir) if out_dir is not None else Path(f"reproduce_app{app_id}")
-    summaries = []
+    docs = []
     for sc in scenarios:
         report, op, estimate = analyze_spec(sc.spec, sc.crit_t_start, sc.crit_t_end)
         conc = concordance_experiment(
@@ -458,47 +454,31 @@ def cmd_reproduce(
             "discrepancy": sc.discrepancy,
         }
         (bundle / "concordance.json").write_text(strict_json(conc_doc) + "\n")
-        summaries.append((sc, report, conc))
+        docs.append(conc_doc)
 
     if fmt == "json":
-        _echo(
-            strict_json(
-                [
-                    {
-                        "scenario": sc.name,
-                        "w_hat": rep["w_hat"],
-                        "verdict": rep["verdict"],
-                        "stated_condition": sc.stated_condition,
-                        "stated_condition_holds": sc.stated_condition_holds,
-                        "classes": _class_histogram(conc.classes),
-                        "concordant": conc.concordant,
-                        "discrepancy": sc.discrepancy,
-                    }
-                    for sc, rep, conc in summaries
-                ]
-            )
-        )
+        keys = ("scenario", "w_hat", "verdict", "stated_condition", "stated_condition_holds", "concordant", "discrepancy")
+        _echo(strict_json([{**{k: doc[k] for k in keys}, "classes": Counter(doc["classes"])} for doc in docs]))
         return 0
 
-    for sc, rep, conc in summaries:
-        _echo(f"=== {sc.name} ===")
+    for sc, doc in zip(scenarios, docs):
+        _echo(f"=== {doc['scenario']} ===")
         _echo(f"equation          : {sc.spec.label}")
-        met = "met" if sc.stated_condition_holds else "NOT met"
-        _echo(f"stated condition  : {sc.stated_condition} -> {met}")
+        met = "met" if doc["stated_condition_holds"] else "NOT met"
+        _echo(f"stated condition  : {doc['stated_condition']} -> {met}")
         _echo(
-            f"computed criterion: w_hat = {rep['w_hat']!r} vs 1/e = {THRESHOLD:.6g} "
-            f"-> {rep['verdict'].upper()}"
+            f"computed criterion: w_hat = {doc['w_hat']!r} vs 1/e = {THRESHOLD:.6g} "
+            f"-> {doc['verdict'].upper()}"
         )
-        if sc.discrepancy:
-            _echo(f"!! discrepancy    : {sc.discrepancy}")
-        hist = _class_histogram(conc.classes)
-        hist_text = ", ".join(f"{k}: {v}" for k, v in sorted(hist.items())) or "none classified"
+        if doc["discrepancy"]:
+            _echo(f"!! discrepancy    : {doc['discrepancy']}")
+        hist_text = ", ".join(f"{k}: {v}" for k, v in sorted(Counter(doc["classes"]).items())) or "none classified"
         _echo(
-            f"concordance       : {len(conc.classes)}/{n_histories} runs classified "
+            f"concordance       : {len(doc['classes'])}/{n_histories} runs classified "
             f"(seed {seed}); classes {{{hist_text}}}; "
-            f"overflowed {conc.overflowed_runs}; concordant: {'yes' if conc.concordant else 'NO'}"
+            f"overflowed {doc['overflowed_runs']}; concordant: {'yes' if doc['concordant'] else 'NO'}"
         )
-        _echo(f"bundle            : {out / sc.name}")
+        _echo(f"bundle            : {out / doc['scenario']}")
     return 0
 
 

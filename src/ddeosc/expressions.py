@@ -58,7 +58,9 @@ def parse_expression(source: str) -> Callable:
         tree = ast.parse(source, mode="eval")
     except SyntaxError as exc:
         raise ExpressionError(f"cannot parse expression {source!r}: {exc.msg}") from exc
-    build = _walk(tree.body, source)
+    except (ValueError, RecursionError) as exc:  # a null byte on some versions, a lone surrogate, deep nesting
+        raise ExpressionError(f"cannot parse expression {source!r}: {exc}") from exc
+    build = _walk(tree.body, source, 0)
     evaluate, array_pass = build(_FLOAT), build(_ARRAY)
 
     def scalar(t: float) -> float:
@@ -92,13 +94,23 @@ def parse_expression(source: str) -> Callable:
     return fn
 
 
-def _walk(node: ast.AST, source: str) -> Callable:
-    """Check ``node``; return its builder, which maps an arithmetic table to the node's evaluator.
+# The deepest node the walker accepts; the root is at depth 0, so a sum of
+# 201 terms is the longest.  Building and evaluating recurse once per level,
+# and an evaluation may already run some frames deep, under ``integrate``
+# or the criterion's float replay, so the cap leaves most of Python's
+# default recursion limit of 1000 frames to them.
+_MAX_DEPTH = 200
+
+
+def _walk(node: ast.AST, source: str, depth: int) -> Callable:
+    """Check ``node`` at ``depth``; return its builder, which maps an arithmetic table to the node's evaluator.
 
     An evaluator takes the time argument x (a float, or an array of times)
     to the node's value; its operands are evaluated left to right before
     the node's own operation.
     """
+    if depth > _MAX_DEPTH:
+        raise ExpressionError(f"nesting deeper than {_MAX_DEPTH} levels in expression {source!r}")
     if isinstance(node, ast.Constant):
         if not isinstance(node.value, (int, float)) or isinstance(node.value, bool):
             raise ExpressionError(f"non-numeric literal {node.value!r} in expression {source!r}")
@@ -112,9 +124,9 @@ def _walk(node: ast.AST, source: str) -> Callable:
             raise ExpressionError(f"function name {node.id!r} used as a value in expression {source!r}")
         raise ExpressionError(f"unknown name {node.id!r} in expression {source!r}")
     if isinstance(node, ast.UnaryOp) and type(node.op) in _FLOAT:
-        return _operation(type(node.op), [_walk(node.operand, source)])
+        return _operation(type(node.op), [_walk(node.operand, source, depth + 1)])
     if isinstance(node, ast.BinOp) and type(node.op) in _FLOAT:
-        return _operation(type(node.op), [_walk(node.left, source), _walk(node.right, source)])
+        return _operation(type(node.op), [_walk(node.left, source, depth + 1), _walk(node.right, source, depth + 1)])
     if isinstance(node, ast.Call):
         if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCTIONS:
             raise ExpressionError(f"unknown function call in expression {source!r}")
@@ -124,7 +136,7 @@ def _walk(node: ast.AST, source: str) -> Callable:
         if len(node.args) < 2 if name in _VARIADIC else len(node.args) != 1:
             expected = "at least two arguments" if name in _VARIADIC else "exactly one argument"
             raise ExpressionError(f"{name}() takes {expected}, got {len(node.args)}, in expression {source!r}")
-        return _operation(name, [_walk(arg, source) for arg in node.args])
+        return _operation(name, [_walk(arg, source, depth + 1) for arg in node.args])
     construct = node.op if isinstance(node, (ast.UnaryOp, ast.BinOp)) else node
     raise ExpressionError(f"construct {type(construct).__name__!r} not allowed in expression {source!r}")
 

@@ -68,17 +68,23 @@ def strict_json(doc) -> str:
 
 
 def parse_spec(doc: dict) -> EquationSpec:
-    """Validate a parsed JSON document; error messages name the bad field."""
+    """Validate a parsed JSON document; error messages name the bad field.
+
+    A field the schema does not name, a boolean where a number belongs, an
+    integer beyond the float range and text that is not valid Unicode are
+    all rejected.  Parameter values are kept as given: an int stays an int.
+    """
     if not isinstance(doc, dict):
         raise SpecFormatError("equation spec must be a JSON object")
-    if doc.get("schema") != SCHEMA_VERSION:
-        raise SpecFormatError(f"field 'schema': expected {SCHEMA_VERSION}, got {doc.get('schema')!r}")
+    schema = doc.get("schema")
+    if schema != SCHEMA_VERSION or isinstance(schema, bool):
+        raise SpecFormatError(f"field 'schema': expected {SCHEMA_VERSION}, got {schema!r}")
     kind = doc.get("kind")
     if kind not in KINDS:
         raise SpecFormatError(f"field 'kind': expected one of {KINDS}, got {kind!r}")
-    label = doc.get("label", "")
-    if not isinstance(label, str):
-        raise SpecFormatError(f"field 'label': expected string, got {label!r}")
+    fields = ("terms",) if kind == "discrete_delay" else ("kernel", "parameters")
+    _known_fields(doc, ("schema", "kind", "label", "bound_expr", "tau_expr", *fields), "", f"a {kind} spec")
+    label = _expect_str(doc.get("label", ""), "label")
 
     bound_expr = doc.get("bound_expr")
     if bound_expr is not None:
@@ -95,10 +101,11 @@ def parse_spec(doc: dict) -> EquationSpec:
         for i, item in enumerate(raw_terms):
             if not isinstance(item, dict):
                 raise SpecFormatError(f"field 'terms[{i}]': expected an object")
+            _known_fields(item, ("coef_expr", "delay"), f"terms[{i}].", "a term")
             coef = _expect_str(item.get("coef_expr"), f"terms[{i}].coef_expr")
             parse_expression(coef)
             delay = item.get("delay")
-            if not isinstance(delay, (int, float)) or not 0 < delay < math.inf:
+            if not (_finite(delay) and delay > 0):
                 raise SpecFormatError(
                     f"field 'terms[{i}].delay': expected a finite positive number, got {delay!r}"
                 )
@@ -106,7 +113,7 @@ def parse_spec(doc: dict) -> EquationSpec:
         return EquationSpec(kind=kind, label=label, terms=tuple(terms), bound_expr=bound_expr, tau_expr=tau_expr)
 
     kernel = doc.get("kernel")
-    if kernel not in KERNEL_CATALOG:
+    if not isinstance(kernel, str) or kernel not in KERNEL_CATALOG:
         raise SpecFormatError(
             f"field 'kernel': expected one of {sorted(KERNEL_CATALOG)}, got {kernel!r}"
         )
@@ -114,8 +121,9 @@ def parse_spec(doc: dict) -> EquationSpec:
     if not isinstance(parameters, dict):
         raise SpecFormatError(f"field 'parameters': expected an object, got {parameters!r}")
     for key, value in parameters.items():
-        if not isinstance(value, (int, float)) or not math.isfinite(value):
-            raise SpecFormatError(f"field 'parameters.{key}': expected a finite number, got {value!r}")
+        if not _finite(value):
+            name = f"parameters.{key}"
+            raise SpecFormatError(f"field {name!r}: expected a finite number, got {value!r}")
     KERNEL_CATALOG[kernel].validate(parameters)
     return EquationSpec(
         kind=kind,
@@ -127,17 +135,38 @@ def parse_spec(doc: dict) -> EquationSpec:
     )
 
 
+def _known_fields(doc: dict, allowed: tuple, prefix: str, what: str) -> None:
+    for key in doc:
+        if key not in allowed:
+            name = f"{prefix}{key}"
+            raise SpecFormatError(f"field {name!r}: unknown field; {what} has fields {sorted(allowed)}")
+
+
 def _expect_str(value, name: str) -> str:
     if not isinstance(value, str):
         raise SpecFormatError(f"field '{name}': expected string, got {value!r}")
+    try:
+        value.encode()
+    except UnicodeEncodeError:  # a lone surrogate, such as JSON's "\ud800"
+        raise SpecFormatError(f"field '{name}': expected valid Unicode text, got {value!r}") from None
     return value
 
 
-def load_spec(path) -> EquationSpec:
-    text = Path(path).read_text()
+def _finite(value) -> bool:
+    """Whether ``value`` is a number, not a boolean, with a finite float value."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def load_spec(path) -> EquationSpec:
+    """Read a spec file: UTF-8 JSON that Python's decoder can hold, checked by :func:`parse_spec`."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, an int past the digit limit, deep nesting
         raise SpecFormatError(f"invalid JSON in {path}: {exc}") from exc
     return parse_spec(doc)
 
@@ -159,32 +188,29 @@ def build_operator(spec: EquationSpec) -> AmnesiaOperator:
     return op
 
 
+@dataclass(frozen=True)
 class KernelEntry:
     """A named distributed kernel: builder, parameter defaults, validation."""
 
-    def __init__(self, name, description, defaults, builder, validator):
-        self.name = name
-        self.description = description
-        self.defaults = dict(defaults)
-        self._builder = builder
-        self._validator = validator
+    name: str
+    description: str
+    defaults: dict
+    builder: Callable[[dict, str], AmnesiaOperator]
+    validator: Callable[[dict], None]
 
-    def merged(self, parameters: dict) -> dict:
-        merged = dict(self.defaults)
-        merged.update(parameters)
-        return merged
-
-    def validate(self, parameters: dict) -> None:
+    def validate(self, parameters: dict) -> dict:
+        """The defaults updated with ``parameters``, once the kernel's checks pass them."""
         unknown = set(parameters) - set(self.defaults)
         if unknown:
             raise SpecFormatError(
                 f"field 'parameters': unknown parameter(s) {sorted(unknown)} for kernel {self.name!r}"
             )
-        self._validator(self.merged(parameters))
+        merged = {**self.defaults, **parameters}
+        self.validator(merged)
+        return merged
 
     def build(self, parameters: dict, label: str = "") -> AmnesiaOperator:
-        self.validate(parameters)
-        return self._builder(self.merged(parameters), label or self.description)
+        return self.builder(self.validate(parameters), label or self.description)
 
 
 def _validate_app2(p: dict) -> None:
@@ -296,7 +322,6 @@ KERNEL_CATALOG: dict[str, KernelEntry] = {
 class Scenario:
     """A benchmark scenario with concrete parameters, ready to analyze and simulate."""
 
-    app_id: int
     name: str
     spec: EquationSpec
     crit_t_start: float
@@ -308,41 +333,13 @@ class Scenario:
     discrepancy: Optional[str]
 
 
-@dataclass(frozen=True)
-class ScenarioEntry:
-    """One benchmark scenario: default parameter sets, checks, builder, run settings.
-
-    ``build`` maps validated parameters to the parameter-dependent
-    :class:`Scenario` fields: name, spec, stated condition and discrepancy.
-    """
-
-    app_id: int
-    parameter_sets: tuple[dict, ...]
-    validate: Callable[[dict], None]
-    build: Callable[..., dict]
-    crit_t_start: float
-    crit_t_end: float
-    sim: SimulationConfig
-    history_amplitude: float
-
-    def scenario(self, parameters: dict) -> Scenario:
-        self.validate(parameters)
-        return Scenario(
-            app_id=self.app_id, crit_t_start=self.crit_t_start, crit_t_end=self.crit_t_end, sim=self.sim,
-            history_amplitude=self.history_amplitude, **self.build(**parameters),
-        )
-
-
-def _validate_app1(p: dict) -> None:
-    if p["q"] <= 0:
-        raise InvalidParameterError(f"q must be positive, got {p['q']}")
-
-
-def _scenario_app1(q: float) -> dict:
+def _scenario_app1(q: float) -> Scenario:
+    if q <= 0:
+        raise InvalidParameterError(f"q must be positive, got {q}")
     # Time-shifted by 6 so the run starts at 0 with bounded coefficients:
     # coefficients 1/(q t) and (t-1)/(q t) at original time t = t' + 6.
     six_e = 6.0 * math.e
-    return dict(
+    return Scenario(
         name=f"app1_q={q:g}",
         spec=EquationSpec(
             kind="discrete_delay",
@@ -353,6 +350,7 @@ def _scenario_app1(q: float) -> dict:
             ),
             bound_expr=f"1/{q!r}",
         ),
+        crit_t_start=16.0, crit_t_end=256.0, sim=SimulationConfig(t_end=240.0, step=0.05), history_amplitude=1.0,
         stated_condition=f"q > 6e (6e = {six_e:.6g})",
         stated_condition_holds=q > six_e,
         discrepancy=(
@@ -363,31 +361,35 @@ def _scenario_app1(q: float) -> dict:
     )
 
 
-def _scenario_app2(a1: float, a2: float, a3: float) -> dict:
+def _scenario_app2(**parameters) -> Scenario:
+    p = KERNEL_CATALOG["app2"].validate(parameters)
+    a1, a2, a3 = p["a1"], p["a2"], p["a3"]
     condition_value = min(a2, a3) * math.exp(1.0 + a1) * (math.exp(a1) - 1.0) / a1
-    return dict(
+    return Scenario(
         name=f"app2_a1={a1:g}_a2={a2:g}_a3={a3:g}",
         spec=EquationSpec(
             kind="distributed_delay",
             label=f"scenario 2: exp(max(a1*s, x^2)) kernel, a1={a1:g}, a2={a2:g}, a3={a3:g}",
             kernel="app2",
-            parameters={"a1": a1, "a2": a2, "a3": a3},
+            parameters=p,
         ),
+        crit_t_start=4.0, crit_t_end=16.0, sim=SimulationConfig(t_end=12.0, step=0.01), history_amplitude=1e-5,
         stated_condition=f"min(a2,a3)*e^(1+a1)*(e^a1 - 1)/a1 > 1 (value = {condition_value:.6g})",
         stated_condition_holds=condition_value > 1.0,
         discrepancy=None,
     )
 
 
-def _scenario_app3(a: float, b: float, m: float, l: int) -> dict:
-    l = int(l)
+def _scenario_app3(**parameters) -> Scenario:
+    p = KERNEL_CATALOG["app3"].validate(parameters)
+    a, b, m, l = p["a"], p["b"], p["m"], int(p["l"])
     if l % 2:
         condition = f"(a - m*b)*e > m (value = {(a - m * b) * math.e:.6g} vs {m:g})"
         holds = (a - m * b) * math.e > m
     else:
         condition = f"a*e > m (value = {a * math.e:.6g} vs {m:g})"
         holds = a * math.e > m
-    return dict(
+    return Scenario(
         name=f"app3_a={a:g}_b={b:g}_m={m:g}_l={l:g}",
         spec=EquationSpec(
             kind="distributed_delay",
@@ -395,6 +397,7 @@ def _scenario_app3(a: float, b: float, m: float, l: int) -> dict:
             kernel="app3",
             parameters={"a": a, "b": b, "m": m, "l": l},
         ),
+        crit_t_start=12.0, crit_t_end=52.0, sim=SimulationConfig(t_end=40.0, step=0.05), history_amplitude=0.5,
         stated_condition=condition,
         stated_condition_holds=holds,
         discrepancy=(
@@ -406,22 +409,11 @@ def _scenario_app3(a: float, b: float, m: float, l: int) -> dict:
     )
 
 
-_APP2, _APP3 = KERNEL_CATALOG["app2"], KERNEL_CATALOG["app3"]
-
-SCENARIO_CATALOG: dict[int, ScenarioEntry] = {
-    1: ScenarioEntry(
-        app_id=1, parameter_sets=({"q": 10.0}, {"q": 20.0}), validate=_validate_app1, build=_scenario_app1,
-        crit_t_start=16.0, crit_t_end=256.0, sim=SimulationConfig(t_end=240.0, step=0.05), history_amplitude=1.0,
-    ),
-    2: ScenarioEntry(
-        app_id=2, parameter_sets=(_APP2.defaults,), validate=_APP2.validate, build=_scenario_app2,
-        crit_t_start=4.0, crit_t_end=16.0, sim=SimulationConfig(t_end=12.0, step=0.01), history_amplitude=1e-5,
-    ),
-    3: ScenarioEntry(
-        app_id=3, parameter_sets=(_APP3.defaults, _APP3.merged({"l": 3})), validate=_APP3.validate,
-        build=_scenario_app3, crit_t_start=12.0, crit_t_end=52.0, sim=SimulationConfig(t_end=40.0, step=0.05),
-        history_amplitude=0.5,
-    ),
+# Per app: its default parameter sets and the builder that checks them and makes the scenario.
+SCENARIO_CATALOG: dict[int, tuple[tuple[dict, ...], Callable[..., Scenario]]] = {
+    1: (({"q": 10.0}, {"q": 20.0}), _scenario_app1),
+    2: ((KERNEL_CATALOG["app2"].defaults,), _scenario_app2),
+    3: ((KERNEL_CATALOG["app3"].defaults, {**KERNEL_CATALOG["app3"].defaults, "l": 3}), _scenario_app3),
 }
 
 
@@ -429,8 +421,7 @@ def make_scenarios(app_id: int, overrides: Optional[dict] = None) -> list[Scenar
     """The scenarios of one app: its default parameter sets, or the first with overrides."""
     if app_id not in SCENARIO_CATALOG:
         raise InvalidParameterError(f"unknown scenario id {app_id}; choose 1, 2 or 3")
-    entry = SCENARIO_CATALOG[app_id]
-    param_sets = entry.parameter_sets
+    param_sets, build = SCENARIO_CATALOG[app_id]
     if overrides:
         valid = list(param_sets[0])
         unknown = set(overrides) - set(valid)
@@ -442,4 +433,4 @@ def make_scenarios(app_id: int, overrides: Optional[dict] = None) -> list[Scenar
             if not math.isfinite(value):
                 raise InvalidParameterError(f"parameter {name} must be finite, got {value}")
         param_sets = ({**param_sets[0], **overrides},)
-    return [entry.scenario(params) for params in param_sets]
+    return [build(**params) for params in param_sets]

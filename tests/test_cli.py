@@ -394,6 +394,16 @@ class TestTower:
         assert doc["iterations_used"] == 5
 
 
+    def test_an_iterate_beyond_the_float_range_shows_the_overflow_marker(self, capsys):
+        assert cmd_tower(1e300) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2:5] == [
+            "  1        1e+300",
+            "  ...      (overflow range)",
+            "outcome: DIVERGED at iteration 2; no finite tower limit",
+        ]
+
+
 class TestReproduce:
     def test_unknown_parameter_exits_2(self, tmp_path, capsys):
         assert cmd_reproduce(1, {"zeta": 3.0}, tmp_path / "x") == 2
@@ -514,12 +524,18 @@ _DELAY = '{"schema": 1, "kind": "discrete_delay", "terms": [{"coef_expr": "1", "
         (["simulate", "--step", "1e-13"], 2),
         (["simulate", "--step", "1e-300"], 2),
         (["analyze", "--grid-points", "100000000000000"], 2),
+        (["reproduce", "--app", "1", "--set", "q=-1"], 2),
+        (["analyze", "--spec", _DELAY.replace('"terms"', '"label": 5, "terms"')], 2),
+        (["analyze", "--spec", _DELAY.replace('[{"coef_expr": "1", "delay": 1.0}]', '[1.0]')], 2),
+        (["analyze", "--spec", _DELAY.replace('"1"', "1")], 2),
+        (["analyze", "--spec", '{"schema": 1, "kind": "distributed_delay", "kernel": "app2", "parameters": [1]}'], 2),
     ],
     ids=["a1=0", "m=-1", "m=0", "a1=1000", "l=2.5", "transient=1.5", "transient=-0.1", "step-nan", "tower-nan",
          "tower-inf", "tower-inf-json", "tower-tol-nan", "n-histories=0", "seed=-1", "constant-nan",
          "constant-inf", "exponential-nan", "exponential-inf", "analyze-t-end-inf", "analyze-t-start-nan",
          "analyze-t-start-minus-inf", "set-a2=inf", "set-q=nan", "set-q=abc", "spec-delay-nan", "spec-delay-inf",
-         "spec-a1-nan", "step-too-small-to-allocate", "step-too-small-to-index", "grid-too-large-to-allocate"],
+         "spec-a1-nan", "step-too-small-to-allocate", "step-too-small-to-index", "grid-too-large-to-allocate",
+         "set-q=-1", "spec-label-not-text", "spec-term-not-object", "spec-coef-not-text", "spec-parameters-not-object"],
 )
 def test_bad_input_exits_with_one_line_error(args, code, single_delay_spec, tmp_path):
     out = tmp_path / "rep"
@@ -543,6 +559,60 @@ def test_bad_input_exits_with_one_line_error(args, code, single_delay_spec, tmp_
     assert result.stderr.startswith("error: ")
     assert len(result.stderr.splitlines()) == 1
     assert not out.exists()  # a failed reproduce leaves no partial bundle
+
+
+def _sum(n: int) -> str:
+    return "+".join(["0.001"] * n)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (_DELAY.replace('"terms"', '"bound_exp": "0.1", "terms"'), "error: field 'bound_exp': unknown field; "),
+        (_DELAY.replace('"delay": 1.0', '"delay": 1.0, "dealy": 2.0'), "error: field 'terms[0].dealy': unknown field; "),
+        (_DELAY.replace('"schema": 1', '"schema": true'), "error: field 'schema': expected 1, got True"),
+        (_DELAY.replace("1.0", "true"), "error: field 'terms[0].delay': expected a finite positive number, got True"),
+        ('{"schema": 1, "kind": "distributed_delay", "kernel": "app3", "parameters": {"l": true}}',
+         "error: field 'parameters.l': expected a finite number, got True"),
+        (_DELAY.replace("1.0", "1" + "0" * 400), "error: field 'terms[0].delay': expected a finite positive number, got 1000"),
+        ('{"schema": 1, "kind": "distributed_delay", "kernel": "app2", "parameters": {"a1": 1' + "0" * 400 + "}}",
+         "error: field 'parameters.a1': expected a finite number, got 1000"),
+        (_DELAY.replace("1.0", "1" + "0" * 5000), "error: invalid JSON in {path}: Exceeds the limit (4300 digits)"),
+        (b'{"schema": 1, "label": "caf\xe9"}', "error: invalid JSON in {path}: 'utf-8' codec can't decode byte 0xe9"),
+        ("[" * 100_000 + "]" * 100_000, "error: invalid JSON in {path}: maximum recursion depth exceeded"),
+        (_DELAY.replace('"1"', '"1\\ud800"'),
+         "error: field 'terms[0].coef_expr': expected valid Unicode text, got '1\\ud800'"),
+        (_DELAY.replace('"terms"', '"label": "x\\ud800", "terms"'),
+         "error: field 'label': expected valid Unicode text, got 'x\\ud800'"),
+        (_DELAY.replace('"1"', f'"{_sum(600)}"'), "error: nesting deeper than 200 levels in expression "),
+        (_DELAY.replace('"1"', f'"{_sum(3000)}"'), "error: "),
+        (_DELAY.replace('"1"', '"1\\u0000"'), "error: cannot parse expression '1\\x00': "),
+    ],
+    ids=["misspelled-field", "misspelled-term-field", "bool-schema", "bool-delay", "bool-l", "delay-401-digits",
+         "a1-401-digits", "delay-5001-digits", "not-utf8", "nested-100000", "surrogate-coef", "surrogate-label",
+         "sum-600", "sum-3000", "null-byte"],
+)
+def test_malformed_spec_exits_2_naming_the_file_or_field(text, message, tmp_path):
+    path, report = tmp_path / "spec.json", tmp_path / "report.json"
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
+    result = CliRunner().invoke(main, ["analyze", "--spec", str(path), "--out", str(report)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # not an uncaught error
+    assert result.stderr.startswith(message.format(path=path))
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stdout == ""
+    assert not report.exists()  # rejected at load, before the report is written
+
+
+def test_the_deepest_expression_accepted_runs_through_analyze_and_simulate(tmp_path):
+    path = tmp_path / "sum.json"
+    path.write_text(_DELAY.replace('"1"', f'"{_sum(201)}"'))
+    for args in (["analyze"], ["simulate", "--t-end", "5"]):
+        result = CliRunner().invoke(main, [*args, "--spec", str(path)])
+        assert result.exit_code == 0, result.output
 
 
 @pytest.mark.parametrize("coef, message", [

@@ -134,6 +134,45 @@ def test_an_integer_too_large_for_a_float_overflows_only_without_other_faults():
         parse_expression(f"{huge} + x")
 
 
+@pytest.mark.parametrize(
+    "source, depth",
+    [
+        ("+".join(["0.001"] * 201), 200),  # the leftmost of n terms lies n - 1 levels down
+        ("+".join(["0.001"] * 202), 201),
+        ("+".join(["0.001"] * 600), 599),
+        ("-" * 200 + "t", 200),
+        ("-" * 201 + "t", 201),
+        ("exp(" * 100 + "-" * 101 + "t" + ")" * 100, 201),  # Python's parser takes at most 200 parentheses
+    ],
+    ids=["sum-201", "sum-202", "sum-600", "minus-200", "minus-201", "exp-minus-201"],
+)
+def test_nesting_past_the_depth_cap_is_rejected(source, depth):
+    if depth <= 200:
+        f = parse_expression(source)
+        assert f(1.0) == f(np.array([1.0]))[0]
+        return
+    with pytest.raises(ExpressionError) as caught:
+        parse_expression(source)
+    assert str(caught.value) == f"nesting deeper than 200 levels in expression {source!r}"
+
+
+@pytest.mark.parametrize(
+    "source, reason",
+    [
+        ("0.5\x00", "null bytes"),  # ValueError or SyntaxError, by Python version
+        ("0.5\ud800", "surrogates not allowed"),  # UnicodeEncodeError
+        ("+".join(["0.001"] * 3000), ""),  # RecursionError in ast.parse, or the depth cap
+    ],
+    ids=["null-byte", "lone-surrogate", "sum-3000"],
+)
+def test_text_the_parser_cannot_take_is_an_expression_error(source, reason):
+    with pytest.raises(ExpressionError) as caught:
+        parse_expression(source)
+    message = str(caught.value)
+    assert message.startswith(("cannot parse expression ", "nesting deeper than 200 levels"))
+    assert reason in message
+
+
 def test_integer_powers_stay_in_float_range():
     f = parse_expression("9**9**9")
     with pytest.raises(OverflowError):

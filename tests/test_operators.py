@@ -613,3 +613,29 @@ class TestAuditSignBound:
         stripped = dataclasses.replace(op, bound_b=None)
         with pytest.raises(InvalidParameterError):
             audit_sign_bound(stripped, t_samples=[5.0])
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: random_history(0, 1.0, 1.0), r"empty history domain \[1.0, 1.0\]"),
+        (lambda: make_distributed_delay(lambda t, s, xs: xs[0], (1.0, 1.0), [lambda t, s: t - s], bound_b=lambda t: 1.0),
+         r"s_range must be increasing, got \[1.0, 1.0\]"),
+        (lambda: make_distributed_delay(lambda t, s, xs: 0.0, (0.0, 1.0), [], bound_b=lambda t: 1.0),
+         "at least one delay map is required"),
+        (lambda: audit_sign_bound(make_discrete_delay([(1.0, 1.0)]), [5.0], trials=0), "trials must be >= 1, got 0"),
+        (lambda: audit_sign_bound(
+            dataclasses.replace(make_discrete_delay([(1.0, 1.0)]), read_points=lambda t: t + 0.0), [5.0]),
+         r"sigma\(t\) must be below t; sigma\(5.0\) = 5.0"),
+    ],
+    ids=["history-domain", "s-range", "no-delay-map", "audit-trials", "audit-reads-at-t"],
+)
+def test_construction_and_audit_arguments_are_checked(build, message):
+    with pytest.raises(InvalidParameterError, match=message):
+        build()
+
+
+def test_sigma_growth_check_fails_a_window_start_that_never_moves():
+    op = make_discrete_delay([(1.0, 2.0)])
+    pinned = dataclasses.replace(op, read_points=lambda t: np.hstack([t - 2.0, np.full_like(t, -5.0)]))
+    assert not sigma_growth_check(pinned, 0.0, 50.0)

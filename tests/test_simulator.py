@@ -16,6 +16,7 @@ from ddeosc import (
     InvalidParameterError,
     SimulationConfig,
     SolutionClassification,
+    SpecFormatError,
     StepSizeError,
     Trajectory,
     VerdictOutcome,
@@ -678,3 +679,20 @@ class TestConcordance:
         assert report.verdict.outcome is VerdictOutcome.GUARANTEED
         assert report.discordant_runs == 4
         assert not report.concordant
+
+
+def test_config_rejects_a_nonpositive_overflow_guard():
+    with pytest.raises(InvalidParameterError, match="overflow_guard must be positive, got 0.0"):
+        SimulationConfig(t_end=5.0, step=0.1, overflow_guard=0.0)
+
+
+def test_a_run_shorter_than_one_step_is_rejected():
+    with pytest.raises(InvalidParameterError, match="t_end 0.1 is shorter than one step 0.2"):
+        integrate(_single_delay(1.0, 1.0), HistoryFunction.constant(1.0, -1.1), SimulationConfig(t_end=0.1, step=0.2))
+
+
+def test_a_trajectory_csv_without_samples_is_rejected(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("t,x,dx\n# overflow\n")
+    with pytest.raises(SpecFormatError, match="no samples in trajectory CSV"):
+        simulator.read_trajectory_csv(path)
