@@ -26,16 +26,9 @@ import numpy as np
 
 from . import __version__
 from .criterion import DEFAULT_GRID_POINTS, PANELS, THRESHOLD, estimate_liminf_w, tetration_proof_trace, theorem_verdict
-from .errors import (
-    CrossValidationError,
-    DomainError,
-    ExpressionError,
-    HistoryDomainError,
-    InvalidParameterError,
-    SpecFormatError,
-)
+from .errors import CrossValidationError, ExpressionError, InvalidParameterError, SpecFormatError
 from .expressions import parse_expression
-from .operators import HistoryFunction, random_history, sigma_growth_check
+from .operators import HistoryFunction, _row_sums, audit_sign_bound, random_history, sigma_growth_check
 from .simulator import (
     Interpolation,
     SimulationConfig,
@@ -48,6 +41,8 @@ from .simulator import (
     write_trajectory_csv,
 )
 from .special_functions import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
     EULER_LOWER,
     EULER_UPPER,
     TowerOutcome,
@@ -65,7 +60,7 @@ __all__ = ["analyze_spec", "cmd_analyze", "cmd_reproduce", "cmd_simulate", "cmd_
 _PARSE_ERRORS = (SpecFormatError, ExpressionError, InvalidParameterError)
 # Checked after _PARSE_ERRORS: plain ValueError here means math-domain
 # failures from expression evaluation, not malformed input.
-_NUMERIC_ERRORS = (DomainError, HistoryDomainError, CrossValidationError, ArithmeticError, ValueError)
+_NUMERIC_ERRORS = (CrossValidationError, ArithmeticError, ValueError)
 
 
 def _echo(message: str = "", err: bool = False) -> None:
@@ -174,9 +169,11 @@ def _check_criterion_inputs(spec: EquationSpec, op, tau, ts: np.ndarray) -> None
     For a discrete spec, Tx = sum_i p_i(t) x(t - d_i) >= b(t) inf x holds for
     every positive history exactly when every p_i(t) >= 0 and b(t) <= sum_i
     p_i(t): a negative coefficient lets a large read drive Tx below zero, so
-    no bound, derived or given, makes it admissible.  A ``tau_expr`` is sound
-    where it is no older than the operator's newest read, op.tau(t).  Between
-    the sample times nothing is checked.
+    no bound, derived or given, makes it admissible.  A distributed spec's
+    ``bound_expr`` must pass the sampled sign-bound audit that
+    ``concordance_experiment`` runs.  A ``tau_expr`` is sound where it is no
+    older than the operator's newest read, op.tau(t).  Between the sample
+    times nothing is checked.
     """
 
     def require(ok, values, what, against=None):
@@ -190,15 +187,22 @@ def _check_criterion_inputs(spec: EquationSpec, op, tau, ts: np.ndarray) -> None
 
     with np.errstate(all="ignore"):
         if spec.kind == "discrete_delay":
-            total = 0.0
+            # Combining unit reads gives the coefficients: column i is p_i at each sample time.
+            t = ts[:, None]
+            p = op.combine(t, np.ones_like(op.read_points(t)))
             for i, (coef, _) in enumerate(spec.terms):
-                p = parse_expression(coef)(ts)
-                require(p >= 0.0, p, f"terms[{i}].coef_expr {coef!r} must be >= 0")
-                total = total + p
+                require(p[:, i] >= 0.0, p[:, i], f"terms[{i}].coef_expr {coef!r} must be >= 0")
             if spec.bound_expr:
-                b = op.bound_b(ts)
+                b, total = op.bound_b(ts), _row_sums(p)
                 require(b <= total * (1.0 + _BOUND_SLACK), b,
                         f"bound_expr {spec.bound_expr!r} must not exceed the sum of the coefficients", total)
+        elif spec.bound_expr:
+            audit = audit_sign_bound(op, np.linspace(ts[0], ts[-1], 8), trials=5, seed=0)
+            if not audit.passed:
+                raise InvalidParameterError(
+                    f"bound_expr {spec.bound_expr!r} violates the operator's sign bound on {len(audit.violations)} "
+                    f"of {audit.checked} sampled pairs (worst margin {audit.worst_margin:.3g}); criterion not applicable"
+                )
         if spec.tau_expr:
             lows, newest = np.broadcast_to(tau(ts), ts.shape), op.tau(ts)
             require(lows >= newest, lows, f"tau_expr {spec.tau_expr!r} must be no older than the operator's newest read",
@@ -346,7 +350,7 @@ def cmd_simulate(
 
 
 @_exit_codes
-def cmd_tower(base: float, max_iter: int = 10_000, tol: float = 1e-10, fmt: str = "text") -> int:
+def cmd_tower(base: float, max_iter: int = DEFAULT_MAX_ITER, tol: float = DEFAULT_TOL, fmt: str = "text") -> int:
     result = tower_limit(base, tol=tol, max_iter=max_iter)
 
     inside = euler_interval_contains(base)
@@ -522,8 +526,8 @@ def _simulate_command(spec_path, history_preset, t_end, step, csv_path, interpol
 
 @main.command("tower")
 @click.option("--base", type=float, required=True)
-@click.option("--max-iter", type=int, default=10_000, show_default=True)
-@click.option("--tol", type=float, default=1e-10, show_default=True)
+@click.option("--max-iter", type=int, default=DEFAULT_MAX_ITER, show_default=True)
+@click.option("--tol", type=float, default=DEFAULT_TOL, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text", show_default=True)
 def _tower_command(base, max_iter, tol, fmt):
     """Iterate the infinite power tower of a base and report convergence."""

@@ -179,10 +179,9 @@ def build_operator(spec: EquationSpec) -> AmnesiaOperator:
     """Construct the response operator an :class:`EquationSpec` describes."""
     if spec.kind == "discrete_delay":
         terms = [(parse_expression(coef), delay) for coef, delay in spec.terms]
-        bound = parse_expression(spec.bound_expr) if spec.bound_expr else None
-        return make_discrete_delay(terms, bound_b=bound, label=spec.label or "discrete-delay operator")
-    entry = KERNEL_CATALOG[spec.kernel]
-    op = entry.build(spec.parameters, label=spec.label or entry.description)
+        op = make_discrete_delay(terms, label=spec.label or "discrete-delay operator")
+    else:
+        op = KERNEL_CATALOG[spec.kernel].build(spec.parameters, label=spec.label)
     if spec.bound_expr:
         op = replace(op, bound_b=parse_expression(spec.bound_expr))
     return op

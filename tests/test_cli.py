@@ -22,7 +22,7 @@ from ddeosc.cli import (
 )
 from ddeosc import HistoryFunction, SimulationConfig, integrate, make_discrete_delay, random_history
 from ddeosc.simulator import Trajectory, sigma_pad_start
-from ddeosc.specfile import EquationSpec, build_operator, load_spec, save_spec
+from ddeosc.specfile import EquationSpec, app3_derived_bound, build_operator, load_spec, save_spec
 
 from _oracles import characteristic_root
 
@@ -222,6 +222,12 @@ class TestAnalyze:
                 {"terms": [{"coef_expr": "0.1", "delay": 1.0}], "tau_expr": "t - 10"},
                 "tau_expr 't - 10' must be no older than the operator's newest read, but is 0.0 against 9.0 at t=10.0",
             ),
+            # a kernel bound far above the derived a/(m+1) - b/3 = 0.0667 fails the sampled sign-bound audit
+            (
+                {"kind": "distributed_delay", "kernel": "app3", "parameters": {"a": 0.2, "b": 0.1, "m": 1.0, "l": 3},
+                 "bound_expr": "100"},
+                "bound_expr '100' violates the operator's sign bound on 80 of 80 sampled pairs (worst margin -43.8)",
+            ),
         ],
     )
     def test_a_spec_outside_the_theorem_exits_2(self, doc, stderr, tmp_path):
@@ -230,6 +236,31 @@ class TestAnalyze:
         result = CliRunner().invoke(main, ["analyze", "--spec", str(path)])
         assert (result.exit_code, result.stdout) == (2, "")
         assert result.stderr == f"error: {stderr}; criterion not applicable\n"
+
+    def test_a_kernel_bound_expr_that_passes_the_audit_gives_the_catalog_verdict(self, tmp_path):
+        parameters = {"a": 0.2, "b": 0.1, "m": 1.0, "l": 3}
+        reports = []
+        for extra in ({}, {"bound_expr": repr(app3_derived_bound(**parameters))}):
+            path = tmp_path / "app3.json"
+            path.write_text(json.dumps({"schema": 1, "kind": "distributed_delay", "kernel": "app3",
+                                        "parameters": parameters, **extra}))
+            result = CliRunner().invoke(main, ["analyze", "--spec", str(path), "--format", "json"])
+            assert (result.exit_code, result.stderr) == (0, "")
+            reports.append(json.loads(result.stdout))
+        catalog, override = reports
+        assert (override["w_hat"], override["verdict"]) == (catalog["w_hat"], catalog["verdict"])
+
+    @pytest.mark.parametrize("coef", ["-1", "0.2*(t-60)"])
+    @pytest.mark.parametrize("bound, at", [({}, "9.0"), ({"bound_expr": "0.1"}, "10.0")])
+    def test_a_coefficient_that_cannot_be_evaluated_is_reported_before_a_negative_one(self, coef, bound, at, tmp_path):
+        # Every coefficient is evaluated, time before term, before any sign is checked.  Without a
+        # bound_expr the derived bound meets log(t-50) first, at the criterion's first node, t = 9.
+        path = tmp_path / "spec.json"
+        terms = [{"coef_expr": coef, "delay": 1.0}, {"coef_expr": "log(t-50)", "delay": 2.0}]
+        path.write_text(json.dumps({"schema": 1, "kind": "discrete_delay", "terms": terms, **bound}))
+        result = CliRunner().invoke(main, ["analyze", "--spec", str(path)])
+        assert (result.exit_code, result.stdout) == (3, "")
+        assert result.stderr == f"error: expression 'log(t-50)' is undefined at t={at}: math domain error\n"
 
     @pytest.mark.parametrize("bound, code", [("0.8", 0), ("0.8000000000000003", 0), ("0.8000000000000004", 2)])
     def test_a_bound_may_exceed_the_coefficient_sum_by_rounding_only(self, bound, code, tmp_path):

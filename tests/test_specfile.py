@@ -1,11 +1,13 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddeosc import ExpressionError, HistoryFunction, InvalidParameterError, SpecFormatError
+from ddeosc.expressions import parse_expression
 from ddeosc.specfile import (
     KERNEL_CATALOG,
     KINDS,
@@ -128,6 +130,34 @@ def test_bound_expr_overrides_catalog_bound():
     doc["bound_expr"] = "2.5"
     op = build_operator(parse_spec(doc))
     assert op.bound_b(5.0) == 2.5
+
+
+_EVERY_OPERATION_TERMS = (
+    ("0.4 + 0.1*sin(0.5*t)*cos(t)", 1.0),
+    ("min(0.2, max(0.1, exp(-t/50)))", 2.0),
+    ("log(2 + t**0.5)/10", 1.5),
+)
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        make_scenarios(1)[0].spec.terms,
+        _EVERY_OPERATION_TERMS,
+        (("0*(t-300)", 1.0), ("-0.25", 2.5), ("0", 0.5)),  # -0.0, a negative constant, +0.0
+    ],
+    ids=["app1", "every-operation", "zero-and-negative"],
+)
+def test_a_discrete_operator_combines_unit_reads_into_its_coefficients(terms):
+    op = build_operator(EquationSpec(kind="discrete_delay", terms=terms))
+    ts = np.linspace(0.0, 200.0, 401)
+    t = ts[:, None]
+    coefficients = op.combine(t, np.ones_like(op.read_points(t)))
+    assert coefficients.shape == (ts.size, len(terms))
+    for i, (coef, _) in enumerate(terms):
+        # bit for bit, so that the sign of a zero counts
+        assert coefficients[:, i].tobytes() == np.broadcast_to(parse_expression(coef)(ts), ts.shape).tobytes()
+    assert (-op.read_points(np.zeros((1, 1)))[0]).tolist() == [delay for _, delay in terms]
 
 
 def test_app3_bound_formulas():
