@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .criterion import DEFAULT_GRID_POINTS, PANELS, THRESHOLD, estimate_liminf_w, tetration_proof_trace, theorem_verdict
-from .errors import CrossValidationError, ExpressionError, InvalidParameterError, SpecFormatError
+from .errors import CrossValidationError, ExpressionError, InvalidParameterError, SpecFormatError, clipped
 from .expressions import parse_expression
 from .operators import HistoryFunction, _row_sums, audit_sign_bound, random_history, sigma_growth_check
 from .simulator import (
@@ -169,11 +169,14 @@ def _check_criterion_inputs(spec: EquationSpec, op, tau, ts: np.ndarray) -> None
     For a discrete spec, Tx = sum_i p_i(t) x(t - d_i) >= b(t) inf x holds for
     every positive history exactly when every p_i(t) >= 0 and b(t) <= sum_i
     p_i(t): a negative coefficient lets a large read drive Tx below zero, so
-    no bound, derived or given, makes it admissible.  A distributed spec's
+    no bound, derived or given, makes it admissible.  With a ``tau_expr``,
+    only the terms that read at or before tau(t) count: a positive solution
+    is nonincreasing, so Tx(t) >= b(t) x(tau(t)) when b(t) is at most their
+    sum, and at least one term must read there.  A distributed spec's
     ``bound_expr`` must pass the sampled sign-bound audit that
-    ``concordance_experiment`` runs.  A ``tau_expr`` is sound where it is no
-    older than the operator's newest read, op.tau(t).  Between the sample
-    times nothing is checked.
+    ``concordance_experiment`` runs, and its ``tau_expr`` must be no older
+    than the operator's newest read, op.tau(t).  Between the sample times
+    nothing is checked.
     """
 
     def require(ok, values, what, against=None):
@@ -189,24 +192,32 @@ def _check_criterion_inputs(spec: EquationSpec, op, tau, ts: np.ndarray) -> None
         if spec.kind == "discrete_delay":
             # Combining unit reads gives the coefficients: column i is p_i at each sample time.
             t = ts[:, None]
-            p = op.combine(t, np.ones_like(op.read_points(t)))
+            reads = op.read_points(t)
+            p = op.combine(t, np.ones_like(reads))
             for i, (coef, _) in enumerate(spec.terms):
-                require(p[:, i] >= 0.0, p[:, i], f"terms[{i}].coef_expr {coef!r} must be >= 0")
+                require(p[:, i] >= 0.0, p[:, i], f"terms[{i}].coef_expr {clipped(coef)} must be >= 0")
             if spec.bound_expr:
                 b, total = op.bound_b(ts), _row_sums(p)
                 require(b <= total * (1.0 + _BOUND_SLACK), b,
-                        f"bound_expr {spec.bound_expr!r} must not exceed the sum of the coefficients", total)
+                        f"bound_expr {clipped(spec.bound_expr)} must not exceed the sum of the coefficients", total)
         elif spec.bound_expr:
             audit = audit_sign_bound(op, np.linspace(ts[0], ts[-1], 8), trials=5, seed=0)
             if not audit.passed:
                 raise InvalidParameterError(
-                    f"bound_expr {spec.bound_expr!r} violates the operator's sign bound on {len(audit.violations)} "
+                    f"bound_expr {clipped(spec.bound_expr)} violates the operator's sign bound on {len(audit.violations)} "
                     f"of {audit.checked} sampled pairs (worst margin {audit.worst_margin:.3g}); criterion not applicable"
                 )
         if spec.tau_expr:
             lows, newest = np.broadcast_to(tau(ts), ts.shape), op.tau(ts)
-            require(lows >= newest, lows, f"tau_expr {spec.tau_expr!r} must be no older than the operator's newest read",
-                    newest)
+            # The reads that count: a discrete spec's at or before tau(t), any other's all or none.
+            counted = reads <= lows[:, None] if spec.kind == "discrete_delay" else (lows >= newest)[:, None]
+            require(counted.any(axis=1), lows,
+                    f"tau_expr {clipped(spec.tau_expr)} must be no older than the operator's newest read", newest)
+            if spec.kind == "discrete_delay":
+                bound = f"bound_expr {clipped(spec.bound_expr)}" if spec.bound_expr else "the derived bound"
+                b, total = op.bound_b(ts), _row_sums(np.where(counted, p, 0.0))
+                require(b <= total * (1.0 + _BOUND_SLACK), b, f"{bound} must not exceed the sum of the coefficients "
+                        f"of the terms that read at or before tau_expr {clipped(spec.tau_expr)}", total)
 
 
 def _print_analysis(report: dict, fmt: str) -> None:

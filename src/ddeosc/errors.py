@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how their messages show a value."""
 
 
 class DomainError(ValueError):
@@ -31,3 +31,9 @@ class SpecFormatError(ValueError):
 
 class CrossValidationError(RuntimeError):
     """Two independent computation routes disagreed; indicates a bug, not bad input."""
+
+
+def clipped(value) -> str:
+    """``repr(value)`` for a message: in full up to 200 characters, else its first 100, ``...`` and its length."""
+    text = repr(value)
+    return text if len(text) <= 200 else f"{text[:100]}... ({len(text)} characters)"

@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, ExpressionError
+from .errors import DomainError, ExpressionError, clipped
 
 _CONSTANTS = {"e": math.e, "pi": math.pi}
 _VARIADIC = ("min", "max")
@@ -53,13 +53,13 @@ def parse_expression(source: str) -> Callable:
     as ``log(t - 1000)`` at t <= 1000 or ``1/(t - 50)`` at t = 50.
     """
     if not isinstance(source, str) or not source.strip():
-        raise ExpressionError(f"expression must be a nonempty string, got {source!r}")
+        raise ExpressionError(f"expression must be a nonempty string, got {clipped(source)}")
     try:
         tree = ast.parse(source, mode="eval")
     except SyntaxError as exc:
-        raise ExpressionError(f"cannot parse expression {source!r}: {exc.msg}") from exc
+        raise ExpressionError(f"cannot parse expression {clipped(source)}: {exc.msg}") from exc
     except (ValueError, RecursionError) as exc:  # a null byte on some versions, a lone surrogate, deep nesting
-        raise ExpressionError(f"cannot parse expression {source!r}: {exc}") from exc
+        raise ExpressionError(f"cannot parse expression {clipped(source)}: {exc}") from exc
     build = _walk(tree.body, source, 0)
     evaluate, array_pass = build(_FLOAT), build(_ARRAY)
 
@@ -69,12 +69,12 @@ def parse_expression(source: str) -> Callable:
             return float(evaluate(t))
         except TypeError as exc:  # a complex value, e.g. a negative base to a fractional power
             raise DomainError(
-                f"expression {source!r} does not evaluate to a real number at t={t!r}: {exc}"
+                f"expression {clipped(source)} does not evaluate to a real number at t={t!r}: {exc}"
             ) from None
         except OverflowError as exc:  # pow's errno pair (34, text) or math's text
-            raise OverflowError(f"expression {source!r} overflows at t={t!r}: {exc.args[-1]}") from None
+            raise OverflowError(f"expression {clipped(source)} overflows at t={t!r}: {exc.args[-1]}") from None
         except (ValueError, ZeroDivisionError) as exc:  # log of a nonpositive number, a zero divisor
-            raise type(exc)(f"expression {source!r} is undefined at t={t!r}: {exc}") from None
+            raise type(exc)(f"expression {clipped(source)} is undefined at t={t!r}: {exc}") from None
 
     def fn(t):
         if not isinstance(t, np.ndarray):
@@ -110,10 +110,10 @@ def _walk(node: ast.AST, source: str, depth: int) -> Callable:
     the node's own operation.
     """
     if depth > _MAX_DEPTH:
-        raise ExpressionError(f"nesting deeper than {_MAX_DEPTH} levels in expression {source!r}")
+        raise ExpressionError(f"nesting deeper than {_MAX_DEPTH} levels in expression {clipped(source)}")
     if isinstance(node, ast.Constant):
         if not isinstance(node.value, (int, float)) or isinstance(node.value, bool):
-            raise ExpressionError(f"non-numeric literal {node.value!r} in expression {source!r}")
+            raise ExpressionError(f"non-numeric literal {clipped(node.value)} in expression {clipped(source)}")
         return _literal(node.value)
     if isinstance(node, ast.Name):
         if node.id == "t":
@@ -121,24 +121,24 @@ def _walk(node: ast.AST, source: str, depth: int) -> Callable:
         if node.id in _CONSTANTS:
             return _literal(_CONSTANTS[node.id])
         if node.id in _FUNCTIONS:
-            raise ExpressionError(f"function name {node.id!r} used as a value in expression {source!r}")
-        raise ExpressionError(f"unknown name {node.id!r} in expression {source!r}")
+            raise ExpressionError(f"function name {clipped(node.id)} used as a value in expression {clipped(source)}")
+        raise ExpressionError(f"unknown name {clipped(node.id)} in expression {clipped(source)}")
     if isinstance(node, ast.UnaryOp) and type(node.op) in _FLOAT:
         return _operation(type(node.op), [_walk(node.operand, source, depth + 1)])
     if isinstance(node, ast.BinOp) and type(node.op) in _FLOAT:
         return _operation(type(node.op), [_walk(node.left, source, depth + 1), _walk(node.right, source, depth + 1)])
     if isinstance(node, ast.Call):
         if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCTIONS:
-            raise ExpressionError(f"unknown function call in expression {source!r}")
+            raise ExpressionError(f"unknown function call in expression {clipped(source)}")
         if node.keywords:
-            raise ExpressionError(f"keyword arguments not allowed in expression {source!r}")
+            raise ExpressionError(f"keyword arguments not allowed in expression {clipped(source)}")
         name = node.func.id
         if len(node.args) < 2 if name in _VARIADIC else len(node.args) != 1:
             expected = "at least two arguments" if name in _VARIADIC else "exactly one argument"
-            raise ExpressionError(f"{name}() takes {expected}, got {len(node.args)}, in expression {source!r}")
+            raise ExpressionError(f"{name}() takes {expected}, got {len(node.args)}, in expression {clipped(source)}")
         return _operation(name, [_walk(arg, source, depth + 1) for arg in node.args])
     construct = node.op if isinstance(node, (ast.UnaryOp, ast.BinOp)) else node
-    raise ExpressionError(f"construct {type(construct).__name__!r} not allowed in expression {source!r}")
+    raise ExpressionError(f"construct {type(construct).__name__!r} not allowed in expression {clipped(source)}")
 
 
 def _literal(value) -> Callable:

@@ -42,14 +42,15 @@ class HistoryFunction:
     is no extrapolation.  A small relative slack absorbs floating-point
     noise in delayed-time arithmetic, and in-slack arguments are clamped to
     the domain before the underlying function sees them.  ``many(ts)``
-    evaluates a whole array of times; operators and the integrator read
-    through it.
+    evaluates an array of times of any shape: it checks the domain and
+    clamps once for all of them, calls the function once on the flat array
+    of in-domain times, and returns a float array of the shape of ``ts``.
+    A call ``h(t)`` is its one-time case.  Operators and the integrator
+    read through ``many``.
 
-    ``HistoryFunction(fn, ...)`` wraps a scalar function of t, and its
-    ``many`` calls it once per element.  The histories this module builds
-    (``constant``, ``exponential``, :func:`random_history`) are array
-    functions instead: ``many`` checks the domain in one pass, clamps and
-    evaluates the whole array, and a call ``h(t)`` is its one-element case.
+    ``HistoryFunction(fn, ...)`` wraps a scalar function of t, called once
+    per read, in order.  The histories this module builds (``constant``,
+    ``exponential``, :func:`random_history`) hold array functions instead.
     """
 
     __slots__ = ("domain_start", "domain_end", "_fn")
@@ -61,34 +62,40 @@ class HistoryFunction:
             )
         self.domain_start = float(domain_start)
         self.domain_end = float(domain_end)
-        self._fn = fn
+        self._fn = lambda ts: np.fromiter(map(fn, ts.tolist()), float, ts.size)
 
-    def _outside(self, t: float) -> HistoryDomainError:
-        return HistoryDomainError(
-            f"history evaluated at t={t}, outside [{self.domain_start}, {self.domain_end}]"
-        )
+    @classmethod
+    def _of_array_function(cls, fn: Callable[[np.ndarray], np.ndarray], domain_start: float, domain_end: float):
+        """A history whose ``fn`` maps a 1-D array of in-domain times to their values."""
+        history = cls(None, domain_start, domain_end)
+        history._fn = fn
+        return history
 
     def __call__(self, t: float) -> float:
-        slack = 1e-9 * max(1.0, abs(t))
-        if t < self.domain_start - slack or t > self.domain_end + slack:
-            raise self._outside(t)
-        return float(self._fn(min(max(t, self.domain_start), self.domain_end)))
+        return float(self.many(t))
 
     def many(self, ts) -> np.ndarray:
-        """Evaluate at every time in ``ts``, in order, as one float array of its shape."""
+        """Evaluate at every time in ``ts``, as one float array of its shape; the first bad time in C order raises."""
         ts = np.asarray(ts, dtype=float)
-        return np.array([self(t) for t in ts.ravel().tolist()], dtype=float).reshape(ts.shape)
+        flat = ts.ravel()
+        slack = 1e-9 * np.maximum(1.0, np.abs(flat))
+        outside = (flat < self.domain_start - slack) | (flat > self.domain_end + slack)
+        if outside.any():
+            raise HistoryDomainError(
+                f"history evaluated at t={float(flat[outside][0])}, outside [{self.domain_start}, {self.domain_end}]"
+            )
+        return self._fn(np.minimum(np.maximum(flat, self.domain_start), self.domain_end)).reshape(ts.shape)
 
     @classmethod
     def constant(cls, value: float, domain_start: float, domain_end: float = 0.0) -> "HistoryFunction":
         v = _finite("constant history value", value)
-        return _ArrayHistory(lambda ts: np.full(ts.shape, v), domain_start, domain_end)
+        return cls._of_array_function(lambda ts: np.full(ts.shape, v), domain_start, domain_end)
 
     @classmethod
     def exponential(cls, rate: float, domain_start: float, domain_end: float = 0.0) -> "HistoryFunction":
         """h(t) = exp(rate * t), through ``math.exp`` (numpy's exp differs in the last bit)."""
         r = _finite("exponential history rate", rate)
-        return _ArrayHistory(
+        return cls._of_array_function(
             lambda ts: np.fromiter(map(math.exp, (r * ts).tolist()), float, ts.size), domain_start, domain_end
         )
 
@@ -98,23 +105,6 @@ def _finite(name: str, value: float) -> float:
     if not math.isfinite(v):
         raise InvalidParameterError(f"{name} must be finite, got {v}")
     return v
-
-
-class _ArrayHistory(HistoryFunction):
-    """A history whose function maps an array of in-domain times to values."""
-
-    __slots__ = ()
-
-    def __call__(self, t: float) -> float:
-        return float(self.many(np.array([t], dtype=float))[0])
-
-    def many(self, ts) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        slack = 1e-9 * np.maximum(1.0, np.abs(ts))
-        outside = (ts < self.domain_start - slack) | (ts > self.domain_end + slack)
-        if outside.any():
-            raise self._outside(float(ts[outside][0]))
-        return self._fn(np.minimum(np.maximum(ts, self.domain_start), self.domain_end))
 
 
 def _row_dots(values: np.ndarray, coefs: np.ndarray) -> np.ndarray:
@@ -166,7 +156,7 @@ def random_history(
     scale = amplitude / peak if peak > 1e-12 else 0.0
     shift = 1.1 * amplitude if positive else 0.0
 
-    return _ArrayHistory(lambda ts: scale * raw_many(ts) + shift, domain_start, domain_end)
+    return HistoryFunction._of_array_function(lambda ts: scale * raw_many(ts) + shift, domain_start, domain_end)
 
 
 @dataclass(frozen=True)
@@ -215,7 +205,7 @@ class AmnesiaOperator:
         t = np.reshape(np.asarray(ts, dtype=float), (-1, 1))
         with np.errstate(all="ignore"):
             times = self._reads(t)
-            values = history.many(times.ravel()).reshape(times.shape)
+            values = history.many(times)
             return _row_sums(self.combine(t, values))
 
     def evaluate(self, t: float, history: HistoryFunction) -> float:
@@ -449,7 +439,7 @@ def audit_sign_bound(
         lo = float(np.min(points))
         if not lo < t:
             raise InvalidParameterError(f"sigma(t) must be below t; sigma({t}) = {lo}")
-        window = np.unique(np.concatenate([np.linspace(lo, t, 257), points[(lo <= points) & (points <= t)]]))
+        window = np.concatenate([np.linspace(lo, t, 257), points[(lo <= points) & (points <= t)]])
         b_t = op.bound_b(t)
         for trial in range(trials):
             if history_factory is not None:
@@ -457,7 +447,7 @@ def audit_sign_bound(
             else:
                 hist = random_history(seed * 1_000_003 + trial, lo - 1e-6, t, amplitude=amplitude, positive=True)
             with np.errstate(all="ignore"):
-                read = hist.many(points.ravel()).reshape(points.shape)
+                read = hist.many(points)
                 values = _row_sums(op.combine(np.array([[t], [t]]), np.vstack([read, -read]))).tolist()
             bound = b_t * min(hist.many(window).tolist())
             for sign, value, bound_term, slack in ((+1, values[0], bound, values[0] - bound),

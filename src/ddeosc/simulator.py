@@ -55,7 +55,7 @@ from .errors import (
     SpecFormatError,
     StepSizeError,
 )
-from .operators import AmnesiaOperator, AuditReport, HistoryFunction, _ArrayHistory, audit_sign_bound, random_history
+from .operators import AmnesiaOperator, AuditReport, HistoryFunction, audit_sign_bound, random_history
 
 
 class Interpolation(Enum):
@@ -148,7 +148,7 @@ def read_trajectory_csv(path) -> Trajectory:
     )
 
 
-class _TrajectoryReader(_ArrayHistory):
+class _TrajectoryReader(HistoryFunction):
     """The initial history, then the computed nodes; the gather checks every read."""
 
     __slots__ = ()
@@ -256,7 +256,7 @@ def integrate(
             values[past] = initial_history.many(ts[past])
         return values
 
-    reader = _TrajectoryReader(gather, initial_history.domain_start, float(times[-1]))
+    reader = _TrajectoryReader._of_array_function(gather, initial_history.domain_start, float(times[-1]))
 
     x[0] = initial_history(0.0)
     overflowed = False

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InvalidParameterError, SpecFormatError
+from .errors import InvalidParameterError, SpecFormatError, clipped
 from .expressions import parse_expression
 from .operators import AmnesiaOperator, make_discrete_delay, make_distributed_delay
 from .simulator import SimulationConfig
@@ -78,10 +78,10 @@ def parse_spec(doc: dict) -> EquationSpec:
         raise SpecFormatError("equation spec must be a JSON object")
     schema = doc.get("schema")
     if schema != SCHEMA_VERSION or isinstance(schema, bool):
-        raise SpecFormatError(f"field 'schema': expected {SCHEMA_VERSION}, got {schema!r}")
+        raise SpecFormatError(f"field 'schema': expected {SCHEMA_VERSION}, got {clipped(schema)}")
     kind = doc.get("kind")
     if kind not in KINDS:
-        raise SpecFormatError(f"field 'kind': expected one of {KINDS}, got {kind!r}")
+        raise SpecFormatError(f"field 'kind': expected one of {KINDS}, got {clipped(kind)}")
     fields = ("terms",) if kind == "discrete_delay" else ("kernel", "parameters")
     _known_fields(doc, ("schema", "kind", "label", "bound_expr", "tau_expr", *fields), "", f"a {kind} spec")
     label = _expect_str(doc.get("label", ""), "label")
@@ -107,7 +107,7 @@ def parse_spec(doc: dict) -> EquationSpec:
             delay = item.get("delay")
             if not (_finite(delay) and delay > 0):
                 raise SpecFormatError(
-                    f"field 'terms[{i}].delay': expected a finite positive number, got {delay!r}"
+                    f"field 'terms[{i}].delay': expected a finite positive number, got {clipped(delay)}"
                 )
             terms.append((coef, float(delay)))
         return EquationSpec(kind=kind, label=label, terms=tuple(terms), bound_expr=bound_expr, tau_expr=tau_expr)
@@ -115,15 +115,15 @@ def parse_spec(doc: dict) -> EquationSpec:
     kernel = doc.get("kernel")
     if not isinstance(kernel, str) or kernel not in KERNEL_CATALOG:
         raise SpecFormatError(
-            f"field 'kernel': expected one of {sorted(KERNEL_CATALOG)}, got {kernel!r}"
+            f"field 'kernel': expected one of {sorted(KERNEL_CATALOG)}, got {clipped(kernel)}"
         )
     parameters = doc.get("parameters", {})
     if not isinstance(parameters, dict):
-        raise SpecFormatError(f"field 'parameters': expected an object, got {parameters!r}")
+        raise SpecFormatError(f"field 'parameters': expected an object, got {clipped(parameters)}")
     for key, value in parameters.items():
         if not _finite(value):
             name = f"parameters.{key}"
-            raise SpecFormatError(f"field {name!r}: expected a finite number, got {value!r}")
+            raise SpecFormatError(f"field {clipped(name)}: expected a finite number, got {clipped(value)}")
     KERNEL_CATALOG[kernel].validate(parameters)
     return EquationSpec(
         kind=kind,
@@ -139,16 +139,16 @@ def _known_fields(doc: dict, allowed: tuple, prefix: str, what: str) -> None:
     for key in doc:
         if key not in allowed:
             name = f"{prefix}{key}"
-            raise SpecFormatError(f"field {name!r}: unknown field; {what} has fields {sorted(allowed)}")
+            raise SpecFormatError(f"field {clipped(name)}: unknown field; {what} has fields {sorted(allowed)}")
 
 
 def _expect_str(value, name: str) -> str:
     if not isinstance(value, str):
-        raise SpecFormatError(f"field '{name}': expected string, got {value!r}")
+        raise SpecFormatError(f"field '{name}': expected string, got {clipped(value)}")
     try:
         value.encode()
     except UnicodeEncodeError:  # a lone surrogate, such as JSON's "\ud800"
-        raise SpecFormatError(f"field '{name}': expected valid Unicode text, got {value!r}") from None
+        raise SpecFormatError(f"field '{name}': expected valid Unicode text, got {clipped(value)}") from None
     return value
 
 
@@ -202,7 +202,7 @@ class KernelEntry:
         unknown = set(parameters) - set(self.defaults)
         if unknown:
             raise SpecFormatError(
-                f"field 'parameters': unknown parameter(s) {sorted(unknown)} for kernel {self.name!r}"
+                f"field 'parameters': unknown parameter(s) {clipped(sorted(unknown))} for kernel {self.name!r}"
             )
         merged = {**self.defaults, **parameters}
         self.validator(merged)

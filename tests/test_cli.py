@@ -3,6 +3,7 @@ import gc
 import io
 import json
 import math
+import re
 import warnings
 import weakref
 
@@ -11,6 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 from ddeosc.cli import (
+    analyze_spec,
     cmd_analyze,
     cmd_reproduce,
     cmd_simulate,
@@ -236,6 +238,42 @@ class TestAnalyze:
         result = CliRunner().invoke(main, ["analyze", "--spec", str(path)])
         assert (result.exit_code, result.stdout) == (2, "")
         assert result.stderr == f"error: {stderr}; criterion not applicable\n"
+
+    def test_a_tau_behind_the_newest_read_counts_only_the_terms_that_read_at_or_before_it(self, tmp_path):
+        # app1 at q = 20 as its delay-8 term alone: x' + p_2(t) x(t - 8) <= 0 for a positive solution
+        p2 = "(t+5)/(20.0*(t+6))"
+        spec = EquationSpec(kind="discrete_delay", label="app1 delay-8 suffix",
+                            terms=(("1/(20.0*(t+6))", 6.0), (p2, 8.0)), bound_expr=p2, tau_expr="t - 8")
+        path = tmp_path / "suffix.json"
+        save_spec(spec, path)
+        result = CliRunner().invoke(main, ["analyze", "--spec", str(path), "--t-start", "16", "--t-end", "256",
+                                           "--format", "json"])
+        assert (result.exit_code, result.stderr) == (0, "")
+        report = json.loads(result.stdout)
+        assert report["verdict"] == "guaranteed"
+        # the integral (8 - ln((t+6)/(t-2)))/20 rises, so the tail infimum sits at the tail's first sample
+        _, _, estimate = analyze_spec(spec, 16.0, 256.0)
+        t = float(estimate.sample_times[estimate.sample_times >= 136.0][0])
+        assert report["w_hat"] == estimate.w_hat == pytest.approx((8.0 - math.log((t + 6.0) / (t - 2.0))) / 20.0, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "bound, stderr",
+        [
+            ({}, "error: the derived bound must not exceed the sum of the coefficients of the terms that read at or "
+                 "before tau_expr 't - 2', but is 0.30000000000000004 against 0.2 at t=10.0; criterion not applicable\n"),
+            ({"bound_expr": "0.25"}, "error: bound_expr '0.25' must not exceed the sum of the coefficients of the terms "
+                                     "that read at or before tau_expr 't - 2', but is 0.25 against 0.2 at t=10.0; "
+                                     "criterion not applicable\n"),
+            ({"bound_expr": "0.2"}, ""),
+        ],
+        ids=["derived", "0.25", "0.2"],
+    )
+    def test_a_tau_between_reads_holds_the_bound_to_the_older_terms(self, bound, stderr, tmp_path):
+        path = tmp_path / "spec.json"
+        terms = [{"coef_expr": "0.1", "delay": 1.0}, {"coef_expr": "0.2", "delay": 3.0}]
+        path.write_text(json.dumps({"schema": 1, "kind": "discrete_delay", "terms": terms, "tau_expr": "t - 2", **bound}))
+        result = CliRunner().invoke(main, ["analyze", "--spec", str(path)])
+        assert (result.exit_code, result.stderr) == (2 if stderr else 0, stderr)
 
     def test_a_kernel_bound_expr_that_passes_the_audit_gives_the_catalog_verdict(self, tmp_path):
         parameters = {"a": 0.2, "b": 0.1, "m": 1.0, "l": 3}
@@ -636,6 +674,34 @@ def test_malformed_spec_exits_2_naming_the_file_or_field(text, message, tmp_path
     assert len(result.stderr.splitlines()) == 1
     assert result.stdout == ""
     assert not report.exists()  # rejected at load, before the report is written
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (_DELAY.replace("1.0", "1" + "0" * 400), "error: field 'terms[0].delay': expected a finite positive number, got 1"),
+        ('{"schema": 1, "kind": "distributed_delay", "kernel": "app2", "parameters": {"a1": 1' + "0" * 400 + "}}",
+         "error: field 'parameters.a1': expected a finite number, got 1"),
+        ('{"schema": 1, "kind": "distributed_delay", "kernel": "app2", "parameters": {"a' + "1" * 400 + '": 1}}',
+         "error: field 'parameters': unknown parameter(s) ['a111"),
+        (_DELAY.replace('"terms"', '"b' + "x" * 400 + '": 1, "terms"'), "error: field 'bxxx"),
+        (_DELAY.replace('"schema": 1', '"schema": "' + "1" * 400 + '"'), "error: field 'schema': expected 1, got '111"),
+        (_DELAY.replace('"1"', f'"{_sum(600)}"'), "error: nesting deeper than 200 levels in expression '0.001+"),
+        (_DELAY.replace('"1"', f'"{_sum(3000)}"'), "error: "),
+        (_DELAY.replace('"terms"', f'"bound_expr": "{_sum(150)} + x", "terms"'), "error: unknown name 'x' in expression '0.001+"),
+    ],
+    ids=["delay-401-digits", "a1-401-digits", "parameter-401-characters", "field-401-characters", "schema-400-characters",
+         "sum-600", "sum-3000", "bound-sum-150"],
+)
+def test_a_long_value_or_source_is_clipped_in_a_short_line(text, message, tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(text)
+    result = CliRunner().invoke(main, ["analyze", "--spec", str(path)])
+    assert result.exit_code == 2
+    assert result.stderr.startswith(message)
+    assert len(result.stderr.splitlines()) == 1
+    assert len(result.stderr.rstrip("\n").encode()) <= 300
+    assert re.search(r"\.\.\. \(\d+ characters\)", result.stderr)
 
 
 def test_the_deepest_expression_accepted_runs_through_analyze_and_simulate(tmp_path):

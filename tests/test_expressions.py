@@ -153,7 +153,9 @@ def test_nesting_past_the_depth_cap_is_rejected(source, depth):
         return
     with pytest.raises(ExpressionError) as caught:
         parse_expression(source)
-    assert str(caught.value) == f"nesting deeper than 200 levels in expression {source!r}"
+    text = repr(source)  # a source whose repr passes 200 characters is clipped to its first 100
+    shown = text if len(text) <= 200 else f"{text[:100]}... ({len(text)} characters)"
+    assert str(caught.value) == f"nesting deeper than 200 levels in expression {shown}"
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,7 @@ from ddeosc import (
     random_history,
 )
 from ddeosc.expressions import parse_expression
-from ddeosc.operators import AuditViolation, _ArrayHistory, _row_dots, _row_sums, sigma_growth_check
+from ddeosc.operators import AuditViolation, _row_dots, _row_sums, sigma_growth_check
 from ddeosc.quadrature import PANELS
 from ddeosc.specfile import KERNEL_CATALOG, app3_stated_bound
 
@@ -55,20 +55,18 @@ class TestHistoryFunction:
             HistoryFunction.constant(1.0, 1.0, 0.0)
 
     def test_scalar_many_takes_a_node_array_with_one_call_per_element(self):
-        class Counted(HistoryFunction):
-            __slots__ = ("reads",)
+        reads = []
 
-            def __call__(self, t):
-                self.reads += 1
-                return super().__call__(t)
+        def counted(t):
+            reads.append(t)
+            return math.sin(3.0 * t)
 
-        h = Counted(lambda t: math.sin(3.0 * t), -10.0, 0.0)
-        h.reads = 0
+        h = HistoryFunction(counted, -10.0, 0.0)
         nodes = np.linspace(-10.0, 0.0, 513).reshape(1, 513)  # one criterion row
         values = h.many(nodes)
         assert values.shape == (1, 513) and values.dtype == np.float64
         assert values[0].tolist() == [math.sin(3.0 * t) for t in nodes[0].tolist()]
-        assert h.reads == 513
+        assert len(reads) == 513
 
 
 class TestRandomHistory:
@@ -175,7 +173,7 @@ class TestArrayHistories:
         expected = [[np.dot(c, v) for c, v in zip(coefs, values[0])]]
         assert np.array_equal(_row_dots(values, coefs), expected)
 
-    @pytest.mark.parametrize(
+    HISTORIES = pytest.mark.parametrize(
         "history",
         [
             HistoryFunction.constant(1.0, -2.0),
@@ -185,13 +183,27 @@ class TestArrayHistories:
         ],
         ids=["constant", "exponential", "random", "scalar"],
     )
+
+    @HISTORIES
     @pytest.mark.parametrize("bad", [0.5, -3.0])
     def test_many_raises_the_call_message_for_the_first_bad_time(self, history, bad):
         with pytest.raises(HistoryDomainError) as call:
             history(bad)
         with pytest.raises(HistoryDomainError) as many:
             history.many([-1.0, bad, 0.7, -2.5])
-        assert str(many.value) == str(call.value) == f"history evaluated at t={bad}, outside [-2.0, 0.0]"
+        with pytest.raises(HistoryDomainError) as grid:
+            history.many([[-1.0, -0.5], [bad, 0.7]])  # C order: bad comes first
+        message = f"history evaluated at t={bad}, outside [-2.0, 0.0]"
+        assert str(many.value) == str(call.value) == str(grid.value) == message
+
+    @HISTORIES
+    @pytest.mark.parametrize("shape", [(2, 3), ()], ids=["2x3", "0-d"])
+    def test_many_returns_the_shape_of_its_input_with_the_1d_bits(self, history, shape):
+        ts = np.linspace(-2.0 - 1e-10, 0.0, math.prod(shape)).reshape(shape)
+        values = history.many(ts)
+        assert values.shape == shape and values.dtype == np.float64
+        assert values.ravel().tolist() == history.many(ts.ravel()).tolist()
+        assert values.ravel().tolist() == [history.many(np.array([t]))[0] for t in ts.ravel().tolist()]
 
     def test_constant_and_exponential_many_match_the_scalar_formulas(self):
         ts = np.concatenate([np.linspace(-3.0, 0.0, 1001), [-3.0 - 1e-10, 1e-10, -0.0]])
@@ -208,9 +220,9 @@ class TestArrayHistories:
     def test_audit_reads_each_window_and_evaluation_in_one_call(self, kernel, monkeypatch):
         op = KERNEL_CATALOG[kernel].build({})
         calls, reads = [], []
-        many = _ArrayHistory.many
-        monkeypatch.setattr(_ArrayHistory, "__call__", lambda self, t: calls.append(t) or float(many(self, [t])[0]))
-        monkeypatch.setattr(_ArrayHistory, "many", lambda self, ts: reads.append(len(ts)) or many(self, ts))
+        many = HistoryFunction.many
+        monkeypatch.setattr(HistoryFunction, "__call__", lambda self, t: calls.append(t) or float(many(self, [t])[0]))
+        monkeypatch.setattr(HistoryFunction, "many", lambda self, ts: reads.append(len(ts)) or many(self, ts))
         combines = []
         counted = dataclasses.replace(op, combine=lambda t, values: combines.append(len(t)) or op.combine(t, values))
         report = audit_sign_bound(counted, [10.0, 12.0, 14.0], trials=3)

@@ -31,7 +31,6 @@ from ddeosc import (
 )
 from ddeosc import simulator
 from ddeosc.expressions import parse_expression
-from ddeosc.operators import _ArrayHistory
 from ddeosc.simulator import sigma_pad_start
 from ddeosc.specfile import KERNEL_CATALOG, build_operator, make_scenarios
 
@@ -491,9 +490,9 @@ class TestSeededHistoryReads:
     def test_each_evaluation_reads_the_past_in_one_call(self, monkeypatch):
         op = KERNEL_CATALOG["app2"].build({})
         calls, reads, per_evaluation = [], [], []
-        many = _ArrayHistory.many
-        monkeypatch.setattr(_ArrayHistory, "__call__", lambda self, t: calls.append(t) or float(many(self, [t])[0]))
-        monkeypatch.setattr(_ArrayHistory, "many", lambda self, ts: reads.append(len(ts)) or many(self, ts))
+        many = HistoryFunction.many
+        monkeypatch.setattr(HistoryFunction, "__call__", lambda self, t: calls.append(t) or float(many(self, [t])[0]))
+        monkeypatch.setattr(HistoryFunction, "many", lambda self, ts: reads.append(len(ts)) or many(self, ts))
 
         def combine(t, values):
             # an evaluation reads the history, then combines: count the reads since the last combine

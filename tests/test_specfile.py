@@ -204,8 +204,9 @@ def _distributed(kernel="app2", **fields):
         (_discrete(terms=[{**_TERM, "delay": True}]), "field 'terms[0].delay': expected a finite positive number, got True"),
         (_distributed("app3", parameters={"l": True}), "field 'parameters.l': expected a finite number, got True"),
         (_discrete(terms=[{**_TERM, "delay": 10**400}]),
-         f"field 'terms[0].delay': expected a finite positive number, got {10**400}"),
-        (_distributed(parameters={"a1": -(10**400)}), f"field 'parameters.a1': expected a finite number, got {-(10**400)}"),
+         "field 'terms[0].delay': expected a finite positive number, got 1" + "0" * 99 + "... (401 characters)"),
+        (_distributed(parameters={"a1": -(10**400)}),
+         "field 'parameters.a1': expected a finite number, got -1" + "0" * 98 + "... (402 characters)"),
         (_distributed(parameters={"\ud800": math.nan}), "field 'parameters.\\ud800': expected a finite number, got nan"),
         (_discrete(terms=[{**_TERM, "coef_expr": "0.5\ud800"}]),
          "field 'terms[0].coef_expr': expected valid Unicode text, got '0.5\\ud800'"),
