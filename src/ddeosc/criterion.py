@@ -213,8 +213,10 @@ def estimate_liminf_w(
     slope = float(np.polyfit(centers, infima, 1)[0])
 
     # A persistent ripple in the late samples (after removing any linear
-    # drift) marks the tail as oscillating; otherwise the sliding-window
-    # slope decides between drift and a settled tail.
+    # drift) marks the tail as oscillating, unless the samples are monotone:
+    # a smooth saturating curve leaves a residual without oscillating.
+    # Otherwise the sliding-window slope decides between drift and a
+    # settled tail.
     late_mask = ts >= t_end - 0.25 * span - 1e-12
     late_t = ts[late_mask]
     late_v = vals[late_mask]
@@ -224,7 +226,8 @@ def estimate_liminf_w(
     scale = max(1.0, abs(w_hat))
     ripple_rms = float(np.sqrt(np.mean(((late_v - late_fit) / scale) ** 2)))
 
-    if ripple_rms > 1e-6:
+    steps = np.diff(late_v)
+    if ripple_rms > 1e-6 and not (np.all(steps >= 0) or np.all(steps <= 0)):
         trend = Trend.OSCILLATING
     elif slope > _TREND_SLOPE_TOL * scale:
         trend = Trend.INCREASING

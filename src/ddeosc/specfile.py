@@ -228,6 +228,44 @@ def _overflow_raises(ufunc, *args) -> np.ndarray:
         raise OverflowError("math range error") from None
 
 
+def _int_power(v: np.ndarray, n: int) -> np.ndarray:
+    """``v**n`` for an integer ``n >= 1`` by square-and-multiply, in at most 2*log2(n) rounded products.
+
+    ``n = 2`` gives ``v*v`` and ``n = 3`` gives ``(v*v)*v``; unlike ``np.power``
+    the bits do not depend on numpy's dispatch, and a huge ``n`` stays cheap.
+    """
+    result = v
+    for bit in bin(n)[3:]:
+        result = result * result
+        if bit == "1":
+            result = result * v
+    return result
+
+
+def _cube(v: np.ndarray) -> np.ndarray:
+    """``v**3`` rounded once, to the float nearest the exact cube where that is a normal float.
+
+    ``(v*v)*v`` rounds twice, and ``sin`` of a cube near 1e9 amplifies that
+    extra ulp past the trajectory tolerance.  Here ``v = hi + lo`` with
+    ``hi`` the top 17 bits of ``v`` (Veltkamp's split), so ``hi**3`` is
+    exact, and the remainder, at most about 2**-16 of the cube, carries a
+    rounding error of about 2**-67 of the cube; the sum misses the nearest
+    float only when the exact cube lies that close to a tie.  Where the sum
+    is not finite, ``(v*v)*v`` takes its place: a finite ``v`` whose cube
+    overflows raises OverflowError, as Python's power does, and an infinite
+    one passes through.
+    """
+    with np.errstate(all="ignore"):
+        c = 68719476737.0 * v  # 2**36 + 1
+        hi = c - (c - v)
+        lo = v - hi
+        hi_sq = hi * hi
+        cube = hi_sq * hi + lo * (3.0 * hi_sq + lo * (3.0 * hi + lo))
+    if not np.isfinite(cube).all():
+        cube = np.where(np.isfinite(cube), cube, _overflow_raises(_int_power, v, 3))
+    return cube
+
+
 def _build_app2(p: dict, label: str) -> AmnesiaOperator:
     a1, a2, a3 = float(p["a1"]), float(p["a2"]), float(p["a3"])
 
@@ -262,7 +300,7 @@ def _build_app3(p: dict, label: str) -> AmnesiaOperator:
     def kernel(t, s, xs):
         # (a*s**m + b*s*s * sin(x(t-s-5)**3)**l) * x(t-s-1)
         v_arg, v_lin = xs
-        return (a * s**m + b * s * s * np.sin(_overflow_raises(np.power, v_arg, 3)) ** l) * v_lin
+        return (a * s**m + b * s * s * _int_power(np.sin(_cube(v_arg)), l)) * v_lin
 
     b_value = app3_derived_bound(a, b, m, l)
     return make_distributed_delay(

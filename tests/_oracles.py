@@ -166,10 +166,11 @@ def scalar_integrate(op, initial_history, config):
     (values, derivative_values, overflowed), truncated like a Trajectory.
     Step-rule and coverage checks are left out.  It squares the Hermite
     phase with Python's power, and ``scalar_app2`` and ``scalar_app3`` call
-    ``math``, where the package multiplies and calls numpy's exp, sin and
-    power; those differ in the last bit on some inputs, so runs through
-    them are compared within a fraction of the step-halving gap, and other
-    runs bit for bit.
+    ``math`` and Python's power, where the package multiplies (app3's
+    ``sin(...)**l`` too), rounds app3's cube once without ``pow`` and calls
+    numpy's exp and sin; those differ in the last bit on some inputs, so
+    runs through them are compared within a fraction of the step-halving
+    gap, and other runs bit for bit.
     """
     h = config.step
     n = int(math.floor(config.t_end / h + 1e-9))

@@ -251,6 +251,8 @@ class TestAnalyze:
         assert (result.exit_code, result.stderr) == (0, "")
         report = json.loads(result.stdout)
         assert report["verdict"] == "guaranteed"
+        # its curvature leaves a late residual, but a monotone tail is not oscillating
+        assert report["trend"] == "increasing"
         # the integral (8 - ln((t+6)/(t-2)))/20 rises, so the tail infimum sits at the tail's first sample
         _, _, estimate = analyze_spec(spec, 16.0, 256.0)
         t = float(estimate.sample_times[estimate.sample_times >= 136.0][0])

@@ -81,6 +81,18 @@ class TestEstimateLiminf:
         down = estimate_liminf_w(lambda s: 1e-3 * (100.0 - s), lambda t: t - 1.0, 1.0, 81.0)
         assert down.trend is Trend.DECREASING
 
+    @pytest.mark.parametrize(
+        "bound, trend",
+        [("(t+5)/(20.0*(t+6))", Trend.INCREASING), ("(t+7)/(20.0*(t+6))", Trend.DECREASING)],
+        ids=["concave", "convex"],
+    )
+    def test_a_monotone_saturating_tail_is_not_oscillating(self, bound, trend):
+        # (8 - ln((t+6)/(t-2)))/20 and (8 + ln((t+6)/(t-2)))/20 saturate
+        # monotonically; their curvature leaves a late residual above the
+        # ripple tolerance
+        est = estimate_liminf_w(parse_expression(bound), lambda t: t - 8.0, 16.0, 256.0)
+        assert est.trend is trend
+
     def test_nested_window_infima_monotone(self):
         est = estimate_liminf_w(parse_expression("1.0 + sin(t)"), lambda t: t - 1.0, 0.0, 60.0)
         infima = [v for _, v in est.window_infima]

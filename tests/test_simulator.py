@@ -161,8 +161,9 @@ def _assert_same_run(op, oracle, hist, config):
     return traj
 
 
-#: How close a run whose kernels call numpy's exp, sin and power must come
-#: to the scalar oracle's, which calls Python's: this fraction of the run's
+#: How close a run whose kernels call numpy's exp and sin and take app3's
+#: integer powers from products must come to the scalar oracle's, which
+#: calls Python's functions and power: this fraction of the run's
 #: step-halving gap.
 GAP_FRACTION = 1e-2
 
@@ -192,8 +193,8 @@ class TestDistributedReadsMatchScalarOracle:
     """Blocks of array evaluations match one scalar read and one scalar
     kernel call per quadrature node, step by step: bit for bit where the
     arithmetic is exactly rounded, and within a fraction of the
-    step-halving gap where the catalog kernels call numpy's exp, sin and
-    power.
+    step-halving gap where the catalog kernels call numpy's exp and sin
+    or take app3's integer powers from products.
 
     The horizons pass the largest lag (2 for app2, 6 for app3), so the runs
     read the initial history, the computed trajectory, and both in one stage,
@@ -272,15 +273,17 @@ class TestDistributedReadsMatchScalarOracle:
         assert math.isnan(traj.derivative_values[0]) and math.isnan(derivative_values[0])
 
     def test_app3_cube_overflow_at_t0_flags_the_run(self):
-        # (1e103)^3 overflows in the evaluation at t = 0, as Python's power does
+        # x0^3 overflows in the evaluation at t = 0, as Python's power does:
+        # 1e103 in the product (x*x)*x, 1e155 already in the square x*x
         op = KERNEL_CATALOG["app3"].build({})
-        hist = HistoryFunction.constant(1e103, sigma_pad_start(op))
         config = SimulationConfig(t_end=2.0, step=0.05)
-        traj = integrate(op, hist, config)
-        values, derivative_values, overflowed = scalar_integrate(scalar_app3(), hist, config)
-        assert traj.overflowed and overflowed
-        assert traj.values.tolist() == values.tolist() == [1e103]
-        assert math.isnan(traj.derivative_values[0]) and math.isnan(derivative_values[0])
+        for x0 in (1e103, 1e155):
+            hist = HistoryFunction.constant(x0, sigma_pad_start(op))
+            traj = integrate(op, hist, config)
+            values, derivative_values, overflowed = scalar_integrate(scalar_app3(), hist, config)
+            assert traj.overflowed and overflowed
+            assert traj.values.tolist() == values.tolist() == [x0]
+            assert math.isnan(traj.derivative_values[0]) and math.isnan(derivative_values[0])
 
     def test_zero_terms_sum_to_positive_zero(self):
         # -0.0 terms: the scalar sum starts from +0.0, and so must the array one
@@ -454,10 +457,11 @@ class TestSeededHistoryReads:
     per-read ``np.dot`` history.  App1 compares with the scalar integrator
     and operator.  App2 and app3 run the package integrator and operator on
     both sides, so that only the history differs: their kernels call
-    numpy's exp, sin and power, which the scalar oracles' Python calls need
-    not match in the last bit, and the scalar integrator squares the Hermite
-    phase with Python's power, which differs from the package's product in
-    the last bit at some of app2's reads."""
+    numpy's exp and sin and take app3's integer powers from products, which
+    the scalar oracles' Python calls need not match in the last bit, and
+    the scalar integrator squares the Hermite phase with Python's power,
+    which differs from the package's product in the last bit at some of
+    app2's reads."""
 
     CASES = {
         "app1": (lambda: build_operator(make_scenarios(1, {"q": 10.0})[0].spec), 0.05, 20.0),

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from ddeosc.specfile import (
     parse_spec,
     save_spec,
 )
+from ddeosc.specfile import _cube, _int_power
 
 DISCRETE_DOC = {
     "schema": 1,
@@ -347,3 +349,57 @@ def test_scenario_parameters_are_checked_before_use(app_id, overrides, error, me
     with pytest.raises(error) as caught:
         make_scenarios(app_id, overrides)
     assert str(caught.value) == message
+
+
+class TestIntPower:
+    """App3's ``sin(...)**l`` is square-and-multiply, one rounding per product."""
+
+    V = np.concatenate([
+        np.random.default_rng(0).uniform(-2.0, 2.0, 500),
+        np.random.default_rng(1).standard_normal(500) * 1e3,
+        [0.0, -0.0, 1.0, -1.0, 5e-324, math.inf, -math.inf],
+    ])
+
+    @staticmethod
+    def _bits(a):
+        return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+    def test_low_powers_are_the_products(self):
+        v = self.V
+        assert np.array_equal(self._bits(_int_power(v, 1)), self._bits(v))
+        assert np.array_equal(self._bits(_int_power(v, 2)), self._bits(v**2))
+        assert np.array_equal(self._bits(_int_power(v, 3)), self._bits((v * v) * v))
+        cube = (v * v) * v
+        assert np.array_equal(self._bits(_int_power(v, 7)), self._bits((cube * cube) * v))
+
+    def test_a_huge_power_is_cheap_and_settles(self):
+        v = np.array([0.999999, -0.5, 1e-300, 0.0, -0.0, 1.0, -1.0])
+        assert _int_power(v, int(1e300)).tolist() == [0.0] * 5 + [1.0, 1.0]
+
+
+class TestCube:
+    """App3's cube is rounded once, to the float nearest the exact cube."""
+
+    def test_matches_the_exactly_rounded_cube(self):
+        rng = np.random.default_rng(2)
+        magnitudes = 10.0 ** rng.uniform(-90.0, math.log10(5.6e102), 2000) * rng.choice([-1.0, 1.0], 2000)
+        v = np.concatenate([TestIntPower.V[np.isfinite(TestIntPower.V)], magnitudes])
+        exact = [float(Fraction(x) ** 3) for x in v.tolist()]
+        assert _cube(v).tolist() == exact
+        # the product cube rounds twice and misses on a share of these
+        assert ((v * v) * v).tolist() != exact
+
+    def test_non_finite_values_pass_through(self):
+        v = np.array([math.inf, -math.inf, math.nan])
+        bits = TestIntPower._bits
+        assert np.array_equal(bits(_cube(v)), bits(np.power(v, 3)))
+
+    def test_only_a_cube_beyond_the_float_range_overflows(self):
+        top = 5.643803094122361e102  # the largest float whose cube is finite
+        cube = float(Fraction(top) ** 3)
+        assert cube != (top * top) * top
+        assert _cube(np.array([top, -top])).tolist() == [cube, -cube]
+        # the last product overflows first at 1e103, the square at 1e155
+        for x in (np.nextafter(top, math.inf), 1e103, -1e155, 1e300):
+            with pytest.raises(OverflowError):
+                _cube(np.array([0.5, x]))
