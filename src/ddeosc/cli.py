@@ -28,7 +28,7 @@ from . import __version__
 from .criterion import DEFAULT_GRID_POINTS, PANELS, THRESHOLD, estimate_liminf_w, tetration_proof_trace, theorem_verdict
 from .errors import CrossValidationError, ExpressionError, InvalidParameterError, SpecFormatError, clipped
 from .expressions import parse_expression
-from .operators import HistoryFunction, _row_sums, audit_sign_bound, random_history, sigma_growth_check
+from .operators import HistoryFunction, _row_sums, _sign_bound_gate, random_history, sigma_growth_check
 from .simulator import (
     Interpolation,
     SimulationConfig,
@@ -166,17 +166,17 @@ _BOUND_SLACK = 4e-16
 def _check_criterion_inputs(spec: EquationSpec, op, tau, ts: np.ndarray) -> None:
     """Reject, at the criterion's sample times ``ts``, a spec whose verdict the theorem does not cover.
 
-    For a discrete spec, Tx = sum_i p_i(t) x(t - d_i) >= b(t) inf x holds for
-    every positive history exactly when every p_i(t) >= 0 and b(t) <= sum_i
-    p_i(t): a negative coefficient lets a large read drive Tx below zero, so
-    no bound, derived or given, makes it admissible.  With a ``tau_expr``,
-    only the terms that read at or before tau(t) count: a positive solution
-    is nonincreasing, so Tx(t) >= b(t) x(tau(t)) when b(t) is at most their
-    sum, and at least one term must read there.  A distributed spec's
-    ``bound_expr`` must pass the sampled sign-bound audit that
-    ``concordance_experiment`` runs, and its ``tau_expr`` must be no older
-    than the operator's newest read, op.tau(t).  Between the sample times
-    nothing is checked.
+    For a discrete spec, Tx = sum_i p_i(t) x(t - d_i) >= b(t) x(tau(t)) holds
+    for every positive solution when every p_i(t) >= 0 and b(t) is at most
+    the sum of the p_i(t) whose terms read at or before tau(t), since such a
+    solution is nonincreasing.  A negative coefficient lets a large read
+    drive Tx below zero, so no bound, derived or given, makes it admissible.
+    tau is the ``tau_expr``, at or before which some term must read, or else
+    the newest read, when every term counts.  A distributed spec's
+    ``bound_expr`` must pass the sign-bound gate that
+    ``concordance_experiment`` also runs, and its ``tau_expr`` must be no
+    older than the operator's newest read, op.tau(t).  Between the sample
+    times nothing is checked.
     """
 
     def require(ok, values, what, against=None):
@@ -189,35 +189,31 @@ def _check_criterion_inputs(spec: EquationSpec, op, tau, ts: np.ndarray) -> None
             )
 
     with np.errstate(all="ignore"):
-        if spec.kind == "discrete_delay":
+        t = ts[:, None]
+        if spec.kind != "discrete_delay":
+            if spec.bound_expr:
+                _sign_bound_gate(op, (ts[0], ts[-1]), 0, f"bound_expr {clipped(spec.bound_expr)}")
+            if not spec.tau_expr:
+                return
+            # A kernel's reads count all or none, as its newest read does.
+            reads = op.tau(t)
+        else:
             # Combining unit reads gives the coefficients: column i is p_i at each sample time.
-            t = ts[:, None]
-            reads = op.read_points(t)
+            reads = op._reads(t)
             p = op.combine(t, np.ones_like(reads))
             for i, (coef, _) in enumerate(spec.terms):
                 require(p[:, i] >= 0.0, p[:, i], f"terms[{i}].coef_expr {clipped(coef)} must be >= 0")
-            if spec.bound_expr:
-                b, total = op.bound_b(ts), _row_sums(p)
-                require(b <= total * (1.0 + _BOUND_SLACK), b,
-                        f"bound_expr {clipped(spec.bound_expr)} must not exceed the sum of the coefficients", total)
-        elif spec.bound_expr:
-            audit = audit_sign_bound(op, np.linspace(ts[0], ts[-1], 8), trials=5, seed=0)
-            if not audit.passed:
-                raise InvalidParameterError(
-                    f"bound_expr {clipped(spec.bound_expr)} violates the operator's sign bound on {len(audit.violations)} "
-                    f"of {audit.checked} sampled pairs (worst margin {audit.worst_margin:.3g}); criterion not applicable"
-                )
+        counted = True  # tau is the newest read, at or before which every term reads
         if spec.tau_expr:
-            lows, newest = np.broadcast_to(tau(ts), ts.shape), op.tau(ts)
-            # The reads that count: a discrete spec's at or before tau(t), any other's all or none.
-            counted = reads <= lows[:, None] if spec.kind == "discrete_delay" else (lows >= newest)[:, None]
-            require(counted.any(axis=1), lows,
-                    f"tau_expr {clipped(spec.tau_expr)} must be no older than the operator's newest read", newest)
-            if spec.kind == "discrete_delay":
-                bound = f"bound_expr {clipped(spec.bound_expr)}" if spec.bound_expr else "the derived bound"
-                b, total = op.bound_b(ts), _row_sums(np.where(counted, p, 0.0))
-                require(b <= total * (1.0 + _BOUND_SLACK), b, f"{bound} must not exceed the sum of the coefficients "
-                        f"of the terms that read at or before tau_expr {clipped(spec.tau_expr)}", total)
+            lows = np.broadcast_to(tau(ts), ts.shape)
+            counted = reads <= lows[:, None]
+            require(counted.any(axis=1), lows, f"tau_expr {clipped(spec.tau_expr)} must be no older than "
+                    "the operator's newest read", reads.max(axis=1))
+        if spec.kind == "discrete_delay" and (spec.bound_expr or spec.tau_expr):
+            bound = f"bound_expr {clipped(spec.bound_expr)}" if spec.bound_expr else "the derived bound"
+            at = f" of the terms that read at or before tau_expr {clipped(spec.tau_expr)}" if spec.tau_expr else ""
+            b, total = op.bound_b(ts), _row_sums(np.where(counted, p, 0.0))
+            require(b <= total * (1.0 + _BOUND_SLACK), b, f"{bound} must not exceed the sum of the coefficients{at}", total)
 
 
 def _print_analysis(report: dict, fmt: str) -> None:

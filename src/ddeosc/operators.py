@@ -223,7 +223,9 @@ class AmnesiaOperator:
     def _reduce_reads(self, t, reduce: Callable):
         """``reduce`` over each time's reads, from one ``read_points`` call on the column of times."""
         ts = np.asarray(t, dtype=float)
-        out = reduce(self._reads(ts.reshape(-1, 1)), axis=1).reshape(ts.shape)
+        with np.errstate(all="ignore"):
+            reads = self._reads(ts.reshape(-1, 1))
+        out = reduce(reads, axis=1).reshape(ts.shape)
         return out if isinstance(t, np.ndarray) else float(out)
 
     @property
@@ -435,10 +437,13 @@ def audit_sign_bound(
 
     for t in t_samples:
         t = float(t)
-        points = op._reads(np.array([[t]]))
+        with np.errstate(all="ignore"):
+            points = op._reads(np.array([[t]]))
         lo = float(np.min(points))
         if not lo < t:
             raise InvalidParameterError(f"sigma(t) must be below t; sigma({t}) = {lo}")
+        if not math.isfinite(lo):
+            raise InvalidParameterError(f"sigma(t) must be finite; sigma({t}) = {lo}")
         window = np.concatenate([np.linspace(lo, t, 257), points[(lo <= points) & (points <= t)]])
         b_t = op.bound_b(t)
         for trial in range(trials):
@@ -463,3 +468,14 @@ def audit_sign_bound(
         violations=tuple(violations),
         worst_margin=worst,
     )
+
+
+def _sign_bound_gate(op: AmnesiaOperator, t_range: tuple[float, float], seed: int, subject: str) -> AuditReport:
+    """Audit ``op`` at 8 times across ``t_range``, 5 trials from ``seed``; a violation raises, naming ``subject``."""
+    audit = audit_sign_bound(op, np.linspace(*t_range, 8), trials=5, seed=seed)
+    if not audit.passed:
+        raise InvalidParameterError(
+            f"{subject} violates the operator's sign bound on {len(audit.violations)} "
+            f"of {audit.checked} sampled pairs (worst margin {audit.worst_margin:.3g}); criterion not applicable"
+        )
+    return audit

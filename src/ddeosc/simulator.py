@@ -55,7 +55,7 @@ from .errors import (
     SpecFormatError,
     StepSizeError,
 )
-from .operators import AmnesiaOperator, AuditReport, HistoryFunction, audit_sign_bound, random_history
+from .operators import AmnesiaOperator, AuditReport, HistoryFunction, _sign_bound_gate, random_history
 
 
 class Interpolation(Enum):
@@ -174,7 +174,9 @@ def _block_steps(op: AmnesiaOperator, h: float) -> int:
     if min_lag is None:
         return 1
     by_lag = int(min_lag / h) - 1
-    by_budget = _BLOCK_READS // (2 * op.read_points(np.zeros((1, 1))).size)
+    with np.errstate(all="ignore"):
+        reads = op._reads(np.zeros((1, 1)))
+    by_budget = _BLOCK_READS // (2 * reads.size)
     return max(1, min(by_lag, by_budget))
 
 
@@ -449,9 +451,9 @@ def concordance_experiment(
     """Simulate seeded random histories beside the verdict on ``estimate``.
 
     ``estimate`` is the criterion estimate of ``op.bound_b``; its verdict is
-    the one checked, and eight times spread over its window are audited.
-    The operator must pass its sign-bound audit (it runs first and raises on
-    violations, since the criterion hypothesis would be void).  Histories
+    the one checked.  The operator must first pass the criterion's
+    sign-bound gate across the estimate's window, seeded with ``seed``; a
+    violation raises, since the criterion hypothesis would be void.  Histories
     are truncated Fourier sums seeded with seed, seed+1, ...; every run's
     trajectory is kept, and the report is deterministic for fixed arguments.
     """
@@ -460,17 +462,7 @@ def concordance_experiment(
     if seed < 0:
         raise InvalidParameterError(f"seed must be >= 0, got {seed}")
 
-    audit = audit_sign_bound(
-        op,
-        t_samples=np.linspace(*estimate.t_range, 8),
-        trials=5,
-        seed=seed,
-    )
-    if not audit.passed:
-        raise InvalidParameterError(
-            f"operator {op.label!r} violates its sign bound on {len(audit.violations)} "
-            f"sampled pairs (worst margin {audit.worst_margin:.3g}); criterion not applicable"
-        )
+    audit = _sign_bound_gate(op, estimate.t_range, seed, f"the bound_b of operator {op.label!r}")
     verdict = theorem_verdict(estimate)
 
     classes: list[SolutionClass] = []

@@ -266,6 +266,14 @@ def _cube(v: np.ndarray) -> np.ndarray:
     return cube
 
 
+def _exp(x: float) -> float:
+    """``math.exp``, whose bits the reports hold, or inf where it overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def _build_app2(p: dict, label: str) -> AmnesiaOperator:
     a1, a2, a3 = float(p["a1"]), float(p["a2"]), float(p["a3"])
 
@@ -276,7 +284,7 @@ def _build_app2(p: dict, label: str) -> AmnesiaOperator:
         lin, sq = a1 * s, v_sq * v_sq
         return _overflow_raises(np.exp, np.where(sq > lin, sq, lin)) * v_lin
 
-    b_value = math.exp(a1) * (math.exp(a1) - 1.0) / a1
+    b_value = _exp(a1) * (_exp(a1) - 1.0) / a1
     return make_distributed_delay(
         kernel,
         (1.0, 2.0),
@@ -401,7 +409,7 @@ def _scenario_app1(q: float) -> Scenario:
 def _scenario_app2(**parameters) -> Scenario:
     p = KERNEL_CATALOG["app2"].validate(parameters)
     a1, a2, a3 = p["a1"], p["a2"], p["a3"]
-    condition_value = min(a2, a3) * math.exp(1.0 + a1) * (math.exp(a1) - 1.0) / a1
+    condition_value = min(a2, a3) * _exp(1.0 + a1) * (_exp(a1) - 1.0) / a1
     return Scenario(
         name=f"app2_a1={a1:g}_a2={a2:g}_a3={a3:g}",
         spec=EquationSpec(

@@ -1,6 +1,8 @@
 import contextlib
+import dataclasses
 import gc
 import io
+import itertools
 import json
 import math
 import re
@@ -10,6 +12,8 @@ import weakref
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ddeosc.cli import (
     analyze_spec,
@@ -22,9 +26,17 @@ from ddeosc.cli import (
     read_trajectory_csv,
     write_trajectory_csv,
 )
-from ddeosc import HistoryFunction, SimulationConfig, integrate, make_discrete_delay, random_history
+from ddeosc import HistoryFunction, SimulationConfig, cli, errors, integrate, make_discrete_delay, random_history
 from ddeosc.simulator import Trajectory, sigma_pad_start
-from ddeosc.specfile import EquationSpec, app3_derived_bound, build_operator, load_spec, save_spec
+from ddeosc.specfile import (
+    KERNEL_CATALOG,
+    SCENARIO_CATALOG,
+    EquationSpec,
+    app3_derived_bound,
+    build_operator,
+    load_spec,
+    save_spec,
+)
 
 from _oracles import characteristic_root
 
@@ -230,6 +242,22 @@ class TestAnalyze:
                  "bound_expr": "100"},
                 "bound_expr '100' violates the operator's sign bound on 80 of 80 sampled pairs (worst margin -43.8)",
             ),
+            # a kernel's tau_expr behind its newest read, t - 1 at s = 0
+            (
+                {"kind": "distributed_delay", "kernel": "app3", "parameters": {"l": 3}, "tau_expr": "t - 1.5"},
+                "tau_expr 't - 1.5' must be no older than the operator's newest read, but is 8.5 against 9.0 at t=10.0",
+            ),
+            # two faults: the bound is held to the terms that read at or before the tau_expr, which is checked first
+            (
+                {"terms": [{"coef_expr": "0.1", "delay": 1.0}, {"coef_expr": "0.2", "delay": 3.0}],
+                 "bound_expr": "0.4", "tau_expr": "t - 2"},
+                "bound_expr '0.4' must not exceed the sum of the coefficients of the terms that read at or before "
+                "tau_expr 't - 2', but is 0.4 against 0.2 at t=10.0",
+            ),
+            (
+                {"terms": [{"coef_expr": "0.1", "delay": 1.0}], "bound_expr": "1.0", "tau_expr": "t - 10"},
+                "tau_expr 't - 10' must be no older than the operator's newest read, but is 0.0 against 9.0 at t=10.0",
+            ),
         ],
     )
     def test_a_spec_outside_the_theorem_exits_2(self, doc, stderr, tmp_path):
@@ -276,6 +304,24 @@ class TestAnalyze:
         path.write_text(json.dumps({"schema": 1, "kind": "discrete_delay", "terms": terms, "tau_expr": "t - 2", **bound}))
         result = CliRunner().invoke(main, ["analyze", "--spec", str(path)])
         assert (result.exit_code, result.stderr) == (2 if stderr else 0, stderr)
+
+    def test_the_bound_is_evaluated_at_the_sample_times_once(self, monkeypatch):
+        calls = []
+
+        def build_counting(spec):
+            op = build_operator(spec)
+
+            def bound_b(t):
+                calls.append(np.array(t))
+                return op.bound_b(t)
+
+            return dataclasses.replace(op, bound_b=bound_b)
+
+        monkeypatch.setattr(cli, "build_operator", build_counting)
+        spec = EquationSpec(kind="discrete_delay", label="both overrides", terms=(("0.1", 1.0), ("0.2", 3.0)),
+                            bound_expr="0.2", tau_expr="t - 2")
+        _, _, estimate = analyze_spec(spec, 10.0, 110.0)
+        assert sum(np.array_equal(t, estimate.sample_times) for t in calls) == 1
 
     def test_a_kernel_bound_expr_that_passes_the_audit_gives_the_catalog_verdict(self, tmp_path):
         parameters = {"a": 0.2, "b": 0.1, "m": 1.0, "l": 3}
@@ -758,6 +804,62 @@ def test_unwritable_output_exits_2(command, name, single_delay_spec, tmp_path):
     assert isinstance(result.exception, SystemExit)  # not an uncaught NotADirectoryError
     assert result.stderr.startswith("error: [Errno 20] Not a directory: ")
     assert len(result.stderr.splitlines()) == 1
+
+
+_APP2 = '{"schema": 1, "kind": "distributed_delay", "kernel": "app2", "parameters": {"a1": 1.0}}'
+
+
+@pytest.mark.parametrize(
+    "args, code, stderr",
+    [
+        # e^a1 overflows from a1 = 709.79, e^(1 + a1) from 708.79; the bound's product from 709
+        (["analyze", "--spec", _APP2.replace("1.0", "800")], 3,
+         "error: criterion integral is not finite at t=10.0 (value inf); check the bound function\n"),
+        (["simulate", "--spec", _APP2.replace("1.0", "800"), "--t-end", "5"], 3,
+         f"simulation of {KERNEL_CATALOG['app2'].description!r} with history constant:1 overflowed at t=0.0; "
+         "partial trajectory written\n"),
+        (["reproduce", "--app", "2", "--set", "a1=709"], 3,
+         "error: criterion integral is not finite at t=4.0 (value inf); check the bound function\n"),
+        # a2*s overflows to inf: sigma(t) = -inf
+        (["analyze", "--spec", _APP2.replace('"a1": 1.0', '"a2": 1.7e308')], 0, ""),
+        (["simulate", "--spec", _APP2.replace('"a1": 1.0', '"a2": 1.7e308'), "--t-end", "5"], 0, ""),
+        (["reproduce", "--app", "2", "--set", "a2=1.7e308"], 2, "error: sigma(t) must be finite; sigma(4.0) = -inf\n"),
+    ],
+    ids=["analyze-a1=800", "simulate-a1=800", "reproduce-a1=709", "analyze-a2=1.7e308", "simulate-a2=1.7e308",
+         "reproduce-a2=1.7e308"],
+)
+def test_app2_at_the_float_range_overflows_into_a_package_error_or_none(args, code, stderr, tmp_path):
+    if "--spec" in args:  # the spec document itself, written to a file here
+        at = args.index("--spec")
+        (tmp_path / "app2.json").write_text(args[at + 1])
+        args = [*args[:at + 1], str(tmp_path / "app2.json"), *args[at + 2:]]
+    if args[0] == "reproduce":
+        args = [*args, "--n-histories", "1", "--out", str(tmp_path / "o")]
+    result = CliRunner().invoke(main, args)
+    assert (result.exit_code, result.stderr) == (code, stderr)
+
+
+_PARAMETERS = [(app, name) for app, (param_sets, _) in SCENARIO_CATALOG.items() for name in param_sets[0]]
+_PACKAGE_ERRORS = tuple(v for v in vars(errors).values() if isinstance(v, type) and issubclass(v, Exception))
+
+
+def _with_edge_examples(test):
+    """Every parameter at the float range's edges, at app2's overflows (a1 = 709, 709.8) and at 0."""
+    for parameter, value in itertools.product(_PARAMETERS, (1.7e308, -1.7e308, 709.0, 709.8, 1e-320, 0.0)):
+        test = example(parameter, value)(test)
+    return test
+
+
+@settings(max_examples=40, deadline=None)
+@_with_edge_examples
+@given(st.sampled_from(_PARAMETERS), st.floats(allow_nan=False, allow_infinity=False))
+def test_an_override_analyzes_or_raises_a_package_error(parameter, value):
+    app, name = parameter
+    try:
+        for sc in make_scenarios(app, {name: value}):
+            analyze_spec(sc.spec, sc.crit_t_start, sc.crit_t_end)
+    except _PACKAGE_ERRORS:
+        pass
 
 
 def test_reproduce_names_a_huge_integer_l_in_g_form(tmp_path):

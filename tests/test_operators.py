@@ -639,8 +639,13 @@ class TestAuditSignBound:
         (lambda: audit_sign_bound(
             dataclasses.replace(make_discrete_delay([(1.0, 1.0)]), read_points=lambda t: t + 0.0), [5.0]),
          r"sigma\(t\) must be below t; sigma\(5.0\) = 5.0"),
+        # 1e308 * 2.0 overflows to inf, without a numpy warning
+        (lambda: audit_sign_bound(
+            dataclasses.replace(make_discrete_delay([(1.0, 1.0)]), read_points=lambda t: t - np.array([1.0, 1e308]) * 2.0),
+            [5.0]),
+         r"sigma\(t\) must be finite; sigma\(5.0\) = -inf"),
     ],
-    ids=["history-domain", "s-range", "no-delay-map", "audit-trials", "audit-reads-at-t"],
+    ids=["history-domain", "s-range", "no-delay-map", "audit-trials", "audit-reads-at-t", "audit-reads-overflow"],
 )
 def test_construction_and_audit_arguments_are_checked(build, message):
     with pytest.raises(InvalidParameterError, match=message):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import types
 
 import numpy as np
@@ -647,7 +648,9 @@ class TestConcordance:
 
     def test_rejects_operator_failing_audit(self):
         op = make_discrete_delay([(-1.0, 1.0)], bound_b=lambda t: 1.0)
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match=re.escape(
+                "the bound_b of operator 'discrete-delay operator' violates the operator's sign bound on 80 of 80 "
+                "sampled pairs (worst margin -1.75); criterion not applicable")):
             _concordance(op, SimulationConfig(t_end=10.0, step=0.1), n_histories=2)
 
     def test_rejects_negative_seed(self):
