@@ -14,6 +14,7 @@ threshold, simulates solutions by the method of steps, and classifies them.
 
 __version__ = "0.1.0"
 
+from .analysis import ConcordanceReport, concordance_experiment
 from .criterion import (
     THRESHOLD,
     LiminfEstimate,
@@ -49,14 +50,12 @@ from .operators import (
 )
 from .quadrature import composite_simpson
 from .simulator import (
-    ConcordanceReport,
     Interpolation,
     SimulationConfig,
     SolutionClass,
     SolutionClassification,
     Trajectory,
     classify,
-    concordance_experiment,
     integrate,
     zero_crossings,
 )

@@ -1,7 +1,9 @@
 """Command-line surface: analyze, simulate, tower, reproduce.
 
-Exit codes: 0 success (regardless of verdict), 2 parse, parameter or file
-error (or a run too large to allocate), 3 numerical failure (including
+The click wiring, the printing and the exit codes; the analysis, with every
+check of the theorem's hypotheses, is in :mod:`ddeosc.analysis`.  Exit
+codes: 0 success (regardless of verdict), 2 parse, parameter or file error
+(or a run too large to allocate), 3 numerical failure (including
 overflow-flagged simulations).  All commands are deterministic for fixed
 arguments; random histories are always seeded and the seed is echoed in
 the output.
@@ -16,25 +18,22 @@ import functools
 import math
 import sys
 from collections import Counter
-from datetime import datetime, timezone
 from itertools import islice
 from pathlib import Path
 from typing import Optional
 
 import click
-import numpy as np
 
 from . import __version__
-from .criterion import DEFAULT_GRID_POINTS, PANELS, THRESHOLD, estimate_liminf_w, tetration_proof_trace, theorem_verdict
-from .errors import CrossValidationError, ExpressionError, InvalidParameterError, SpecFormatError, clipped
-from .expressions import parse_expression
-from .operators import HistoryFunction, _row_sums, _sign_bound_gate, random_history, sigma_growth_check
+from .analysis import analyze_spec, concordance_experiment
+from .criterion import DEFAULT_GRID_POINTS, PANELS, THRESHOLD
+from .errors import CrossValidationError, ExpressionError, InvalidParameterError, SpecFormatError
+from .operators import HistoryFunction, random_history
 from .simulator import (
     Interpolation,
     SimulationConfig,
     check_transient_fraction,
     classify,
-    concordance_experiment,
     integrate,
     read_trajectory_csv,
     sigma_pad_start,
@@ -51,9 +50,9 @@ from .special_functions import (
     tower_limit,
     tower_limit_via_lambert,
 )
-from .specfile import EquationSpec, build_operator, load_spec, make_scenarios, save_spec, strict_json
+from .specfile import build_operator, load_spec, make_scenarios, save_spec, strict_json
 
-# The CSV reader and the scenario builder are re-exported for callers of this module.
+# The analysis, the CSV reader and the scenario builder are re-exported for callers of this module.
 __all__ = ["analyze_spec", "cmd_analyze", "cmd_reproduce", "cmd_simulate", "cmd_tower", "main",
            "make_scenarios", "read_trajectory_csv", "write_trajectory_csv"]
 
@@ -96,124 +95,6 @@ def _exit_codes(command):
 
 # ---------------------------------------------------------------------------
 # analyze
-
-
-def analyze_spec(
-    spec: EquationSpec,
-    t_start: float,
-    t_end: float,
-    grid_points: int = DEFAULT_GRID_POINTS,
-    panels: int = PANELS,
-):
-    """Run the criterion for a spec; returns (report dict, operator, estimate)."""
-    op = build_operator(spec)
-    lag = op.min_lag
-    # Inverted, non-finite and too-wide windows are left to the estimate's own checks.
-    if lag is not None and 0.0 < t_end - t_start < math.inf:
-        for t in (t_start, t_end):
-            if t - lag == t:
-                raise InvalidParameterError(
-                    f"criterion window [{t_start}, {t_end}] lies too far from 0 to resolve "
-                    f"the lag {lag}: t - {lag} rounds to t at t = {t}"
-                )
-    tau = parse_expression(spec.tau_expr) if spec.tau_expr else op.tau
-    estimate = estimate_liminf_w(op.bound_b, tau, t_start, t_end, grid_points, panels)
-    # After the estimate, so that a spec it cannot evaluate keeps the estimate's error.
-    _check_criterion_inputs(spec, op, tau, estimate.sample_times)
-    verdict = theorem_verdict(estimate)
-    # Above ln(DBL_MAX) the tower base e^w is not a float: no tower to trace.
-    trace = tetration_proof_trace(estimate.w_hat) if 0.0 < estimate.w_hat <= math.log(sys.float_info.max) else None
-
-    report = {
-        "schema": 1,
-        "tool": f"ddeosc {__version__}",
-        "generated_at": datetime.now(timezone.utc).isoformat(),
-        "spec": spec.to_dict(),
-        "parameters": {
-            "t_start": t_start,
-            "t_end": t_end,
-            "grid_points": grid_points,
-            "panels": panels,
-        },
-        "w_hat": estimate.w_hat,
-        "threshold": THRESHOLD,
-        "margin": verdict.margin,
-        "verdict": verdict.outcome.value,
-        "trend": estimate.trend.value,
-        "sigma_unbounded_check": sigma_growth_check(op, t_start, t_end),
-        "window_infima": [[t, v] for t, v in estimate.window_infima],
-        "tetration": None
-        if trace is None
-        else {
-            "a": trace.a,
-            "decision": trace.decision.value,
-            "tower_outcome": trace.tower_result.outcome.value,
-            "tower_iterations": trace.tower_result.iterations_used,
-            "limit_if_convergent": trace.limit_if_convergent,
-        },
-    }
-    return report, op, estimate
-
-
-# A bound may exceed the coefficient sum by this relative slack.  The two are
-# different expressions, rounded separately, so a bound equal to the sum in
-# exact arithmetic can exceed the float sum in the last bits: app1's "1/10.0"
-# exceeds 1/(10.0*(t+6)) + (t+5)/(10.0*(t+6)) at 215 of its 512 sample times,
-# by up to 2.8e-16 of it.  The slack is two units in the last place.
-_BOUND_SLACK = 4e-16
-
-
-def _check_criterion_inputs(spec: EquationSpec, op, tau, ts: np.ndarray) -> None:
-    """Reject, at the criterion's sample times ``ts``, a spec whose verdict the theorem does not cover.
-
-    For a discrete spec, Tx = sum_i p_i(t) x(t - d_i) >= b(t) x(tau(t)) holds
-    for every positive solution when every p_i(t) >= 0 and b(t) is at most
-    the sum of the p_i(t) whose terms read at or before tau(t), since such a
-    solution is nonincreasing.  A negative coefficient lets a large read
-    drive Tx below zero, so no bound, derived or given, makes it admissible.
-    tau is the ``tau_expr``, at or before which some term must read, or else
-    the newest read, when every term counts.  A distributed spec's
-    ``bound_expr`` must pass the sign-bound gate that
-    ``concordance_experiment`` also runs, and its ``tau_expr`` must be no
-    older than the operator's newest read, op.tau(t).  Between the sample
-    times nothing is checked.
-    """
-
-    def require(ok, values, what, against=None):
-        bad = np.flatnonzero(~ok)
-        if bad.size:
-            k = int(bad[0])
-            versus = "" if against is None else f" against {float(against[k])!r}"
-            raise InvalidParameterError(
-                f"{what}, but is {float(values[k])!r}{versus} at t={float(ts[k])!r}; criterion not applicable"
-            )
-
-    with np.errstate(all="ignore"):
-        t = ts[:, None]
-        if spec.kind != "discrete_delay":
-            if spec.bound_expr:
-                _sign_bound_gate(op, (ts[0], ts[-1]), 0, f"bound_expr {clipped(spec.bound_expr)}")
-            if not spec.tau_expr:
-                return
-            # A kernel's reads count all or none, as its newest read does.
-            reads = op.tau(t)
-        else:
-            # Combining unit reads gives the coefficients: column i is p_i at each sample time.
-            reads = op._reads(t)
-            p = op.combine(t, np.ones_like(reads))
-            for i, (coef, _) in enumerate(spec.terms):
-                require(p[:, i] >= 0.0, p[:, i], f"terms[{i}].coef_expr {clipped(coef)} must be >= 0")
-        counted = True  # tau is the newest read, at or before which every term reads
-        if spec.tau_expr:
-            lows = np.broadcast_to(tau(ts), ts.shape)
-            counted = reads <= lows[:, None]
-            require(counted.any(axis=1), lows, f"tau_expr {clipped(spec.tau_expr)} must be no older than "
-                    "the operator's newest read", reads.max(axis=1))
-        if spec.kind == "discrete_delay" and (spec.bound_expr or spec.tau_expr):
-            bound = f"bound_expr {clipped(spec.bound_expr)}" if spec.bound_expr else "the derived bound"
-            at = f" of the terms that read at or before tau_expr {clipped(spec.tau_expr)}" if spec.tau_expr else ""
-            b, total = op.bound_b(ts), _row_sums(np.where(counted, p, 0.0))
-            require(b <= total * (1.0 + _BOUND_SLACK), b, f"{bound} must not exceed the sum of the coefficients{at}", total)
 
 
 def _print_analysis(report: dict, fmt: str) -> None:
@@ -289,6 +170,8 @@ def _parse_history_preset(preset: str, op) -> tuple[HistoryFunction, str]:
             seed = int(arg) if arg else 0
             return random_history(seed, start), f"random:{seed}"
     except ValueError as exc:
+        if kind == "random" and isinstance(exc, InvalidParameterError):
+            raise  # the history's domain [sigma(0), 0] is at fault, not the argument
         raise InvalidParameterError(f"bad history preset argument in {preset!r}: {exc}") from exc
     raise InvalidParameterError(
         f"unknown history preset {preset!r}; use constant:C, exponential:RATE or random:SEED"

@@ -142,6 +142,8 @@ def random_history(
     """
     if not domain_start < domain_end:
         raise InvalidParameterError(f"empty history domain [{domain_start}, {domain_end}]")
+    if not math.isfinite(domain_end - domain_start):  # the Fourier frequencies need a finite length
+        raise InvalidParameterError(f"random history needs a domain of finite length, got [{domain_start}, {domain_end}]")
     rng = np.random.default_rng(seed)
     cos_coef = rng.uniform(-1.0, 1.0, _MODES)
     sin_coef = rng.uniform(-1.0, 1.0, _MODES)
@@ -469,13 +471,3 @@ def audit_sign_bound(
         worst_margin=worst,
     )
 
-
-def _sign_bound_gate(op: AmnesiaOperator, t_range: tuple[float, float], seed: int, subject: str) -> AuditReport:
-    """Audit ``op`` at 8 times across ``t_range``, 5 trials from ``seed``; a violation raises, naming ``subject``."""
-    audit = audit_sign_bound(op, np.linspace(*t_range, 8), trials=5, seed=seed)
-    if not audit.passed:
-        raise InvalidParameterError(
-            f"{subject} violates the operator's sign bound on {len(audit.violations)} "
-            f"of {audit.checked} sampled pairs (worst margin {audit.worst_margin:.3g}); criterion not applicable"
-        )
-    return audit

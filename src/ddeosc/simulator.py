@@ -8,7 +8,8 @@ inside the already-computed part of the trajectory: no implicitness.
 Delayed reads use cubic Hermite interpolation of the stored value and
 derivative samples by default, which preserves the fourth-order accuracy;
 linear interpolation is available for cross-checks.  Trajectories are
-written to and read back from CSV without loss.
+written to and read back from CSV without loss.  The ensembles that set
+simulated runs beside a verdict are in :mod:`ddeosc.analysis`.
 
 The step loop evaluates the operator at one site, on an array of times
 (``op.evaluate_many(ts, history)``).  Each evaluation reads the history
@@ -42,12 +43,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .criterion import (
-    LiminfEstimate,
-    Verdict,
-    VerdictOutcome,
-    theorem_verdict,
-)
 from .errors import (
     HistoryCoverageError,
     HistoryDomainError,
@@ -55,7 +50,7 @@ from .errors import (
     SpecFormatError,
     StepSizeError,
 )
-from .operators import AmnesiaOperator, AuditReport, HistoryFunction, _sign_bound_gate, random_history
+from .operators import AmnesiaOperator, HistoryFunction
 
 
 class Interpolation(Enum):
@@ -415,87 +410,6 @@ def classify(traj: Trajectory, transient_fraction: float = 0.25) -> SolutionClas
         tail_monotone=tail_monotone,
         sign_changes=changes,
         decay_tol=decay_tol,
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class ConcordanceReport:
-    """Criterion verdict side by side with an ensemble of simulated solutions.
-
-    ``discordant_runs`` counts completed runs whose class contradicts a
-    GUARANTEED verdict: Inconclusive with a one-signed tail bounded away
-    from zero.  Overflowed runs cannot be classified and are only counted.
-    ``concordant`` holds when at least one run was classified and none is
-    discordant: an ensemble with no classified run confirms nothing.
-    """
-
-    verdict: Verdict
-    classes: tuple[SolutionClass, ...]
-    seeds: tuple[int, ...]
-    overflowed_runs: int
-    discordant_runs: int
-    concordant: bool
-    audit: AuditReport
-    trajectories: tuple[Trajectory, ...]
-
-
-def concordance_experiment(
-    op: AmnesiaOperator,
-    config: SimulationConfig,
-    estimate: LiminfEstimate,
-    *,
-    n_histories: int = 10,
-    seed: int = 0,
-    history_amplitude: float = 1.0,
-) -> ConcordanceReport:
-    """Simulate seeded random histories beside the verdict on ``estimate``.
-
-    ``estimate`` is the criterion estimate of ``op.bound_b``; its verdict is
-    the one checked.  The operator must first pass the criterion's
-    sign-bound gate across the estimate's window, seeded with ``seed``; a
-    violation raises, since the criterion hypothesis would be void.  Histories
-    are truncated Fourier sums seeded with seed, seed+1, ...; every run's
-    trajectory is kept, and the report is deterministic for fixed arguments.
-    """
-    if n_histories < 1:
-        raise InvalidParameterError(f"n_histories must be >= 1, got {n_histories}")
-    if seed < 0:
-        raise InvalidParameterError(f"seed must be >= 0, got {seed}")
-
-    audit = _sign_bound_gate(op, estimate.t_range, seed, f"the bound_b of operator {op.label!r}")
-    verdict = theorem_verdict(estimate)
-
-    classes: list[SolutionClass] = []
-    kept: list[Trajectory] = []
-    seeds = tuple(seed + i for i in range(n_histories))
-    overflowed = 0
-    discordant = 0
-    for s in seeds:
-        hist = random_history(s, sigma_pad_start(op), 0.0, amplitude=history_amplitude)
-        traj = integrate(op, hist, config)
-        kept.append(traj)
-        if traj.overflowed:
-            overflowed += 1
-            continue
-        cls = classify(traj)
-        classes.append(cls)
-        if (
-            verdict.outcome is VerdictOutcome.GUARANTEED
-            and cls.classification is SolutionClassification.INCONCLUSIVE
-            and cls.sign_changes == 0
-            and abs(cls.final_value) >= cls.decay_tol
-        ):
-            discordant += 1
-
-    return ConcordanceReport(
-        verdict=verdict,
-        classes=tuple(classes),
-        seeds=seeds,
-        overflowed_runs=overflowed,
-        discordant_runs=discordant,
-        concordant=bool(classes) and discordant == 0,
-        audit=audit,
-        trajectories=tuple(kept),
     )
 
 

@@ -26,7 +26,7 @@ from ddeosc.cli import (
     read_trajectory_csv,
     write_trajectory_csv,
 )
-from ddeosc import HistoryFunction, SimulationConfig, cli, errors, integrate, make_discrete_delay, random_history
+from ddeosc import HistoryFunction, SimulationConfig, analysis, errors, integrate, make_discrete_delay, random_history
 from ddeosc.simulator import Trajectory, sigma_pad_start
 from ddeosc.specfile import (
     KERNEL_CATALOG,
@@ -317,7 +317,7 @@ class TestAnalyze:
 
             return dataclasses.replace(op, bound_b=bound_b)
 
-        monkeypatch.setattr(cli, "build_operator", build_counting)
+        monkeypatch.setattr(analysis, "build_operator", build_counting)
         spec = EquationSpec(kind="discrete_delay", label="both overrides", terms=(("0.1", 1.0), ("0.2", 3.0)),
                             bound_expr="0.2", tau_expr="t - 2")
         _, _, estimate = analyze_spec(spec, 10.0, 110.0)
@@ -820,13 +820,26 @@ _APP2 = '{"schema": 1, "kind": "distributed_delay", "kernel": "app2", "parameter
          "partial trajectory written\n"),
         (["reproduce", "--app", "2", "--set", "a1=709"], 3,
          "error: criterion integral is not finite at t=4.0 (value inf); check the bound function\n"),
-        # a2*s overflows to inf: sigma(t) = -inf
-        (["analyze", "--spec", _APP2.replace('"a1": 1.0', '"a2": 1.7e308')], 0, ""),
+        # a2*s overflows to inf: sigma(t) = -inf, and a random history has no finite domain
+        (["analyze", "--spec", _APP2.replace('"a1": 1.0', '"a2": 1.7e308')], 2,
+         "error: sigma(t) must be finite; sigma(10.0) = -inf\n"),
         (["simulate", "--spec", _APP2.replace('"a1": 1.0', '"a2": 1.7e308'), "--t-end", "5"], 0, ""),
+        (["simulate", "--spec", _APP2.replace('"a1": 1.0', '"a2": 1.7e308'), "--t-end", "5", "--history", "random:3"], 2,
+         "error: random history needs a domain of finite length, got [-inf, 0.0]\n"),
+        (["simulate", "--spec", _APP2.replace('"a1": 1.0', '"a2": 1.7e308'), "--t-end", "5", "--history",
+          "exponential:0.5"], 0, ""),
         (["reproduce", "--app", "2", "--set", "a2=1.7e308"], 2, "error: sigma(t) must be finite; sigma(4.0) = -inf\n"),
+        # t - a2*s rounds to one value across the window: sigma(t) does not grow
+        (["analyze", "--spec", _APP2.replace('"a1": 1.0', '"a2": 1e300')], 2,
+         "error: sigma(t) must grow without bound on [10.0, 110.0], but is -2e+300 at t=10.0 "
+         "and -2e+300 at t=110.0; criterion not applicable\n"),
+        (["reproduce", "--app", "2", "--set", "a2=1e300"], 2,
+         "error: sigma(t) must grow without bound on [4.0, 16.0], but is -2e+300 at t=4.0 "
+         "and -2e+300 at t=16.0; criterion not applicable\n"),
     ],
     ids=["analyze-a1=800", "simulate-a1=800", "reproduce-a1=709", "analyze-a2=1.7e308", "simulate-a2=1.7e308",
-         "reproduce-a2=1.7e308"],
+         "simulate-random-a2=1.7e308", "simulate-exponential-a2=1.7e308", "reproduce-a2=1.7e308",
+         "analyze-a2=1e300", "reproduce-a2=1e300"],
 )
 def test_app2_at_the_float_range_overflows_into_a_package_error_or_none(args, code, stderr, tmp_path):
     if "--spec" in args:  # the spec document itself, written to a file here
@@ -860,6 +873,36 @@ def test_an_override_analyzes_or_raises_a_package_error(parameter, value):
             analyze_spec(sc.spec, sc.crit_t_start, sc.crit_t_end)
     except _PACKAGE_ERRORS:
         pass
+
+
+@pytest.fixture(scope="module")
+def preset_specs(tmp_path_factory):
+    """App1 at q = 10, app2 at its defaults and app2 at a2 = 1.7e308, whose sigma(0) is -inf."""
+    folder = tmp_path_factory.mktemp("preset_specs")
+    docs = {"app1": make_scenarios(1, {"q": 10.0})[0].spec.to_dict(), "app2": json.loads(_APP2),
+            "app2-huge-a2": json.loads(_APP2.replace('"a1": 1.0', '"a2": 1.7e308'))}
+    for name, doc in docs.items():
+        (folder / f"{name}.json").write_text(json.dumps(doc))
+    return folder
+
+
+@settings(max_examples=100, deadline=None)
+@example("random", "3", "app2-huge-a2")
+@example("exponential", "-1e308", "app1")
+@example("random", "-1", "app2")
+@example("constant", "", "app2-huge-a2")
+@given(
+    st.sampled_from(["constant", "exponential", "random"]) | st.text(),
+    st.floats().map(repr) | st.integers().map(str) | st.text(),
+    st.sampled_from(["app1", "app2", "app2-huge-a2"]),
+)
+def test_a_history_preset_simulates_or_exits_with_one_line(preset_specs, kind, arg, spec):
+    args = ["simulate", "--spec", str(preset_specs / f"{spec}.json"), f"--history={kind}:{arg}",
+            "--t-end", "2", "--step", "0.05"]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code in (0, 2, 3), result.exception
+    assert isinstance(result.exception, (SystemExit, type(None)))
+    assert len(result.stderr.splitlines()) <= 1
 
 
 def test_reproduce_names_a_huge_integer_l_in_g_form(tmp_path):

@@ -652,6 +652,12 @@ def test_construction_and_audit_arguments_are_checked(build, message):
         build()
 
 
+def test_a_random_history_needs_a_domain_of_finite_length():
+    # the start that sigma_pad_start gives an operator with sigma(0) = -inf
+    with pytest.raises(InvalidParameterError, match=r"finite length, got \[-inf, 0\.0\]"):
+        random_history(0, -math.inf)
+
+
 def test_sigma_growth_check_fails_a_window_start_that_never_moves():
     op = make_discrete_delay([(1.0, 2.0)])
     pinned = dataclasses.replace(op, read_points=lambda t: np.hstack([t - 2.0, np.full_like(t, -5.0)]))
