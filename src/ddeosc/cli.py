@@ -1,9 +1,11 @@
-"""Command-line surface: analyze, simulate, tower, reproduce.
+"""The ``ddeosc`` command: analyze, simulate, tower, reproduce.
 
-The click wiring, the printing and the exit codes; the analysis, with every
-check of the theorem's hypotheses, is in :mod:`ddeosc.analysis`.  Exit
-codes: 0 success (regardless of verdict), 2 parse, parameter or file error
-(or a run too large to allocate), 3 numerical failure (including
+Each command is one click function, with its options, defaults and help in
+one place; the analysis, with every check of the theorem's hypotheses, is
+in :mod:`ddeosc.analysis`.  One decorator, ``_exit_codes``, maps a package
+error to exit code 2 or 3, prints it on one line and exits.  Exit codes: 0
+success (regardless of verdict), 2 parse, parameter or file error (or a
+run too large to allocate), 3 numerical failure (including
 overflow-flagged simulations).  All commands are deterministic for fixed
 arguments; random histories are always seeded and the seed is echoed in
 the output.
@@ -20,7 +22,7 @@ import sys
 from collections import Counter
 from itertools import islice
 from pathlib import Path
-from typing import Optional
+from typing import NoReturn
 
 import click
 
@@ -35,7 +37,6 @@ from .simulator import (
     check_transient_fraction,
     classify,
     integrate,
-    read_trajectory_csv,
     sigma_pad_start,
     write_trajectory_csv,
 )
@@ -52,9 +53,7 @@ from .special_functions import (
 )
 from .specfile import build_operator, load_spec, make_scenarios, save_spec, strict_json
 
-# The analysis, the CSV reader and the scenario builder are re-exported for callers of this module.
-__all__ = ["analyze_spec", "cmd_analyze", "cmd_reproduce", "cmd_simulate", "cmd_tower", "main",
-           "make_scenarios", "read_trajectory_csv", "write_trajectory_csv"]
+__all__ = ["main"]
 
 _PARSE_ERRORS = (SpecFormatError, ExpressionError, InvalidParameterError)
 # Checked after _PARSE_ERRORS: plain ValueError here means math-domain
@@ -79,18 +78,25 @@ def _fail(code: int, message: str) -> int:
 
 
 def _exit_codes(command):
-    """Turn package errors raised by a ``cmd_*`` function into its exit code."""
+    """Exit with the command's return code, or print a package error on one line and exit 2 or 3."""
 
     @functools.wraps(command)
-    def run(*args, **kwargs) -> int:
+    def run(*args, **kwargs) -> NoReturn:
         try:
-            return command(*args, **kwargs)
+            code = command(*args, **kwargs)
         except (*_PARSE_ERRORS, OSError, MemoryError) as exc:
-            return _fail(2, str(exc))
+            code = _fail(2, str(exc))
         except _NUMERIC_ERRORS as exc:
-            return _fail(3, str(exc))
+            code = _fail(3, str(exc))
+        sys.exit(code)
 
     return run
+
+
+@click.group()
+@click.version_option(__version__, prog_name="ddeosc")
+def main():
+    """Oscillation analysis for delay differential equations x'(t) + (Tx)(t) = 0."""
 
 
 # ---------------------------------------------------------------------------
@@ -135,16 +141,17 @@ def _print_analysis(report: dict, fmt: str) -> None:
             )
 
 
+@main.command()
+@click.option("--spec", "spec_path", required=True, type=click.Path(exists=True, dir_okay=False))
+@click.option("--t-start", type=float, default=10.0, show_default=True, help="start of the criterion sampling window")
+@click.option("--t-end", type=float, default=110.0, show_default=True, help="end of the criterion sampling window")
+@click.option("--grid-points", type=int, default=DEFAULT_GRID_POINTS, show_default=True)
+@click.option("--panels", type=int, default=PANELS, show_default=True)
+@click.option("--out", "output_path", type=click.Path(dir_okay=False), default=None, help="write the criterion report JSON here")
+@click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text", show_default=True)
 @_exit_codes
-def cmd_analyze(
-    spec_path,
-    t_start: float,
-    t_end: float,
-    output_path=None,
-    fmt: str = "text",
-    grid_points: int = DEFAULT_GRID_POINTS,
-    panels: int = PANELS,
-) -> int:
+def analyze(spec_path, t_start, t_end, grid_points, panels, output_path, fmt) -> int:
+    """Estimate w for an equation spec and render the 1/e verdict."""
     report, _, _ = analyze_spec(load_spec(spec_path), t_start, t_end, grid_points, panels)
     if output_path is not None:
         Path(output_path).write_text(strict_json(report) + "\n")
@@ -178,17 +185,19 @@ def _parse_history_preset(preset: str, op) -> tuple[HistoryFunction, str]:
     )
 
 
+@main.command()
+@click.option("--spec", "spec_path", required=True, type=click.Path(exists=True, dir_okay=False))
+@click.option("--history", "history_preset", default="constant:1", show_default=True,
+              help="initial history: constant:C, exponential:RATE or random:SEED")
+@click.option("--t-end", type=float, default=60.0, show_default=True)
+@click.option("--step", type=float, default=0.01, show_default=True)
+@click.option("--out", "csv_path", type=click.Path(dir_okay=False), default=None, help="write the trajectory CSV here")
+@click.option("--interpolation", type=click.Choice(["cubic-hermite", "linear"]), default="cubic-hermite", show_default=True)
+@click.option("--transient-fraction", type=float, default=0.25, show_default=True)
+@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text", show_default=True)
 @_exit_codes
-def cmd_simulate(
-    spec_path,
-    history_preset: str,
-    t_end: float,
-    step: float,
-    csv_path=None,
-    interpolation: str = "cubic-hermite",
-    transient_fraction: float = 0.25,
-    fmt: str = "text",
-) -> int:
+def simulate(spec_path, history_preset, t_end, step, csv_path, interpolation, transient_fraction, fmt) -> int:
+    """Integrate an equation spec by the method of steps and classify the run."""
     op = build_operator(load_spec(spec_path))
     hist, hist_desc = _parse_history_preset(history_preset, op)
     interp = Interpolation.LINEAR if interpolation == "linear" else Interpolation.CUBIC_HERMITE
@@ -239,8 +248,14 @@ def cmd_simulate(
 # tower
 
 
+@main.command()
+@click.option("--base", type=float, required=True)
+@click.option("--max-iter", type=int, default=DEFAULT_MAX_ITER, show_default=True)
+@click.option("--tol", type=float, default=DEFAULT_TOL, show_default=True)
+@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text", show_default=True)
 @_exit_codes
-def cmd_tower(base: float, max_iter: int = DEFAULT_MAX_ITER, tol: float = DEFAULT_TOL, fmt: str = "text") -> int:
+def tower(base, max_iter, tol, fmt) -> int:
+    """Iterate the infinite power tower of a base and report convergence."""
     result = tower_limit(base, tol=tol, max_iter=max_iter)
 
     inside = euler_interval_contains(base)
@@ -297,16 +312,26 @@ def cmd_tower(base: float, max_iter: int = DEFAULT_MAX_ITER, tol: float = DEFAUL
 # reproduce: the built-in benchmark scenarios of :data:`ddeosc.specfile.SCENARIO_CATALOG`
 
 
+@main.command()
+@click.option("--app", "app_id", type=click.IntRange(1, 3), required=True, help="built-in benchmark scenario id")
+@click.option("--set", "overrides", multiple=True, metavar="NAME=VALUE", help="override a scenario parameter")
+@click.option("--out", "out_dir", type=click.Path(file_okay=False), default=None, help="bundle output directory")
+@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--n-histories", type=int, default=10, show_default=True)
+@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text", show_default=True)
 @_exit_codes
-def cmd_reproduce(
-    app_id: int,
-    overrides: Optional[dict] = None,
-    out_dir=None,
-    seed: int = 0,
-    n_histories: int = 10,
-    fmt: str = "text",
-) -> int:
-    scenarios = make_scenarios(app_id, overrides)
+def reproduce(app_id, overrides, out_dir, seed, n_histories, fmt) -> int:
+    """Rebuild a benchmark scenario, analyze it, and run a concordance ensemble."""
+    parsed = {}
+    for item in overrides:
+        name, sep, value = item.partition("=")
+        if not sep:
+            raise InvalidParameterError(f"override {item!r} is not of the form NAME=VALUE")
+        try:
+            parsed[name.strip()] = float(value)
+        except ValueError:
+            raise InvalidParameterError(f"override {item!r} has a non-numeric value") from None
+    scenarios = make_scenarios(app_id, parsed or None)
     out = Path(out_dir) if out_dir is not None else Path(f"reproduce_app{app_id}")
     docs = []
     for sc in scenarios:
@@ -374,75 +399,6 @@ def cmd_reproduce(
         )
         _echo(f"bundle            : {out / doc['scenario']}")
     return 0
-
-
-# ---------------------------------------------------------------------------
-# click wiring
-
-
-@click.group()
-@click.version_option(__version__, prog_name="ddeosc")
-def main():
-    """Oscillation analysis for delay differential equations x'(t) + (Tx)(t) = 0."""
-
-
-@main.command("analyze")
-@click.option("--spec", "spec_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--t-start", type=float, default=10.0, show_default=True, help="start of the criterion sampling window")
-@click.option("--t-end", type=float, default=110.0, show_default=True, help="end of the criterion sampling window")
-@click.option("--grid-points", type=int, default=DEFAULT_GRID_POINTS, show_default=True)
-@click.option("--panels", type=int, default=PANELS, show_default=True)
-@click.option("--out", "output_path", type=click.Path(dir_okay=False), default=None, help="write the criterion report JSON here")
-@click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text", show_default=True)
-def _analyze_command(spec_path, t_start, t_end, grid_points, panels, output_path, fmt):
-    """Estimate w for an equation spec and render the 1/e verdict."""
-    sys.exit(cmd_analyze(spec_path, t_start, t_end, output_path, fmt, grid_points, panels))
-
-
-@main.command("simulate")
-@click.option("--spec", "spec_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--history", "history_preset", default="constant:1", show_default=True,
-              help="initial history: constant:C, exponential:RATE or random:SEED")
-@click.option("--t-end", type=float, default=60.0, show_default=True)
-@click.option("--step", type=float, default=0.01, show_default=True)
-@click.option("--out", "csv_path", type=click.Path(dir_okay=False), default=None, help="write the trajectory CSV here")
-@click.option("--interpolation", type=click.Choice(["cubic-hermite", "linear"]), default="cubic-hermite", show_default=True)
-@click.option("--transient-fraction", type=float, default=0.25, show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text", show_default=True)
-def _simulate_command(spec_path, history_preset, t_end, step, csv_path, interpolation, transient_fraction, fmt):
-    """Integrate an equation spec by the method of steps and classify the run."""
-    sys.exit(cmd_simulate(spec_path, history_preset, t_end, step, csv_path, interpolation, transient_fraction, fmt))
-
-
-@main.command("tower")
-@click.option("--base", type=float, required=True)
-@click.option("--max-iter", type=int, default=DEFAULT_MAX_ITER, show_default=True)
-@click.option("--tol", type=float, default=DEFAULT_TOL, show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text", show_default=True)
-def _tower_command(base, max_iter, tol, fmt):
-    """Iterate the infinite power tower of a base and report convergence."""
-    sys.exit(cmd_tower(base, max_iter, tol, fmt))
-
-
-@main.command("reproduce")
-@click.option("--app", "app_id", type=click.IntRange(1, 3), required=True, help="built-in benchmark scenario id")
-@click.option("--set", "overrides", multiple=True, metavar="NAME=VALUE", help="override a scenario parameter")
-@click.option("--out", "out_dir", type=click.Path(file_okay=False), default=None, help="bundle output directory")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--n-histories", type=int, default=10, show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text", show_default=True)
-def _reproduce_command(app_id, overrides, out_dir, seed, n_histories, fmt):
-    """Rebuild a benchmark scenario, analyze it, and run a concordance ensemble."""
-    parsed: dict = {}
-    for item in overrides:
-        name, sep, value = item.partition("=")
-        if not sep:
-            sys.exit(_fail(2, f"override {item!r} is not of the form NAME=VALUE"))
-        try:
-            parsed[name.strip()] = float(value)
-        except ValueError:
-            sys.exit(_fail(2, f"override {item!r} has a non-numeric value"))
-    sys.exit(cmd_reproduce(app_id, parsed or None, out_dir, seed, n_histories, fmt))
 
 
 if __name__ == "__main__":

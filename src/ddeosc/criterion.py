@@ -201,16 +201,17 @@ def estimate_liminf_w(
         (float(ws), float(np.min(vals[ts >= ws - 1e-12]))) for ws in starts
     )
 
+    # The trend windows start span / 16 apart and the samples are evenly
+    # spaced, so both fits below run against the index: polyfit's column
+    # scaling squares its abscissae, which underflow in a window near 0.
     span = t_end - t_start
     wlen = span / 8.0
-    centers = []
     infima = []
     for k in range(_TREND_WINDOWS):
         ws = t_start + k * span / 16.0
         mask = (ts >= ws - 1e-12) & (ts <= ws + wlen + 1e-12)
-        centers.append(ws + 0.5 * wlen)
         infima.append(float(np.min(vals[mask])))
-    slope = float(np.polyfit(centers, infima, 1)[0])
+    rise = float(np.polyfit(np.arange(_TREND_WINDOWS), infima, 1)[0])  # per window step
 
     # A persistent ripple in the late samples (after removing any linear
     # drift) marks the tail as oscillating, unless the samples are monotone:
@@ -218,20 +219,21 @@ def estimate_liminf_w(
     # Otherwise the sliding-window slope decides between drift and a
     # settled tail.
     late_mask = ts >= t_end - 0.25 * span - 1e-12
-    late_t = ts[late_mask]
     late_v = vals[late_mask]
-    late_fit = np.polyval(np.polyfit(late_t, late_v, 1), late_t)
+    late_k = np.arange(late_v.size)
+    late_fit = np.polyval(np.polyfit(late_k, late_v, 1), late_k)
     # Both tests are relative to the samples' size, so large samples neither
     # overflow the squares nor read rounding noise as drift.
     scale = max(1.0, abs(w_hat))
+    rise_tol = _TREND_SLOPE_TOL * scale * (span / 16.0)  # per window step
     ripple_rms = float(np.sqrt(np.mean(((late_v - late_fit) / scale) ** 2)))
 
     steps = np.diff(late_v)
     if ripple_rms > 1e-6 and not (np.all(steps >= 0) or np.all(steps <= 0)):
         trend = Trend.OSCILLATING
-    elif slope > _TREND_SLOPE_TOL * scale:
+    elif rise > rise_tol:
         trend = Trend.INCREASING
-    elif slope < -_TREND_SLOPE_TOL * scale:
+    elif rise < -rise_tol:
         trend = Trend.DECREASING
     else:
         trend = Trend.STABLE

@@ -257,8 +257,8 @@ def make_discrete_delay(
 
     Coefficients may be numbers or array functions of t (such as parsed
     expressions) that map an array of times to an array of values, or to a
-    plain number; every delay must be positive.  The rate bound b(t) =
-    sum_i max(p_i(t), 0.0) is derived automatically, or ``bound_b``
+    plain number; every delay must be positive and finite.  The rate bound
+    b(t) = sum_i max(p_i(t), 0.0) is derived automatically, or ``bound_b``
     overrides it.  The criterion covers the operator only where every
     p_i(t) >= 0 and b(t) <= sum_i p_i(t): with a negative coefficient a
     large read drives Tx below zero, so no bound makes a sign-changing
@@ -275,8 +275,8 @@ def make_discrete_delay(
     delays: list[float] = []
     for coef, delay in terms:
         d = float(delay)
-        if d <= 0.0:
-            raise InvalidParameterError(f"delays must be positive, got {delay}")
+        if not 0.0 < d < math.inf:
+            raise InvalidParameterError(f"delays must be positive and finite, got {delay}")
         coefs.append(_as_time_function(coef))
         delays.append(d)
     lags = np.array(delays)
@@ -336,13 +336,14 @@ def make_distributed_delay(
     s_lo, s_hi = float(s_range[0]), float(s_range[1])
     if not s_lo < s_hi:
         raise InvalidParameterError(f"s_range must be increasing, got [{s_lo}, {s_hi}]")
+    if not (math.isfinite(s_lo) and math.isfinite(s_hi)):
+        raise InvalidParameterError(f"s_range must be finite, got [{s_lo}, {s_hi}]")
     if not delay_maps:
         raise InvalidParameterError("at least one delay map is required")
     if bound_b is None:
         raise InvalidParameterError("bound_b must be supplied for distributed-delay operators")
     h, nodes, factors = simpson_rule(s_lo, s_hi)
-    nodes = np.array(nodes)
-    weights = np.array([h / 3.0 * factor for factor in factors])
+    weights = h / 3.0 * factors
     maps = list(delay_maps)
 
     def reads(t: np.ndarray) -> np.ndarray:
@@ -373,8 +374,9 @@ def sigma_growth_check(op: AmnesiaOperator, t_start: float, t_end: float) -> boo
     ss = op.sigma(ts)
     if ss[-1] <= ss[0]:
         return False
-    slope = float(np.polyfit(ts[32:], ss[32:], 1)[0])
-    return slope > 0.0
+    # Against the index of the evenly spaced times: the slope keeps its sign,
+    # and no abscissa underflows polyfit's column scaling in a window near 0.
+    return float(np.polyfit(np.arange(32), ss[32:], 1)[0]) > 0.0
 
 
 @dataclass(frozen=True)

@@ -10,20 +10,22 @@ from .errors import InvalidParameterError
 PANELS = 64
 
 
-def simpson_rule(a: float, b: float, panels: int = PANELS) -> tuple[float, list[float], list[float]]:
+def simpson_rule(a: float, b: float, panels: int = PANELS) -> tuple[float, np.ndarray, np.ndarray]:
     """Step ``h``, nodes ``a + i*h`` and factors 1, 4, 2, ..., 4, 1 of the rule on ``[a, b]``.
 
     The rule is ``h / 3`` times the factor-weighted sum of the integrand at
-    the nodes.  ``panels`` must be even and at least 2.  Every factor is
-    positive, which the operators rely on when turning pointwise kernel
-    bounds into bounds on the quadrature sum.
+    the nodes.  ``panels`` must be even and at least 2; a rule too large for
+    memory fails at its first allocation.  Every factor is positive, which
+    the operators rely on when turning pointwise kernel bounds into bounds
+    on the quadrature sum.
     """
     if panels < 2 or panels % 2 != 0:
         raise InvalidParameterError(f"panels must be even and >= 2, got {panels}")
     h = (b - a) / panels
-    nodes = [a + i * h for i in range(panels + 1)]
-    factors = [1.0] + [4.0, 2.0] * (panels // 2 - 1) + [4.0, 1.0]
-    return h, nodes, factors
+    factors = np.full(panels + 1, 2.0)
+    factors[1::2] = 4.0
+    factors[[0, -1]] = 1.0
+    return h, a + np.arange(panels + 1) * h, factors
 
 
 def composite_simpson(f: Callable, a, b, panels: int = PANELS):
@@ -60,7 +62,7 @@ def composite_simpson(f: Callable, a, b, panels: int = PANELS):
             nodes[:, :1], nodes[:, 1:2] = a, b
             nodes[:, 2:] = a + np.arange(1, panels) * h
             values = np.broadcast_to(f(nodes), nodes.shape)
-            terms = values[:, 1:] * np.array(factors[:-1])
+            terms = values[:, 1:] * factors[:-1]
             terms[:, 0] = values[:, 0] + values[:, 1]
             totals[live] = np.add.accumulate(terms, axis=1)[:, -1] * h[:, 0] / 3.0
     return float(totals[0]) if one else totals

@@ -32,9 +32,9 @@ from ddeosc import (
     tower_limit,
     tower_limit_via_lambert,
 )
-from ddeosc.cli import cmd_reproduce
 from ddeosc.specfile import KERNEL_CATALOG
 
+from _cli import run_cli
 from _oracles import characteristic_root
 
 
@@ -138,7 +138,8 @@ def test_criterion_6_application_reproductions(tmp_path, capsys):
 
     # scenario 2: w = e(e-1), verdict guaranteed, concordant ensemble
     out2 = tmp_path / "rep2"
-    assert cmd_reproduce(2, None, out2, seed=0, n_histories=10) == 0
+    rep2 = run_cli("reproduce", "--app", 2, "--out", out2, "--seed", 0, "--n-histories", 10)
+    assert rep2.exit_code == 0
     bundle2 = out2 / "app2_a1=1_a2=1_a3=1"
     report2 = json.loads((bundle2 / "report.json").read_text())
     assert report2["w_hat"] == pytest.approx(math.e * (math.e - 1.0), abs=1e-6)
@@ -149,7 +150,8 @@ def test_criterion_6_application_reproductions(tmp_path, capsys):
 
     # scenario 1: defaults run q = 10 and q = 20; discrepancy banner printed
     out1 = tmp_path / "rep1"
-    assert cmd_reproduce(1, None, out1, seed=0, n_histories=10) == 0
+    rep1 = run_cli("reproduce", "--app", 1, "--out", out1, "--seed", 0, "--n-histories", 10)
+    assert rep1.exit_code == 0
     report_q10 = json.loads((out1 / "app1_q=10" / "report.json").read_text())
     report_q20 = json.loads((out1 / "app1_q=20" / "report.json").read_text())
     assert report_q10["w_hat"] == pytest.approx(0.6, abs=1e-9)
@@ -159,12 +161,14 @@ def test_criterion_6_application_reproductions(tmp_path, capsys):
 
     # scenario 3 with (a, b, m, l) = (3, 0.1, 1, 2): derived bound gives w = 1.5
     out3 = tmp_path / "rep3"
-    assert cmd_reproduce(3, {"a": 3.0, "b": 0.1, "m": 1.0, "l": 2}, out3, seed=0, n_histories=10) == 0
+    rep3 = run_cli("reproduce", "--app", 3, "--set", "a=3.0", "--set", "b=0.1", "--set", "m=1.0", "--set", "l=2",
+                   "--out", out3, "--seed", 0, "--n-histories", 10)
+    assert rep3.exit_code == 0
     report3 = json.loads((out3 / "app3_a=3_b=0.1_m=1_l=2" / "report.json").read_text())
     assert report3["w_hat"] == pytest.approx(1.5, abs=1e-6)
     assert report3["verdict"] == "guaranteed"
 
-    stdout = capsys.readouterr().out
+    stdout = rep2.stdout + rep1.stdout + rep3.stdout
     assert "discrepancy" in stdout
 
     elapsed = time.perf_counter() - start

@@ -11,23 +11,13 @@ import weakref
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ddeosc.cli import (
-    analyze_spec,
-    cmd_analyze,
-    cmd_reproduce,
-    cmd_simulate,
-    cmd_tower,
-    main,
-    make_scenarios,
-    read_trajectory_csv,
-    write_trajectory_csv,
-)
-from ddeosc import HistoryFunction, SimulationConfig, analysis, errors, integrate, make_discrete_delay, random_history
-from ddeosc.simulator import Trajectory, sigma_pad_start
+from ddeosc import HistoryFunction, SimulationConfig, __version__, analysis, errors, integrate, make_discrete_delay, random_history
+from ddeosc.analysis import analyze_spec
+from ddeosc.cli import main
+from ddeosc.simulator import Trajectory, read_trajectory_csv, sigma_pad_start, write_trajectory_csv
 from ddeosc.specfile import (
     KERNEL_CATALOG,
     SCENARIO_CATALOG,
@@ -35,9 +25,11 @@ from ddeosc.specfile import (
     app3_derived_bound,
     build_operator,
     load_spec,
+    make_scenarios,
     save_spec,
 )
 
+from _cli import run_cli
 from _oracles import characteristic_root
 
 
@@ -58,16 +50,16 @@ def single_delay_spec(tmp_path):
 
 
 class TestAnalyze:
-    def test_scenario1_q10(self, app1_q10_spec, tmp_path, capsys):
+    def test_scenario1_q10(self, app1_q10_spec, tmp_path):
         out = tmp_path / "report.json"
-        code = cmd_analyze(app1_q10_spec, 16.0, 256.0, out)
-        assert code == 0
+        result = run_cli("analyze", "--spec", app1_q10_spec, "--t-start", 16.0, "--t-end", 256.0, "--out", out)
+        assert result.exit_code == 0
         report = json.loads(out.read_text())
         assert report["w_hat"] == pytest.approx(0.6, abs=1e-9)
         assert report["verdict"] == "guaranteed"
         assert report["trend"] == "stable"
         assert report["tetration"]["decision"] == "diverges_hence_guaranteed"
-        text = capsys.readouterr().out
+        text = result.stdout
         assert "GUARANTEED" in text
 
     def test_scenario1_q20(self, tmp_path):
@@ -75,30 +67,35 @@ class TestAnalyze:
         path = tmp_path / "app1_q20.json"
         save_spec(spec, path)
         out = tmp_path / "report.json"
-        assert cmd_analyze(path, 16.0, 256.0, out) == 0
+        assert run_cli("analyze", "--spec", path, "--t-start", 16.0, "--t-end", 256.0, "--out", out).exit_code == 0
         report = json.loads(out.read_text())
         assert report["w_hat"] == pytest.approx(0.3, abs=1e-9)
         assert report["verdict"] == "inconclusive"
 
-    def test_malformed_json_exits_2(self, tmp_path, capsys):
+    def test_malformed_json_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{oops")
-        assert cmd_analyze(bad, 0.0, 10.0) == 2
-        assert "error" in capsys.readouterr().err
+        result = run_cli("analyze", "--spec", bad, "--t-start", 0.0, "--t-end", 10.0)
+        assert result.exit_code == 2
+        assert "error" in result.stderr
 
-    def test_bad_window_exits_2(self, app1_q10_spec, capsys):
-        assert cmd_analyze(app1_q10_spec, 50.0, 50.0) == 2
+    def test_bad_window_exits_2(self, app1_q10_spec):
+        assert run_cli("analyze", "--spec", app1_q10_spec, "--t-start", 50.0, "--t-end", 50.0).exit_code == 2
 
-    def test_json_format(self, app1_q10_spec, capsys):
-        assert cmd_analyze(app1_q10_spec, 16.0, 256.0, None, "json") == 0
-        doc = json.loads(capsys.readouterr().out)
+    def test_json_format(self, app1_q10_spec):
+        result = run_cli("analyze", "--spec", app1_q10_spec, "--t-start", 16.0, "--t-end", 256.0, "--format", "json")
+        assert result.exit_code == 0
+        doc = json.loads(result.stdout)
         assert doc["verdict"] == "guaranteed"
 
-    def test_csv_format_lists_the_window_infima(self, app1_q10_spec, capsys):
-        assert cmd_analyze(app1_q10_spec, 16.0, 256.0, None, "json") == 0
-        infima = json.loads(capsys.readouterr().out)["window_infima"]
-        assert cmd_analyze(app1_q10_spec, 16.0, 256.0, None, "csv") == 0
-        lines = capsys.readouterr().out.splitlines()
+    def test_csv_format_lists_the_window_infima(self, app1_q10_spec):
+        window = ("analyze", "--spec", app1_q10_spec, "--t-start", 16.0, "--t-end", 256.0, "--format")
+        result = run_cli(*window, "json")
+        assert result.exit_code == 0
+        infima = json.loads(result.stdout)["window_infima"]
+        result = run_cli(*window, "csv")
+        assert result.exit_code == 0
+        lines = result.stdout.splitlines()
         assert lines[0] == "window_start,infimum"
         assert len(lines) == 34
         assert [[float(v) for v in line.split(",")] for line in lines[1:]] == infima
@@ -110,10 +107,10 @@ class TestAnalyze:
         save_spec(spec, path)
         assert load_spec(path) == spec
         out = tmp_path / "report.json"
-        assert cmd_analyze(path, 10.0, 110.0, out) == 0
+        assert run_cli("analyze", "--spec", path, "--t-start", 10.0, "--t-end", 110.0, "--out", out).exit_code == 0
         assert json.loads(out.read_text())["w_hat"] == pytest.approx(w_hat, abs=1e-9)
 
-    def test_numerical_failure_exits_3(self, tmp_path, capsys):
+    def test_numerical_failure_exits_3(self, tmp_path):
         # bound expression hits a math-domain error inside the window
         spec = EquationSpec(
             kind="discrete_delay",
@@ -123,22 +120,25 @@ class TestAnalyze:
         )
         path = tmp_path / "badbound.json"
         save_spec(spec, path)
-        assert cmd_analyze(path, 10.0, 110.0) == 3
-        assert "error" in capsys.readouterr().err
+        result = run_cli("analyze", "--spec", path, "--t-start", 10.0, "--t-end", 110.0)
+        assert result.exit_code == 3
+        assert "error" in result.stderr
 
-    def test_window_too_wide_to_measure_exits_2(self, app1_q10_spec, capsys):
+    def test_window_too_wide_to_measure_exits_2(self, app1_q10_spec):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the span must not overflow inside numpy
-            assert cmd_analyze(app1_q10_spec, -1e308, 1e308) == 2
-        err = capsys.readouterr().err
+            result = run_cli("analyze", "--spec", app1_q10_spec, "--t-start", -1e308, "--t-end", 1e308)
+            assert result.exit_code == 2
+        err = result.stderr
         assert err == "error: criterion window [-1e+308, 1e+308] is too wide: its length overflows\n"
 
     @pytest.mark.parametrize("t_start, t_end, at", [(1e308, 1.7e308, "1e+308"), (-1e307, 1e308, "-1e+307")])
-    def test_window_too_far_from_zero_for_the_lag_exits_2(self, t_start, t_end, at, tmp_path, capsys):
+    def test_window_too_far_from_zero_for_the_lag_exits_2(self, t_start, t_end, at, tmp_path):
         path = tmp_path / "delay4.json"
         save_spec(EquationSpec(kind="discrete_delay", label="delay 4", terms=(("0.1", 4.0),)), path)
-        assert cmd_analyze(path, t_start, t_end) == 2
-        err = capsys.readouterr().err
+        result = run_cli("analyze", "--spec", path, "--t-start", t_start, "--t-end", t_end)
+        assert result.exit_code == 2
+        err = result.stderr
         assert err == (
             f"error: criterion window [{t_start}, {t_end}] lies too far from 0 to resolve the lag 4.0: "
             f"t - 4.0 rounds to t at t = {at}\n"
@@ -156,9 +156,7 @@ class TestAnalyze:
         path = tmp_path / "nanbound.json"
         save_spec(spec, path)
         out = tmp_path / "report.json"
-        result = CliRunner().invoke(
-            main, ["analyze", "--spec", str(path), "--out", str(out), "--format", fmt]
-        )
+        result = run_cli("analyze", "--spec", path, "--out", out, "--format", fmt)
         assert result.exit_code == 3
         assert result.stdout == ""
         assert result.stderr.startswith("error: criterion integral is not finite")
@@ -171,7 +169,7 @@ class TestAnalyze:
         for rate in ("709", "710"):
             path = tmp_path / f"rate{rate}.json"
             save_spec(EquationSpec(kind="discrete_delay", label="large rate", terms=((rate, 1.0),)), path)
-            result = CliRunner().invoke(main, ["analyze", "--spec", str(path), "--format", "json"])
+            result = run_cli("analyze", "--spec", path, "--format", "json")
             assert (result.exit_code, result.stderr) == (0, "")
             reports[rate] = json.loads(result.stdout)
         assert reports["709"]["tetration"]["decision"] == "diverges_hence_guaranteed"
@@ -184,7 +182,7 @@ class TestAnalyze:
         save_spec(EquationSpec(kind="discrete_delay", label="huge", terms=((f"{scale}*(1 + 1e-10*sin(t))", 1.0),)), path)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # squaring residuals near 1e200 overflowed inside numpy
-            result = CliRunner().invoke(main, ["analyze", "--spec", str(path), "--format", "json"])
+            result = run_cli("analyze", "--spec", path, "--format", "json")
         assert (result.exit_code, result.stderr) == (0, "")
         return json.loads(result.stdout)
 
@@ -206,7 +204,7 @@ class TestAnalyze:
         coef = "0.5 + ((t-100.9)*(t-100.95)*(t-102.01)*(t-102.02))**0.5"
         path = tmp_path / "holes.json"
         save_spec(EquationSpec(kind="discrete_delay", label="holes", terms=((coef, 1.0),)), path)
-        result = CliRunner().invoke(main, ["analyze", "--spec", str(path), "--t-start", "0", "--t-end", "511"])
+        result = run_cli("analyze", "--spec", path, "--t-start", "0", "--t-end", "511")
         assert result.exit_code == 3
         assert result.stderr.startswith(f"error: expression {coef!r} does not evaluate to a real number at t=100.90625: ")
         assert len(result.stderr.splitlines()) == 1
@@ -215,7 +213,7 @@ class TestAnalyze:
         path = tmp_path / "late_tau.json"
         save_spec(EquationSpec(kind="discrete_delay", label="late tau", terms=(("0.5", 1.0),),
                                tau_expr="t - 1 - 0*log(500 - t)"), path)
-        result = CliRunner().invoke(main, ["analyze", "--spec", str(path), "--t-start", "0", "--t-end", "511"])
+        result = run_cli("analyze", "--spec", path, "--t-start", "0", "--t-end", "511")
         assert (result.exit_code, result.stderr) == (
             3, "error: expression 't - 1 - 0*log(500 - t)' is undefined at t=500.0: math domain error\n"
         )
@@ -263,7 +261,7 @@ class TestAnalyze:
     def test_a_spec_outside_the_theorem_exits_2(self, doc, stderr, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({"schema": 1, "kind": "discrete_delay", **doc}))
-        result = CliRunner().invoke(main, ["analyze", "--spec", str(path)])
+        result = run_cli("analyze", "--spec", path)
         assert (result.exit_code, result.stdout) == (2, "")
         assert result.stderr == f"error: {stderr}; criterion not applicable\n"
 
@@ -274,8 +272,8 @@ class TestAnalyze:
                             terms=(("1/(20.0*(t+6))", 6.0), (p2, 8.0)), bound_expr=p2, tau_expr="t - 8")
         path = tmp_path / "suffix.json"
         save_spec(spec, path)
-        result = CliRunner().invoke(main, ["analyze", "--spec", str(path), "--t-start", "16", "--t-end", "256",
-                                           "--format", "json"])
+        result = run_cli("analyze", "--spec", path, "--t-start", "16", "--t-end", "256",
+                                           "--format", "json")
         assert (result.exit_code, result.stderr) == (0, "")
         report = json.loads(result.stdout)
         assert report["verdict"] == "guaranteed"
@@ -302,7 +300,7 @@ class TestAnalyze:
         path = tmp_path / "spec.json"
         terms = [{"coef_expr": "0.1", "delay": 1.0}, {"coef_expr": "0.2", "delay": 3.0}]
         path.write_text(json.dumps({"schema": 1, "kind": "discrete_delay", "terms": terms, "tau_expr": "t - 2", **bound}))
-        result = CliRunner().invoke(main, ["analyze", "--spec", str(path)])
+        result = run_cli("analyze", "--spec", path)
         assert (result.exit_code, result.stderr) == (2 if stderr else 0, stderr)
 
     def test_the_bound_is_evaluated_at_the_sample_times_once(self, monkeypatch):
@@ -330,7 +328,7 @@ class TestAnalyze:
             path = tmp_path / "app3.json"
             path.write_text(json.dumps({"schema": 1, "kind": "distributed_delay", "kernel": "app3",
                                         "parameters": parameters, **extra}))
-            result = CliRunner().invoke(main, ["analyze", "--spec", str(path), "--format", "json"])
+            result = run_cli("analyze", "--spec", path, "--format", "json")
             assert (result.exit_code, result.stderr) == (0, "")
             reports.append(json.loads(result.stdout))
         catalog, override = reports
@@ -344,7 +342,7 @@ class TestAnalyze:
         path = tmp_path / "spec.json"
         terms = [{"coef_expr": coef, "delay": 1.0}, {"coef_expr": "log(t-50)", "delay": 2.0}]
         path.write_text(json.dumps({"schema": 1, "kind": "discrete_delay", "terms": terms, **bound}))
-        result = CliRunner().invoke(main, ["analyze", "--spec", str(path)])
+        result = run_cli("analyze", "--spec", path)
         assert (result.exit_code, result.stdout) == (3, "")
         assert result.stderr == f"error: expression 'log(t-50)' is undefined at t={at}: math domain error\n"
 
@@ -353,13 +351,13 @@ class TestAnalyze:
         # 0.7 + 0.1 is 0.7999999999999999; the slack allows 4e-16 of it above
         path = tmp_path / "spec.json"
         save_spec(EquationSpec(kind="discrete_delay", label="sum", terms=(("0.7", 1.0), ("0.1", 2.0)), bound_expr=bound), path)
-        result = CliRunner().invoke(main, ["analyze", "--spec", str(path)])
+        result = run_cli("analyze", "--spec", path)
         assert result.exit_code == code
 
     def test_overflowing_coefficient_names_the_expression(self, tmp_path):
         path = tmp_path / "overflow.json"
         save_spec(EquationSpec(kind="discrete_delay", label="overflow", terms=(("9**9**9", 1.0),)), path)
-        result = CliRunner().invoke(main, ["analyze", "--spec", str(path), "--t-start", "0", "--t-end", "511"])
+        result = run_cli("analyze", "--spec", path, "--t-start", "0", "--t-end", "511")
         assert (result.exit_code, result.stderr) == (
             3,
             "error: expression '9**9**9' overflows at t=-1.0: Numerical result out of range\n",
@@ -367,37 +365,43 @@ class TestAnalyze:
 
 
 class TestSimulate:
-    def test_constant_history_oscillatory(self, single_delay_spec, tmp_path, capsys):
+    def test_constant_history_oscillatory(self, single_delay_spec, tmp_path):
         csv = tmp_path / "traj.csv"
-        code = cmd_simulate(single_delay_spec, "constant:1", 60.0, 0.01, csv)
-        assert code == 0
-        assert "oscillatory" in capsys.readouterr().out
+        result = run_cli("simulate", "--spec", single_delay_spec, "--history", "constant:1", "--t-end", 60.0,
+                         "--step", 0.01, "--out", csv)
+        assert result.exit_code == 0
+        assert "oscillatory" in result.stdout
         lines = csv.read_text().splitlines()
         assert lines[0] == "t,x,dx"
         assert len(lines) == 6002
 
-    def test_zero_operator_inconclusive(self, tmp_path, capsys):
+    def test_zero_operator_inconclusive(self, tmp_path):
         spec = EquationSpec(kind="discrete_delay", label="zero", terms=(("0", 1.0),))
         path = tmp_path / "zero.json"
         save_spec(spec, path)
-        assert cmd_simulate(path, "constant:1", 10.0, 0.1, tmp_path / "z.csv") == 0
-        assert "inconclusive" in capsys.readouterr().out
+        result = run_cli("simulate", "--spec", path, "--history", "constant:1", "--t-end", 10.0, "--step", 0.1,
+                         "--out", tmp_path / "z.csv")
+        assert result.exit_code == 0
+        assert "inconclusive" in result.stdout
 
-    def test_exponential_history_monotone(self, tmp_path, capsys):
+    def test_exponential_history_monotone(self, tmp_path):
         spec = EquationSpec(kind="discrete_delay", label="small gain", terms=(("0.1", 1.0),))
         path = tmp_path / "small.json"
         save_spec(spec, path)
         lam = characteristic_root(0.1, 1.0)
-        assert cmd_simulate(path, f"exponential:{lam!r}", 200.0, 0.01) == 0
-        assert "monotone_to_zero" in capsys.readouterr().out
+        result = run_cli("simulate", "--spec", path, "--history", f"exponential:{lam!r}", "--t-end", 200.0,
+                         "--step", 0.01)
+        assert result.exit_code == 0
+        assert "monotone_to_zero" in result.stdout
 
-    def test_overflow_exits_3_with_trailer(self, tmp_path, capsys):
+    def test_overflow_exits_3_with_trailer(self, tmp_path):
         spec = EquationSpec(kind="discrete_delay", label="unstable", terms=(("-1", 1.0),))
         path = tmp_path / "unstable.json"
         save_spec(spec, path)
         csv = tmp_path / "boom.csv"
-        code = cmd_simulate(path, "constant:1", 80.0, 0.05, csv)
-        assert code == 3
+        result = run_cli("simulate", "--spec", path, "--history", "constant:1", "--t-end", 80.0, "--step", 0.05,
+                         "--out", csv)
+        assert result.exit_code == 3
         assert csv.read_text().strip().splitlines()[-1].startswith("# overflow")
         assert read_trajectory_csv(csv).overflowed
 
@@ -406,7 +410,7 @@ class TestSimulate:
         path = tmp_path / "app2.json"
         save_spec(make_scenarios(2)[0].spec, path)
         csv = tmp_path / "boom.csv"
-        result = CliRunner().invoke(main, ["simulate", "--spec", str(path), "--history", preset, "--out", str(csv)])
+        result = run_cli("simulate", "--spec", path, "--history", preset, "--out", csv)
         assert result.exit_code == 3
         assert f"with history {preset} overflowed at t=0.0; partial trajectory written" in result.stderr
         assert csv.read_text().splitlines() == [
@@ -415,7 +419,7 @@ class TestSimulate:
             "# overflow: |x| exceeded 1e+12 (or an operator evaluation overflowed); truncated at t=0.0",
         ]
 
-    def test_infinite_state_exits_3_without_a_warning(self, tmp_path, capsys):
+    def test_infinite_state_exits_3_without_a_warning(self, tmp_path):
         # exp(-1e308 * t) is inf on the past, so the first step makes x = -inf
         spec = EquationSpec(kind="discrete_delay", label="small gain", terms=(("0.1", 4.0),))
         path = tmp_path / "small.json"
@@ -423,20 +427,26 @@ class TestSimulate:
         csv = tmp_path / "inf.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert cmd_simulate(path, "exponential:-1e308", 2.0, 0.01, csv) == 3
-        assert "overflowed at t=0.01" in capsys.readouterr().err
+            result = run_cli("simulate", "--spec", path, "--history", "exponential:-1e308", "--t-end", 2.0,
+                             "--step", 0.01, "--out", csv)
+            assert result.exit_code == 3
+        assert "overflowed at t=0.01" in result.stderr
         assert csv.read_text().splitlines()[1:3] == ["0.0,1.0,-inf", "0.01,-inf,-inf"]
 
-    def test_random_history_preset(self, single_delay_spec, tmp_path, capsys):
+    def test_random_history_preset(self, single_delay_spec, tmp_path):
         csv = tmp_path / "traj.csv"
-        assert cmd_simulate(single_delay_spec, "random:5", 10.0, 0.01, csv, fmt="json") == 0
-        assert json.loads(capsys.readouterr().out)["history"] == "random:5"
+        result = run_cli("simulate", "--spec", single_delay_spec, "--history", "random:5", "--t-end", 10.0,
+                         "--step", 0.01, "--out", csv, "--format", "json")
+        assert result.exit_code == 0
+        assert json.loads(result.stdout)["history"] == "random:5"
         op = build_operator(load_spec(single_delay_spec))
         expected = integrate(op, random_history(5, sigma_pad_start(op)), SimulationConfig(t_end=10.0, step=0.01))
         assert np.array_equal(read_trajectory_csv(csv).values, expected.values)
 
     def test_unknown_preset_exits_2(self, single_delay_spec):
-        assert cmd_simulate(single_delay_spec, "wavelet:3", 10.0, 0.01) == 2
+        result = run_cli("simulate", "--spec", single_delay_spec, "--history", "wavelet:3", "--t-end", 10.0,
+                         "--step", 0.01)
+        assert result.exit_code == 2
 
 
 class TestTrajectoryCsv:
@@ -473,47 +483,54 @@ class TestTrajectoryCsv:
 
 
 class TestTower:
-    def test_sqrt2(self, capsys):
-        assert cmd_tower(1.4142135) == 0
-        out = capsys.readouterr().out
+    def test_sqrt2(self):
+        result = run_cli("tower", "--base", 1.4142135)
+        assert result.exit_code == 0
+        out = result.stdout
         assert "converged" in out
         assert "inside" in out
         assert "closed form" in out
 
-    def test_divergent_base(self, capsys):
-        assert cmd_tower(1.5) == 0
-        out = capsys.readouterr().out
+    def test_divergent_base(self):
+        result = run_cli("tower", "--base", 1.5)
+        assert result.exit_code == 0
+        out = result.stdout
         assert "DIVERGED" in out
         assert "outside" in out
 
-    def test_base_one(self, capsys):
-        assert cmd_tower(1.0) == 0
-        assert "converged" in capsys.readouterr().out
+    def test_base_one(self):
+        result = run_cli("tower", "--base", 1.0)
+        assert result.exit_code == 0
+        assert "converged" in result.stdout
 
-    def test_nonpositive_base_exits_2(self, capsys):
-        assert cmd_tower(-2.0) == 2
+    def test_nonpositive_base_exits_2(self):
+        assert run_cli("tower", "--base", -2.0).exit_code == 2
 
-    def test_json_format(self, capsys):
-        assert cmd_tower(1.2, fmt="json") == 0
-        doc = json.loads(capsys.readouterr().out)
+    def test_json_format(self):
+        result = run_cli("tower", "--base", 1.2, "--format", "json")
+        assert result.exit_code == 0
+        doc = json.loads(result.stdout)
         assert doc["outcome"] == "converged"
         assert doc["inside_euler_interval"] is True
 
-    def test_max_iter_caps_the_iterates(self, capsys):
+    def test_max_iter_caps_the_iterates(self):
         # base 0.01 lies below e^-e: its iterates alternate and never settle
-        assert cmd_tower(0.01, max_iter=5) == 0
-        lines = capsys.readouterr().out.splitlines()
+        result = run_cli("tower", "--base", 0.01, "--max-iter", 5)
+        assert result.exit_code == 0
+        lines = result.stdout.splitlines()
         assert [line.split()[0] for line in lines[2:7]] == ["1", "2", "3", "4", "5"]
         assert lines[7].startswith("outcome: no decision after 5 iterations; last value ")
-        assert cmd_tower(0.01, max_iter=5, fmt="json") == 0
-        doc = json.loads(capsys.readouterr().out)
+        result = run_cli("tower", "--base", 0.01, "--max-iter", 5, "--format", "json")
+        assert result.exit_code == 0
+        doc = json.loads(result.stdout)
         assert doc["outcome"] == "max_iter_reached"
         assert doc["iterations_used"] == 5
 
 
-    def test_an_iterate_beyond_the_float_range_shows_the_overflow_marker(self, capsys):
-        assert cmd_tower(1e300) == 0
-        lines = capsys.readouterr().out.splitlines()
+    def test_an_iterate_beyond_the_float_range_shows_the_overflow_marker(self):
+        result = run_cli("tower", "--base", 1e300)
+        assert result.exit_code == 0
+        lines = result.stdout.splitlines()
         assert lines[2:5] == [
             "  1        1e+300",
             "  ...      (overflow range)",
@@ -522,15 +539,16 @@ class TestTower:
 
 
 class TestReproduce:
-    def test_unknown_parameter_exits_2(self, tmp_path, capsys):
-        assert cmd_reproduce(1, {"zeta": 3.0}, tmp_path / "x") == 2
-        assert "unknown parameter" in capsys.readouterr().err
+    def test_unknown_parameter_exits_2(self, tmp_path):
+        result = run_cli("reproduce", "--app", 1, "--set", "zeta=3.0", "--out", tmp_path / "x")
+        assert result.exit_code == 2
+        assert "unknown parameter" in result.stderr
 
-    def test_app1_bundle_and_agreement_with_analyze(self, tmp_path, capsys):
+    def test_app1_bundle_and_agreement_with_analyze(self, tmp_path):
         out_dir = tmp_path / "rep"
-        code = cmd_reproduce(1, {"q": 10.0}, out_dir, seed=0, n_histories=2)
-        assert code == 0
-        stdout = capsys.readouterr().out
+        result = run_cli("reproduce", "--app", 1, "--set", "q=10.0", "--out", out_dir, "--seed", 0, "--n-histories", 2)
+        assert result.exit_code == 0
+        stdout = result.stdout
         assert "discrepancy" in stdout
 
         bundle = out_dir / "app1_q=10"
@@ -544,31 +562,36 @@ class TestReproduce:
         # apart from the timestamp
         re_out = tmp_path / "re_report.json"
         sc = make_scenarios(1, {"q": 10.0})[0]
-        assert cmd_analyze(bundle / "spec.json", sc.crit_t_start, sc.crit_t_end, re_out) == 0
+        result = run_cli("analyze", "--spec", bundle / "spec.json", "--t-start", sc.crit_t_start,
+                         "--t-end", sc.crit_t_end, "--out", re_out)
+        assert result.exit_code == 0
         a = json.loads((bundle / "report.json").read_text())
         b = json.loads(re_out.read_text())
         a.pop("generated_at")
         b.pop("generated_at")
         assert json.dumps(a, indent=2, sort_keys=True) == json.dumps(b, indent=2, sort_keys=True)
 
-    def test_rate_beyond_the_float_range_of_e_to_the_w_has_no_tower(self, tmp_path, capsys):
+    def test_rate_beyond_the_float_range_of_e_to_the_w_has_no_tower(self, tmp_path):
         # q = 1e-300 makes w = 6/q = 6e300: guaranteed, but e^w is not a float
-        assert cmd_reproduce(1, {"q": 1e-300}, tmp_path, seed=0, n_histories=1) == 0
+        result = run_cli("reproduce", "--app", 1, "--set", "q=1e-300", "--out", tmp_path, "--seed", 0, "--n-histories", 1)
+        assert result.exit_code == 0
         report = json.loads((tmp_path / "app1_q=1e-300" / "report.json").read_text())
         assert report["verdict"] == "guaranteed"
         assert report["tetration"] is None
 
-    def test_a_scenario_with_no_classified_run_is_not_concordant(self, tmp_path, capsys):
+    def test_a_scenario_with_no_classified_run_is_not_concordant(self, tmp_path):
         # every run overflows, so the ensemble confirms nothing
-        assert cmd_reproduce(1, {"q": 1e-300}, tmp_path, seed=0, n_histories=2) == 0
+        result = run_cli("reproduce", "--app", 1, "--set", "q=1e-300", "--out", tmp_path, "--seed", 0, "--n-histories", 2)
+        assert result.exit_code == 0
         conc = json.loads((tmp_path / "app1_q=1e-300" / "concordance.json").read_text())
         assert (conc["classes"], conc["overflowed_runs"], conc["concordant"]) == ([], 2, False)
-        assert "overflowed 2; concordant: NO" in capsys.readouterr().out
+        assert "overflowed 2; concordant: NO" in result.stdout
 
-    def test_json_stdout_matches_the_bundles(self, tmp_path, capsys):
+    def test_json_stdout_matches_the_bundles(self, tmp_path):
         out_dir = tmp_path / "rep"
-        assert cmd_reproduce(1, None, out_dir, n_histories=1, fmt="json") == 0
-        entries = json.loads(capsys.readouterr().out)
+        result = run_cli("reproduce", "--app", 1, "--out", out_dir, "--n-histories", 1, "--format", "json")
+        assert result.exit_code == 0
+        entries = json.loads(result.stdout)
         assert [e["scenario"] for e in entries] == [sc.name for sc in make_scenarios(1)]
         for entry in entries:
             report = json.loads((out_dir / entry["scenario"] / "report.json").read_text())
@@ -581,27 +604,80 @@ class TestReproduce:
 
 class TestClickWiring:
     def test_group_help(self):
-        runner = CliRunner()
-        result = runner.invoke(main, ["--help"])
+        result = run_cli("--help")
         assert result.exit_code == 0
         for sub in ("analyze", "simulate", "tower", "reproduce"):
             assert sub in result.output
 
     def test_missing_spec_flag_exits_2(self):
-        runner = CliRunner()
-        result = runner.invoke(main, ["analyze"])
+        result = run_cli("analyze")
         assert result.exit_code == 2
 
     def test_tower_via_runner(self):
-        runner = CliRunner()
-        result = runner.invoke(main, ["tower", "--base", "1.2", "--format", "json"])
+        result = run_cli("tower", "--base", "1.2", "--format", "json")
         assert result.exit_code == 0
         assert json.loads(result.output)["outcome"] == "converged"
 
-    def test_reproduce_bad_override_form(self, tmp_path):
-        runner = CliRunner()
-        result = runner.invoke(main, ["reproduce", "--app", "1", "--set", "q:10", "--out", str(tmp_path / "o")])
+    @pytest.mark.parametrize(
+        "item, message",
+        [("q:10", "override 'q:10' is not of the form NAME=VALUE"), ("q=abc", "override 'q=abc' has a non-numeric value")],
+        ids=["no-equals-sign", "non-numeric"],
+    )
+    def test_reproduce_bad_override_form(self, item, message, tmp_path):
+        result = run_cli("reproduce", "--app", "1", "--set", item, "--out", tmp_path / "o")
         assert result.exit_code == 2
+        assert (result.stdout, result.stderr) == ("", f"error: {message}\n")
+
+    def test_version_and_every_option_with_its_default(self):
+        result = run_cli("--version")
+        assert (result.exit_code, result.stdout) == (0, f"ddeosc, version {__version__}\n")
+        for command, options in _HELP.items():
+            result = run_cli(command, "--help")
+            assert (result.exit_code, result.stderr) == (0, "")
+            entries = re.split(r"\n  (?=-)", result.stdout.split("\nOptions:\n", 1)[1])
+            assert {entry.split()[0]: " ".join(entry.split()[1:]) for entry in entries} == options
+
+
+# Each subcommand's options as its help lists them: metavar, help text and default, wrapped lines joined.
+_HELP = {
+    "analyze": {
+        "--spec": "FILE [required]",
+        "--t-start": "FLOAT start of the criterion sampling window [default: 10.0]",
+        "--t-end": "FLOAT end of the criterion sampling window [default: 110.0]",
+        "--grid-points": "INTEGER [default: 512]",
+        "--panels": "INTEGER [default: 64]",
+        "--out": "FILE write the criterion report JSON here",
+        "--format": "[text|json|csv] [default: text]",
+        "--help": "Show this message and exit.",
+    },
+    "simulate": {
+        "--spec": "FILE [required]",
+        "--history": "TEXT initial history: constant:C, exponential:RATE or random:SEED [default: constant:1]",
+        "--t-end": "FLOAT [default: 60.0]",
+        "--step": "FLOAT [default: 0.01]",
+        "--out": "FILE write the trajectory CSV here",
+        "--interpolation": "[cubic-hermite|linear] [default: cubic-hermite]",
+        "--transient-fraction": "FLOAT [default: 0.25]",
+        "--format": "[text|json] [default: text]",
+        "--help": "Show this message and exit.",
+    },
+    "tower": {
+        "--base": "FLOAT [required]",
+        "--max-iter": "INTEGER [default: 10000]",
+        "--tol": "FLOAT [default: 1e-10]",
+        "--format": "[text|json] [default: text]",
+        "--help": "Show this message and exit.",
+    },
+    "reproduce": {
+        "--app": "INTEGER RANGE built-in benchmark scenario id [1<=x<=3; required]",
+        "--set": "NAME=VALUE override a scenario parameter",
+        "--out": "DIRECTORY bundle output directory",
+        "--seed": "INTEGER [default: 0]",
+        "--n-histories": "INTEGER [default: 10]",
+        "--format": "[text|json] [default: text]",
+        "--help": "Show this message and exit.",
+    },
+}
 
 
 _DELAY = '{"schema": 1, "kind": "discrete_delay", "terms": [{"coef_expr": "1", "delay": 1.0}]}'
@@ -670,7 +746,7 @@ def test_bad_input_exits_with_one_line_error(args, code, single_delay_spec, tmp_
         args = [*args, "--spec", str(spec), "--t-end", "5"]
     elif args[0] == "analyze":
         args = [*args, "--spec", str(spec)]
-    result = CliRunner().invoke(main, args)
+    result = run_cli(*args)
     assert result.exit_code == code
     assert isinstance(result.exception, SystemExit)  # not an uncaught error
     assert result.stderr.startswith("error: ")
@@ -715,7 +791,7 @@ def test_malformed_spec_exits_2_naming_the_file_or_field(text, message, tmp_path
         path.write_bytes(text)
     else:
         path.write_text(text)
-    result = CliRunner().invoke(main, ["analyze", "--spec", str(path), "--out", str(report)])
+    result = run_cli("analyze", "--spec", path, "--out", report)
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)  # not an uncaught error
     assert result.stderr.startswith(message.format(path=path))
@@ -744,7 +820,7 @@ def test_malformed_spec_exits_2_naming_the_file_or_field(text, message, tmp_path
 def test_a_long_value_or_source_is_clipped_in_a_short_line(text, message, tmp_path):
     path = tmp_path / "spec.json"
     path.write_text(text)
-    result = CliRunner().invoke(main, ["analyze", "--spec", str(path)])
+    result = run_cli("analyze", "--spec", path)
     assert result.exit_code == 2
     assert result.stderr.startswith(message)
     assert len(result.stderr.splitlines()) == 1
@@ -756,7 +832,7 @@ def test_the_deepest_expression_accepted_runs_through_analyze_and_simulate(tmp_p
     path = tmp_path / "sum.json"
     path.write_text(_DELAY.replace('"1"', f'"{_sum(201)}"'))
     for args in (["analyze"], ["simulate", "--t-end", "5"]):
-        result = CliRunner().invoke(main, [*args, "--spec", str(path)])
+        result = run_cli(*args, "--spec", path)
         assert result.exit_code == 0, result.output
 
 
@@ -767,7 +843,7 @@ def test_the_deepest_expression_accepted_runs_through_analyze_and_simulate(tmp_p
 def test_call_arity_rejected_at_load(coef, message, tmp_path):
     path = tmp_path / "arity.json"
     save_spec(EquationSpec(kind="discrete_delay", label="arity", terms=((coef, 1.0),)), path)
-    result = CliRunner().invoke(main, ["simulate", "--spec", str(path), "--t-end", "5"])
+    result = run_cli("simulate", "--spec", path, "--t-end", "5")
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
     assert result.stderr.endswith(message + "\n")
@@ -778,7 +854,7 @@ def test_complex_coefficient_exits_3(tmp_path):
     spec = EquationSpec(kind="discrete_delay", label="complex", terms=(("(t-10)**0.5", 1.0),))
     path = tmp_path / "complex.json"
     save_spec(spec, path)
-    result = CliRunner().invoke(main, ["simulate", "--spec", str(path), "--t-end", "5"])
+    result = run_cli("simulate", "--spec", path, "--t-end", "5")
     assert result.exit_code == 3
     assert isinstance(result.exception, SystemExit)  # not an uncaught TypeError
     assert result.stderr.startswith("error: expression '(t-10)**0.5' does not evaluate to a real number at t=0.0: ")
@@ -787,8 +863,8 @@ def test_complex_coefficient_exits_3(tmp_path):
 
 def test_bad_transient_fraction_rejected_before_integrating(single_delay_spec, tmp_path):
     csv = tmp_path / "traj.csv"
-    args = ["simulate", "--spec", str(single_delay_spec), "--transient-fraction", "1.5", "--out", str(csv)]
-    result = CliRunner().invoke(main, args)
+    args = ["simulate", "--spec", str(single_delay_spec), "--transient-fraction", "1.5", "--out", csv]
+    result = run_cli(*args)
     assert result.exit_code == 2
     assert result.stderr == "error: transient_fraction must be in [0, 1), got 1.5\n"
     assert not csv.exists()
@@ -799,7 +875,7 @@ def test_unwritable_output_exits_2(command, name, single_delay_spec, tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("")
     args = [command, "--spec", str(single_delay_spec), "--out", str(blocker / name)]
-    result = CliRunner().invoke(main, args + (["--t-end", "5"] if command == "simulate" else []))
+    result = run_cli(*args + (["--t-end", "5"] if command == "simulate" else []))
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)  # not an uncaught NotADirectoryError
     assert result.stderr.startswith("error: [Errno 20] Not a directory: ")
@@ -847,8 +923,8 @@ def test_app2_at_the_float_range_overflows_into_a_package_error_or_none(args, co
         (tmp_path / "app2.json").write_text(args[at + 1])
         args = [*args[:at + 1], str(tmp_path / "app2.json"), *args[at + 2:]]
     if args[0] == "reproduce":
-        args = [*args, "--n-histories", "1", "--out", str(tmp_path / "o")]
-    result = CliRunner().invoke(main, args)
+        args = [*args, "--n-histories", "1", "--out", tmp_path / "o"]
+    result = run_cli(*args)
     assert (result.exit_code, result.stderr) == (code, stderr)
 
 
@@ -899,16 +975,94 @@ def preset_specs(tmp_path_factory):
 def test_a_history_preset_simulates_or_exits_with_one_line(preset_specs, kind, arg, spec):
     args = ["simulate", "--spec", str(preset_specs / f"{spec}.json"), f"--history={kind}:{arg}",
             "--t-end", "2", "--step", "0.05"]
-    result = CliRunner().invoke(main, args)
+    result = run_cli(*args)
     assert result.exit_code in (0, 2, 3), result.exception
     assert isinstance(result.exception, (SystemExit, type(None)))
     assert len(result.stderr.splitlines()) <= 1
 
 
+_FLOAT = st.floats().map(repr) | st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308"])
+# Sizes stay small or lie far beyond memory, so that a run is quick or fails at its first allocation.
+_SIZE = st.integers(-2, 600).map(str) | st.sampled_from([str(10**14), str(2**64)])
+
+
+def _argv(command, *required, **optional):
+    """``command`` with every required (option, value) pair and a drawn subset of the optional ones.
+
+    One value in two is then replaced by arbitrary text, so that most runs get past the parsing.
+    """
+    pairs = st.tuples(*(st.tuples(st.just(name), value) for name, value in required))
+    chosen = st.fixed_dictionaries({}, optional={f"--{k.replace('_', '-')}": v for k, v in optional.items()})
+    argv = st.tuples(pairs, chosen).map(
+        lambda drawn: [command, *(x for pair in (*drawn[0], *drawn[1].items()) for x in pair)]
+    )
+    return argv.flatmap(
+        lambda a: st.just(a) | st.tuples(st.sampled_from(range(2, len(a), 2)), st.text()).map(
+            lambda k_text: [*a[:k_text[0]], k_text[1], *a[k_text[0] + 1:]])
+        if len(a) > 1 else st.just(a)
+    )
+
+
+_OVERRIDE = st.tuples(
+    st.sampled_from(sorted({name for _, name in _PARAMETERS})) | st.text(),
+    st.sampled_from(["=", ":", ""]),
+    _FLOAT,
+).map("".join)
+_COMMANDS = st.one_of(
+    _argv("analyze", t_start=_FLOAT, t_end=_FLOAT, grid_points=_SIZE, panels=_SIZE,
+          format=st.sampled_from(["text", "json", "csv"])),
+    # at most 200 steps: t_end <= 2 and a step of at least 0.01, or one that fails at allocation
+    _argv(
+        "simulate",
+        ("--t-end", st.floats(max_value=2.0).map(repr) | st.just("nan")),
+        history=st.tuples(st.sampled_from(["constant", "exponential", "random"]), _FLOAT | st.integers().map(str)).map(":".join),
+        step=st.floats(min_value=0.01).map(repr) | st.sampled_from(["nan", "-inf", "0", "-0.01", "1e-13"]),
+        interpolation=st.sampled_from(["cubic-hermite", "linear"]),
+        transient_fraction=_FLOAT,
+        format=st.sampled_from(["text", "json"]),
+    ),
+    _argv("tower", ("--base", _FLOAT), max_iter=st.integers(max_value=10_000).map(str), tol=_FLOAT,
+          format=st.sampled_from(["text", "json"])),
+    # one history, or none: an ensemble of at most one integration per scenario
+    _argv("reproduce", ("--app", st.integers(0, 4).map(str)), ("--n-histories", st.sampled_from(["1", "0"])),
+          seed=st.integers(min_value=-1).map(str), format=st.sampled_from(["text", "json"]))
+    .flatmap(lambda argv: st.lists(_OVERRIDE, max_size=3).map(
+        lambda items: [*argv, *(x for item in items for x in ("--set", item))])),
+)
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """A spec file for analyze and simulate, and an output folder for reproduce."""
+    folder = tmp_path_factory.mktemp("cli_inputs")
+    (folder / "spec.json").write_text(_DELAY)
+    return folder
+
+
+@settings(max_examples=100, deadline=None)
+@example(["tower", "--base", "nan"])
+@example(["tower", "--base", "inf"])
+@example(["analyze", "--panels", "3"])
+@example(["analyze", "--panels", str(10**14)])
+@example(["analyze", "--t-start", "-1.5202245119080253e-276", "--t-end", "0.0"])
+@example(["simulate", "--t-end", "2", "--step", "nan"])
+@example(["simulate", "--t-end", "2", "--transient-fraction", "1"])
+@example(["reproduce", "--app", "1", "--n-histories", "1", "--set", "q"])
+@example(["reproduce", "--app", "1", "--n-histories", "1", "--set", "q=abc"])
+@example(["reproduce", "--app", "4", "--n-histories", "1"])
+@given(_COMMANDS)
+def test_every_command_exits_0_2_or_3(cli_inputs, argv):
+    where = {"analyze": "--spec", "simulate": "--spec", "reproduce": "--out"}[argv[0]] if argv[0] != "tower" else None
+    files = {"--spec": cli_inputs / "spec.json", "--out": cli_inputs / "bundles"}
+    result = run_cli(*argv, *((where, files[where]) if where else ()))
+    assert result.exit_code in (0, 2, 3), result.exception
+    assert isinstance(result.exception, (SystemExit, type(None))), result.exception
+
+
 def test_reproduce_names_a_huge_integer_l_in_g_form(tmp_path):
     out = tmp_path / "o"
     args = ["reproduce", "--app", "3", "--set", "l=1e300", "--n-histories", "1", "--out", str(out)]
-    result = CliRunner().invoke(main, args)
+    result = run_cli(*args)
     assert result.exit_code == 0
     assert [p.name for p in out.iterdir()] == ["app3_a=3_b=0.1_m=1_l=1e+300"]
     assert [sc.name for sc in make_scenarios(3)] == ["app3_a=3_b=0.1_m=1_l=2", "app3_a=3_b=0.1_m=1_l=3"]

@@ -81,6 +81,11 @@ class TestEstimateLiminf:
         down = estimate_liminf_w(lambda s: 1e-3 * (100.0 - s), lambda t: t - 1.0, 1.0, 81.0)
         assert down.trend is Trend.DECREASING
 
+    def test_a_window_near_0_fits_its_trend_without_underflow(self):
+        # the sample times' squares underflow to 0
+        est = estimate_liminf_w(lambda s: 1.0, lambda t: t - 1e-300, 0.0, 1e-300)
+        assert est.trend is Trend.STABLE
+
     @pytest.mark.parametrize(
         "bound, trend",
         [("(t+5)/(20.0*(t+6))", Trend.INCREASING), ("(t+7)/(20.0*(t+6))", Trend.DECREASING)],

@@ -353,6 +353,10 @@ class TestArrayCoefficientsAndReads:
         assert sigma_growth_check(counted, 0.0, 50.0)
         assert calls == [(64, 1)]
 
+    def test_sigma_growth_check_in_a_window_near_0(self):
+        # the sample times' squares underflow to 0
+        assert sigma_growth_check(make_discrete_delay([(1.0, 1e-300)]), 0.0, 1e-300)
+
 
 class TestReadPointsAndCombine:
     """An operator is its read points and its combine: stacked rows of read
@@ -633,8 +637,12 @@ class TestAuditSignBound:
         (lambda: random_history(0, 1.0, 1.0), r"empty history domain \[1.0, 1.0\]"),
         (lambda: make_distributed_delay(lambda t, s, xs: xs[0], (1.0, 1.0), [lambda t, s: t - s], bound_b=lambda t: 1.0),
          r"s_range must be increasing, got \[1.0, 1.0\]"),
+        (lambda: make_distributed_delay(lambda t, s, xs: xs[0], (0.0, math.inf), [lambda t, s: t - s], bound_b=lambda t: 1.0),
+         r"s_range must be finite, got \[0.0, inf\]"),
         (lambda: make_distributed_delay(lambda t, s, xs: 0.0, (0.0, 1.0), [], bound_b=lambda t: 1.0),
          "at least one delay map is required"),
+        (lambda: make_discrete_delay([(1.0, math.nan)]), "delays must be positive and finite, got nan"),
+        (lambda: make_discrete_delay([(1.0, 1.0), (1.0, math.inf)]), "delays must be positive and finite, got inf"),
         (lambda: audit_sign_bound(make_discrete_delay([(1.0, 1.0)]), [5.0], trials=0), "trials must be >= 1, got 0"),
         (lambda: audit_sign_bound(
             dataclasses.replace(make_discrete_delay([(1.0, 1.0)]), read_points=lambda t: t + 0.0), [5.0]),
@@ -645,7 +653,7 @@ class TestAuditSignBound:
             [5.0]),
          r"sigma\(t\) must be finite; sigma\(5.0\) = -inf"),
     ],
-    ids=["history-domain", "s-range", "no-delay-map", "audit-trials", "audit-reads-at-t", "audit-reads-overflow"],
+    ids=["history-domain", "s-range", "s-range-infinite", "no-delay-map", "delay-nan", "delay-inf", "audit-trials", "audit-reads-at-t", "audit-reads-overflow"],
 )
 def test_construction_and_audit_arguments_are_checked(build, message):
     with pytest.raises(InvalidParameterError, match=message):

@@ -41,8 +41,8 @@ def test_parameter_errors():
 
 def test_nodes_weights_positive_and_sum():
     h, nodes, factors = simpson_rule(0.0, 3.0, 6)
-    assert nodes == [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
-    assert factors == [1.0, 4.0, 2.0, 4.0, 2.0, 4.0, 1.0]
+    assert nodes.tolist() == [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
+    assert factors.tolist() == [1.0, 4.0, 2.0, 4.0, 2.0, 4.0, 1.0]
     assert h / 3.0 * sum(factors) == pytest.approx(3.0, abs=1e-14)
     with pytest.raises(InvalidParameterError):
         simpson_rule(0.0, 1.0, 5)
